@@ -79,6 +79,18 @@ def _parse_str(s: str) -> str:
     return s.strip()
 
 
+def _parse_tau(s: str):
+    v = s.strip()
+    return v if v == "auto" else float(v)
+
+
+def _parse_qpat_bc(s: str) -> str:
+    v = s.strip()
+    if v.startswith("const:"):
+        float(v.split(":", 1)[1])
+    return v
+
+
 def _parse_choice(options):
     def parse(s: str) -> str:
         v = s.strip()
@@ -108,7 +120,7 @@ REGISTRY = {
     "N": (_parse_int, "1"),
     "N_list": (_parse_intlist, "1,2,4,8,16"),
     "M": (_parse_int, "200"),
-    "tau": (_parse_str, "auto"),
+    "tau": (_parse_tau, "auto"),
     "solve.bc": (_parse_str, "x*x - y*y"),
     "sample.count": (_parse_int, "8"),
     "runge.target": (_parse_choice(TARGET_KINDS), "fundamental_solution"),
@@ -121,7 +133,7 @@ REGISTRY = {
     "runge.degree": (_parse_int, "2"),
     "runge.part": (_parse_choice(("re", "im")), "re"),
     "qpat.mu": (_parse_str, "1"),
-    "qpat.bc": (_parse_str, "const:1"),
+    "qpat.bc": (_parse_qpat_bc, "const:1"),
     "qpat.tau": (_parse_float, "1e-8"),
     "cond.a": (_parse_str, "exp(x1)"),
     "cond.bc": (_parse_str, "x1,x2"),
@@ -491,9 +503,7 @@ def cmd_constraint_experiment(cfg: RunConfig, out: OutputWriter) -> None:
     grid = _grid(cfg)
     N_list = cfg["N_list"]
     trial = _trial_config(cfg, grid, max(N_list))
-    tau_raw = cfg["tau"]
-    tau = "auto" if tau_raw == "auto" else float(tau_raw)
-    result = success_curve(trial, N_list, cfg["M"], tau=tau,
+    result = success_curve(trial, N_list, cfg["M"], tau=cfg["tau"],
                            master_seed=cfg["seed"], threads=_threads(cfg))
     rows = [(r.N, r.successes, r.M, r.rate, r.lo95, r.hi95, r.tau)
             for r in result.rows]

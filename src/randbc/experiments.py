@@ -7,8 +7,9 @@ PDE solves regardless of the number of draws.  Covered studies:
   success_curve           P(min over window of max_l |zeta^l| >= tau) vs N,
                           with nested (coupled) draws across N and Wilson
                           score intervals;
-  variance_identity_check E zeta(u)^2 against the weighted series over basis
-                          pairs, scored as z-values;
+  variance_identity_check E zeta(u)^2 against its closed form d! det S, the
+                          sigma^2-weighted Gram determinant of the map's d
+                          feature rows, scored as z-values;
   tail_check              survival of the spectral boundary norm against a
                           fitted gaussian tail 2 exp(-c1 t^2);
   concentration_check     deviation of empirical means of zeta^2 around the
@@ -20,6 +21,7 @@ changes wall time only, never a single emitted number.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -202,8 +204,13 @@ class SuccessCurveResult:
     tau: float
     min_max: np.ndarray          # (M, len(N_values)) per-trial nested min-max
     N_values: list
-    cover_complete_count: int    # trials at max N whose cover is complete at tau
     M: int
+
+    @property
+    def cover_complete_count(self) -> int:
+        """Trials whose cover at the largest N is complete at tau: max_l |zeta^l|
+        >= tau at every window node is exactly min-max >= tau."""
+        return self.rows[-1].successes
 
 
 def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
@@ -234,8 +241,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
         rows = _constraint_rows(cfg.cmap, parts, coeffs)
         running = np.maximum.accumulate(np.abs(rows), axis=0)
-        mins = np.array([running[N - 1].min() for N in Ns])
-        return mins, rows
+        return np.array([running[N - 1].min() for N in Ns])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -243,7 +249,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     else:
         results = [one_rep(rep) for rep in range(M)]
 
-    min_max = np.stack([r[0] for r in results])          # (M, len(Ns))
+    min_max = np.stack(results)                           # (M, len(Ns))
     if isinstance(tau, str):
         if tau != "auto":
             raise ConfigError(f"tau must be a nonnegative number or 'auto', got {tau!r}")
@@ -262,20 +268,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         lo, hi = wilson_interval(successes, M)
         rows_out.append(SuccessRow(N=N, successes=successes, M=M,
                                    rate=successes / M, lo95=lo, hi95=hi, tau=tau_val))
-
-    complete = 0
-    if tau_val == 0.0:
-        # Zero threshold: every point trivially clears it, covers are complete.
-        complete = M
-    else:
-        for _, raw in results:
-            cfields = [ConstraintField(values=raw[l], mask=cfg.mask)
-                       for l in range(N_max)]
-            if extract_cover(cfields, tau_val).complete:
-                complete += 1
-
     return SuccessCurveResult(rows=rows_out, tau=tau_val, min_max=min_max,
-                              N_values=Ns, cover_complete_count=complete, M=M)
+                              N_values=Ns, M=M)
 
 
 DEFAULT_PROBE_FRACTIONS = (0.3125, 0.5, 0.6875)
@@ -295,19 +289,43 @@ class VarianceRow:
     z: float
 
 
+def _feature_rows(cmap: ConstraintMap, parts: _Parts) -> list:
+    """The map's d linear features per mode, (K, P) each: zeta(u_1..u_d) is
+    the determinant of the d x d matrix [feature_r(u_i)]."""
+    if cmap.kind == "nodal":
+        return [parts.vals]
+    if cmap.kind == "critical":
+        d0, d1 = cmap.direction
+        return [d0 * parts.gxs + d1 * parts.gys]
+    if cmap.kind == "jacobian":
+        return [parts.gxs, parts.gys]
+    return [parts.vals, parts.gxs, parts.gys]
+
+
+def _cofactor_det(S):
+    """Determinant by cofactor expansion along the first row; no LU, so a
+    1 x 1 matrix gives its entry itself."""
+    if len(S) == 1:
+        return S[0][0]
+    return sum((-1) ** j * S[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in S[1:]])
+               for j in range(len(S)))
+
+
+def _second_moment_series(feats: list, sig2: np.ndarray) -> np.ndarray:
+    """E zeta^2 = d! det S, S_ij = sum_k sig2_k F_ik F_jk: exact by Cauchy-Binet
+    for independent zero-mean coefficients of any family."""
+    d = len(feats)
+    S = [[sig2 @ (feats[i] * feats[j]) for j in range(d)] for i in range(d)]
+    return math.factorial(d) * _cofactor_det(S)
+
+
 def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
                             master_seed: int = 0) -> list[VarianceRow]:
-    """Monte-Carlo E[zeta(u)^2] against the exact weighted series at probes.
+    """Monte-Carlo E[zeta(u)^2] against the exact closed form at probes.
 
-    Supported maps: arity 1 (nodal, critical) always; jacobian only as a
-    K^2-summed slow path for K <= 8.  z scores use the sample standard error.
+    Every map is supported (see _second_moment_series).  z scores use the
+    sample standard error.
     """
-    arity = cfg.cmap.arity
-    if arity == 2 and cfg.model.K > 8:
-        raise ConfigError(
-            f"pair series needs K <= 8 (K^2 terms), got K={cfg.model.K}")
-    if arity > 2:
-        raise ConfigError("variance series is implemented for maps of arity 1 and 2")
     if not isinstance(M, (int, np.integer)) or M < 2:
         raise ConfigError(f"need at least two samples, got M={M!r}")
     M = int(M)
@@ -326,28 +344,11 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     iys = np.array(iys)
     parts = _restrict_parts(dictionary, ixs, iys,
                             need_grads=(cfg.cmap.kind != "nodal"))
-    sig2 = cfg.model.sigma ** 2
-    rng = derive_rng(master_seed, 0)
-
-    if arity == 1:
-        if cfg.cmap.kind == "nodal":
-            w = parts.vals                                    # (K, P)
-        else:
-            d0, d1 = cfg.cmap.direction
-            w = d0 * parts.gxs + d1 * parts.gys
-        series = sig2 @ (w * w)                               # (P,)
-        draws = sample_coeffs(cfg.model, rng, M)              # (M, K)
-        sq = (draws @ w) ** 2                                 # (M, P)
-    else:
-        txy = (parts.gxs[:, None, :] * parts.gys[None, :, :]
-               - parts.gys[:, None, :] * parts.gxs[None, :, :])   # (K, K, P)
-        series = np.einsum("i,j,ijp->p", sig2, sig2, txy * txy)
-        draws = sample_coeffs(cfg.model, rng, 2 * M).reshape(M, 2, cfg.model.K)
-        u1x = draws[:, 0, :] @ parts.gxs
-        u1y = draws[:, 0, :] @ parts.gys
-        u2x = draws[:, 1, :] @ parts.gxs
-        u2y = draws[:, 1, :] @ parts.gys
-        sq = (u1x * u2y - u1y * u2x) ** 2
+    series = _second_moment_series(_feature_rows(cfg.cmap, parts),
+                                   cfg.model.sigma ** 2)
+    arity, K = cfg.cmap.arity, cfg.model.K
+    draws = sample_coeffs(cfg.model, derive_rng(master_seed, 0), arity * M)
+    sq = _constraint_rows(cfg.cmap, parts, draws.reshape(M, arity, K)) ** 2
 
     mc = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / np.sqrt(M)
@@ -447,12 +448,9 @@ def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
         raise ConfigError(f"probe {x_point!r} lies outside the window")
     parts = _restrict_parts(dictionary, np.array([ix]), np.array([iy]),
                             need_grads=(cfg.cmap.kind != "nodal"))
-    if cfg.cmap.kind == "nodal":
-        w = parts.vals[:, 0]
-    else:
-        d0, d1 = cfg.cmap.direction
-        w = d0 * parts.gxs[:, 0] + d1 * parts.gys[:, 0]
-    mu = float((cfg.model.sigma ** 2) @ (w * w))
+    feats = _feature_rows(cfg.cmap, parts)
+    w = feats[0][:, 0]
+    mu = float(_second_moment_series(feats, cfg.model.sigma ** 2)[0])
 
     rows = []
     fits = []

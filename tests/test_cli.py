@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import randbc
 from randbc.cli import REGISTRY, resolve_config, run
 
 
@@ -44,6 +48,19 @@ def test_bad_value_exits_with_the_config_code(tmp_path, capsys):
     rc = run(["solve", "--out", str(tmp_path / "o"), "--set", "grid.n=banana"])
     assert rc == 2
     assert "grid.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, pair", [("constraint-experiment", "tau=abc"),
+                                           ("qpat", "qpat.bc=const:abc")])
+def test_malformed_value_is_a_config_error_not_a_traceback(command, pair, tmp_path):
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "randbc", command,
+                           "--out", str(tmp_path / "o"), "--set", pair],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_solver_failure_exits_with_the_runtime_code(tmp_path, capsys):
@@ -111,6 +128,14 @@ def test_variance_check_outputs(tmp_path):
     assert rc == 0
     header = (out / "variance_check.csv").read_text().splitlines()[0]
     assert header == "x,y,mc,series,z"
+
+
+@pytest.mark.parametrize("zeta", ["jacobian", "augmented"])
+def test_variance_check_runs_for_multi_argument_maps(zeta, tmp_path):
+    out = tmp_path / "var"
+    assert run(["variance-check", "--out", str(out), "--set", f"zeta={zeta}",
+                "--set", "M=2000"]) == 0
+    assert len((out / "variance_check.csv").read_text().splitlines()) == 10
 
 
 def test_tail_check_outputs(tmp_path):

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from randbc.boundary import BoundaryBasis, RandomBoundaryModel
-from randbc.constraints import ConstraintMap, max_abs
+from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
+from randbc.constraints import (ConstraintField, ConstraintMap, extract_cover,
+                                max_abs)
 from randbc.errors import ConfigError
-from randbc.experiments import (TrialConfig, concentration_check,
-                                default_probes, run_trial, success_curve,
-                                tail_check, trial_fields,
-                                variance_identity_check, wilson_interval)
+from randbc.experiments import (TrialConfig, _constraint_rows,
+                                _restrict_parts, _window_parts,
+                                concentration_check, default_probes,
+                                ensure_dictionary, run_trial, success_curve, tail_check,
+                                trial_fields, variance_identity_check,
+                                wilson_interval)
+from randbc.streams import derive_rng
 
 
 @pytest.fixture()
@@ -109,6 +113,36 @@ def test_worker_count_does_not_change_results(cfg17):
     assert r1.cover_complete_count == r4.cover_complete_count
 
 
+def _reference_complete_count(cfg, N_max, M, tau, master_seed):
+    """Covers complete at tau, counted the long way: redraw each repetition's
+    N_max constraint fields and label them with extract_cover."""
+    parts = _window_parts(cfg)
+    arity, K = cfg.cmap.arity, cfg.model.K
+    complete = 0
+    for rep in range(M):
+        rng = derive_rng(master_seed, rep)
+        coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
+        rows = _constraint_rows(cfg.cmap, parts, coeffs)
+        cfields = [ConstraintField(values=rows[l], mask=cfg.mask) for l in range(N_max)]
+        complete += extract_cover(cfields, tau).complete
+    return complete
+
+
+@pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian"])
+def test_cover_complete_count_matches_labeling_every_repetition(kind, grid17, ident17,
+                                                                model9, dict17):
+    cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
+                      cmap=ConstraintMap(kind), N=4, dictionary=dict17)
+    auto = success_curve(cfg, [1, 2, 4], M=50, tau="auto", master_seed=5)
+    explicit_tau = float(np.median(auto.min_max[:, -1]))
+    explicit = success_curve(cfg, [1, 2, 4], M=50, tau=explicit_tau, master_seed=5)
+    for res in (auto, explicit):
+        assert res.tau > 0.0
+        assert res.cover_complete_count == _reference_complete_count(
+            cfg, N_max=4, M=50, tau=res.tau, master_seed=5)
+    assert 0 < explicit.cover_complete_count < explicit.M
+
+
 def test_default_probes_snap_to_window_nodes(grid17):
     pts = default_probes(grid17)
     assert len(pts) == 9
@@ -129,6 +163,67 @@ def test_variance_identity_for_the_bilinear_map(grid17, ident17):
                       cmap=ConstraintMap("jacobian"), N=2)
     rows = variance_identity_check(cfg, M=3000, master_seed=2)
     assert all(abs(r.z) <= 5.0 for r in rows)
+
+
+@pytest.mark.parametrize("kind, K", [("augmented", 9), ("jacobian", 17)])
+def test_variance_identity_for_every_map_and_size(kind, K, grid17, ident17):
+    model = RandomBoundaryModel.power_law(K=K, c=1.0, s=1.5)
+    cfg = TrialConfig(grid=grid17, coeff=ident17, model=model,
+                      cmap=ConstraintMap(kind), N=1)
+    rows = variance_identity_check(cfg, M=4000, master_seed=0)
+    assert len(rows) == 9
+    assert all(abs(r.z) <= 5.0 for r in rows)
+    assert all(r.series > 0.0 for r in rows)
+
+
+def _probe_parts(cfg):
+    nodes = [cfg.grid.nearest_node(p) for p in default_probes(cfg.grid)]
+    ixs = np.array([ix for ix, _ in nodes])
+    iys = np.array([iy for _, iy in nodes])
+    return _restrict_parts(ensure_dictionary(cfg), ixs, iys, need_grads=True)
+
+
+def test_series_matches_brute_force_sums_over_modes(grid17, ident17):
+    for kind, K in (("jacobian", 7), ("augmented", 5)):
+        model = RandomBoundaryModel.power_law(K=K, c=1.0, s=1.5)
+        cfg = TrialConfig(grid=grid17, coeff=ident17, model=model,
+                          cmap=ConstraintMap(kind), N=1)
+        series = np.array([r.series for r in variance_identity_check(cfg, M=2)])
+        parts = _probe_parts(cfg)
+        s2 = model.sigma ** 2
+        brute = np.zeros(len(series))
+        if kind == "jacobian":
+            # E zeta^2 = sum_ij s_i s_j (gx_i gy_j - gy_i gx_j)^2
+            for i in range(K):
+                for j in range(K):
+                    t = parts.gxs[i] * parts.gys[j] - parts.gys[i] * parts.gxs[j]
+                    brute += s2[i] * s2[j] * t * t
+        else:
+            # E zeta^2 = sum_ijk s_i s_j s_k det[v; gx; gy](modes i, j, k)^2
+            for i in range(K):
+                for j in range(K):
+                    for k in range(K):
+                        for p in range(len(series)):
+                            cols = [i, j, k]
+                            mat = np.array([parts.vals[cols, p], parts.gxs[cols, p],
+                                            parts.gys[cols, p]])
+                            brute[p] += s2[i] * s2[j] * s2[k] * np.linalg.det(mat) ** 2
+        np.testing.assert_allclose(series, brute, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cmap", [ConstraintMap("nodal"), ConstraintMap("critical"),
+                                  ConstraintMap("critical", direction=(1.0, 2.0))])
+def test_single_argument_series_is_the_weighted_square_sum(cmap, cfg17):
+    cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
+                      cmap=cmap, N=1, dictionary=cfg17.dictionary)
+    series = np.array([r.series for r in variance_identity_check(cfg, M=2)])
+    parts = _probe_parts(cfg)
+    if cmap.kind == "nodal":
+        w = parts.vals
+    else:
+        d0, d1 = cmap.direction
+        w = d0 * parts.gxs + d1 * parts.gys
+    np.testing.assert_array_equal(series, (cfg.model.sigma ** 2) @ (w * w))
 
 
 def test_variance_identity_degenerate_single_mode(grid17, ident17):
