@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -35,7 +36,7 @@ from .experiments import (TrialConfig, success_curve, tail_check,
 from .expressions import evaluate_field_expression
 from .grid import build_grid, disk_mask, rect_mask
 from .inverse import (conductivity_forward, conductivity_reconstruct,
-                      qpat_forward, qpat_reconstruct, qpat_reconstruct_multi)
+                      qpat_forward, qpat_reconstruct_multi)
 from .runge import TARGET_KINDS, build_dictionary, make_target, tradeoff_curve
 from .solver import CoefficientField, assemble, save_field_csv, solve_dirichlet
 from .streams import derive_rng
@@ -51,21 +52,24 @@ def _parse_int(s: str) -> int:
 
 
 def _parse_float(s: str) -> float:
-    return float(s.strip())
+    v = float(s.strip())
+    if not math.isfinite(v):
+        raise ValueError("expected a finite number")
+    return v
 
 
 def _parse_point(s: str):
     parts = [p for p in s.split(",") if p.strip()]
     if len(parts) != 2:
         raise ValueError("expected two comma-separated numbers")
-    return (float(parts[0]), float(parts[1]))
+    return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
 def _parse_floatlist(s: str):
     parts = [p for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected at least one number")
-    return [float(p) for p in parts]
+    return [_parse_float(p) for p in parts]
 
 
 def _parse_intlist(s: str):
@@ -81,14 +85,24 @@ def _parse_str(s: str) -> str:
 
 def _parse_tau(s: str):
     v = s.strip()
-    return v if v == "auto" else float(v)
+    return v if v == "auto" else _parse_float(v)
 
 
 def _parse_qpat_bc(s: str) -> str:
     v = s.strip()
     if v.startswith("const:"):
-        float(v.split(":", 1)[1])
+        _parse_float(v.split(":", 1)[1])
     return v
+
+
+def _parse_cond_bc(s: str):
+    """None for the default traces x1, x2; else the two boundary expressions."""
+    v = s.strip()
+    if v == "x1,x2":
+        return None
+    if ";" not in v:
+        raise ValueError("expected 'x1,x2' or two ';'-separated expressions")
+    return tuple(e.strip() for e in v.split(";", 1))
 
 
 def _parse_choice(options):
@@ -136,7 +150,7 @@ REGISTRY = {
     "qpat.bc": (_parse_qpat_bc, "const:1"),
     "qpat.tau": (_parse_float, "1e-8"),
     "cond.a": (_parse_str, "exp(x1)"),
-    "cond.bc": (_parse_str, "x1,x2"),
+    "cond.bc": (_parse_cond_bc, "x1,x2"),
     "cond.tau": (_parse_float, "1e-6"),
     "cond.anchor": (_parse_point, "0.5,0.5"),
 }
@@ -574,14 +588,8 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
         bcs = [_boundary_expr(bc_spec, grid, "qpat.bc") for _ in range(N)]
     datasets = [qpat_forward(grid, mu, bc, rtol=rtol) for bc in bcs]
     tau = cfg["qpat.tau"]
-    if N == 1:
-        recon = qpat_reconstruct(datasets[0], tau, rtol=rtol)
-        valid, mu_hat = recon.mask_valid, recon.mu_hat
-        complete = bool(valid[window.indices].all())
-    else:
-        recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol)
-        valid, mu_hat = recon.mask_valid, recon.mu_hat
-        complete = recon.complete
+    recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol)
+    valid, mu_hat = recon.mask_valid, recon.mu_hat
     err = mu_hat[valid] - mu[valid]
     denom = float(np.sqrt(np.sum(mu[valid] ** 2)))
     rel = float(np.sqrt(np.sum(err ** 2))) / denom if denom > 0 else float("nan")
@@ -589,7 +597,7 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     out.csv("qpat_metrics.csv", ["metric", "value"],
             [("rel_l2_error_valid", rel),
              ("valid_fraction_window", float(valid[window.indices].mean())),
-             ("window_complete", complete),
+             ("window_complete", recon.complete),
              ("N", N), ("tau", tau)])
 
 
@@ -598,16 +606,9 @@ def cmd_conductivity(cfg: RunConfig, out: OutputWriter) -> None:
     window = _window(cfg, grid)
     a = _field_expr(cfg["cond.a"], "cond.a", grid.X, grid.Y)
     rtol, _ = _solver_opts(cfg)
-    bc_spec = cfg["cond.bc"]
-    if bc_spec == "x1,x2":
-        bcs = None
-    elif ";" in bc_spec:
-        first, second = bc_spec.split(";", 1)
-        bcs = (_boundary_expr(first, grid, "cond.bc"),
-               _boundary_expr(second, grid, "cond.bc"))
-    else:
-        raise ConfigError(
-            f"cond.bc must be 'x1,x2' or two ';'-separated expressions, got {bc_spec!r}")
+    exprs = cfg["cond.bc"]
+    bcs = None if exprs is None else tuple(_boundary_expr(e, grid, "cond.bc")
+                                           for e in exprs)
     data = conductivity_forward(grid, a, bcs=bcs, rtol=rtol)
     recon = conductivity_reconstruct(data, cfg["cond.tau"], anchor=cfg["cond.anchor"],
                                      window=window)

@@ -9,9 +9,11 @@ Four maps, each with a known witness tuple that evaluates to exactly 1:
              matrix with rows (u_i), (d/dx1 u_i), (d/dx2 u_i)
 
 Gradients are lattice gradients (central inside, one-sided second order at
-the edges), so on dyadic grids the witness values are exact floats.  The 3x3
-determinant accumulates its six signed monomials with exactly rounded
-summation, so swapping two arguments flips the sign bit-for-bit.
+the edges), so on dyadic grids the witness values are exact floats.  Each map
+is the determinant of its feature rows (feature_rows).  The 3x3 determinant
+sums its positive and its negative monomials each in ascending order, then
+subtracts, so swapping two arguments flips the sign bit-for-bit; the sum is
+canonical, not exactly rounded.
 """
 
 from __future__ import annotations
@@ -57,23 +59,38 @@ class ConstraintField:
     mask: SubdomainMask
 
 
-def _det3_values(u, gx, gy) -> np.ndarray:
-    """det[[u1,u2,u3],[gx1,gx2,gx3],[gy1,gy2,gy3]] per node.
+def feature_rows(cmap: ConstraintMap, vals, gxs, gys) -> list:
+    """The map's d feature rows; each row is indexed by argument slot."""
+    if cmap.kind == "nodal":
+        return [vals]
+    if cmap.kind == "critical":
+        d0, d1 = cmap.direction
+        return [d0 * gxs + d1 * gys]
+    if cmap.kind == "jacobian":
+        return [gxs, gys]
+    return [vals, gxs, gys]
 
-    The six role-ordered monomials (value * xgrad * ygrad) are identical
-    floats under any argument permutation, and math.fsum is exactly rounded,
-    so transpositions negate the result exactly.
+
+def det(F):
+    """Elementwise determinant of a d x d (d <= 3) list of equal-shape arrays.
+
+    F[r][i] is feature r of argument i.  For d = 3 each monomial multiplies
+    in role order (F0[i] * F1[j]) * F2[k], so permuting arguments only
+    reorders the same floats; sorting each sign group before summing makes
+    the result depend on the group alone.
     """
-    p = [
-        (u[0] * gx[1]) * gy[2],
-        -((u[0] * gx[2]) * gy[1]),
-        -((u[1] * gx[0]) * gy[2]),
-        (u[1] * gx[2]) * gy[0],
-        (u[2] * gx[0]) * gy[1],
-        -((u[2] * gx[1]) * gy[0]),
-    ]
-    stacked = np.stack(p, axis=0)
-    return np.array([math.fsum(stacked[:, j]) for j in range(stacked.shape[1])])
+    d = len(F)
+    if d == 1:
+        return F[0][0]
+    if d == 2:
+        return F[0][0] * F[1][1] - F[1][0] * F[0][1]
+
+    def group_sum(perms):
+        s = np.sort([(F[0][i] * F[1][j]) * F[2][k] for i, j, k in perms], axis=0)
+        return (s[0] + s[1]) + s[2]
+
+    return (group_sum(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+            - group_sum(((0, 2, 1), (1, 0, 2), (2, 1, 0))))
 
 
 def values_from_parts(cmap: ConstraintMap, vals, gxs, gys) -> np.ndarray:
@@ -82,14 +99,8 @@ def values_from_parts(cmap: ConstraintMap, vals, gxs, gys) -> np.ndarray:
     vals/gxs/gys: sequences of (m,) arrays, one per tuple slot, already
     restricted to the evaluation nodes.
     """
-    if cmap.kind == "nodal":
-        return np.asarray(vals[0], dtype=float)
-    if cmap.kind == "critical":
-        d0, d1 = cmap.direction
-        return d0 * gxs[0] + d1 * gys[0]
-    if cmap.kind == "jacobian":
-        return gxs[0] * gys[1] - gys[0] * gxs[1]
-    return _det3_values(vals, gxs, gys)
+    parts = (np.asarray(p, dtype=float) for p in (vals, gxs, gys))
+    return det(feature_rows(cmap, *parts))
 
 
 def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
@@ -107,12 +118,9 @@ def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
         raise ConfigError(f"mask was built for n={mask.grid_n}, grid has n={grid.n}")
     idx = mask.indices
     vals = [f[idx] for f in fields]
-    if cmap.kind == "nodal":
-        gxs = gys = [None]
-    else:
-        grads = [gradient(grid, f) for f in fields]
-        gxs = [g[0][idx] for g in grads]
-        gys = [g[1][idx] for g in grads]
+    grads = [gradient(grid, f) for f in fields]
+    gxs = [g[0][idx] for g in grads]
+    gys = [g[1][idx] for g in grads]
     return ConstraintField(values=values_from_parts(cmap, vals, gxs, gys), mask=mask)
 
 

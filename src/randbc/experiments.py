@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import RandomBoundaryModel, mode_frequencies, sample_coeffs
-from .constraints import (ConstraintField, ConstraintMap, CoverLabeling,
-                          extract_cover, max_abs, values_from_parts, zeta_eval)
+from .constraints import (ConstraintField, ConstraintMap, CoverLabeling, det,
+                          extract_cover, feature_rows, max_abs, zeta_eval)
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
 from .runge import Dictionary, build_dictionary
@@ -80,30 +80,29 @@ class _Parts:
     """Dictionary values and gradients restricted to evaluation nodes."""
 
     vals: np.ndarray              # (K, m)
-    gxs: np.ndarray | None        # (K, m)
-    gys: np.ndarray | None
+    gxs: np.ndarray               # (K, m)
+    gys: np.ndarray
 
 
-def _restrict_parts(dictionary: Dictionary, ix, iy, need_grads: bool) -> _Parts:
+def _restrict_parts(dictionary: Dictionary, ix, iy) -> _Parts:
     K = dictionary.K
     m = len(ix)
     vals = np.empty((K, m))
-    gxs = np.empty((K, m)) if need_grads else None
-    gys = np.empty((K, m)) if need_grads else None
+    gxs = np.empty((K, m))
+    gys = np.empty((K, m))
     for k in range(K):
         zk = dictionary.z[k]
         vals[k] = zk[ix, iy]
-        if need_grads:
-            gx, gy = gradient(dictionary.grid, zk)
-            gxs[k] = gx[ix, iy]
-            gys[k] = gy[ix, iy]
+        gx, gy = gradient(dictionary.grid, zk)
+        gxs[k] = gx[ix, iy]
+        gys[k] = gy[ix, iy]
     return _Parts(vals=vals, gxs=gxs, gys=gys)
 
 
 def _window_parts(cfg: TrialConfig) -> _Parts:
     d = ensure_dictionary(cfg)
     ix, iy = cfg.mask.indices
-    return _restrict_parts(d, ix, iy, need_grads=(cfg.cmap.kind != "nodal"))
+    return _restrict_parts(d, ix, iy)
 
 
 def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
@@ -112,25 +111,8 @@ def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
 
     coeffs has shape (N, arity, K).
     """
-    N = coeffs.shape[0]
-    if cmap.kind == "nodal":
-        return coeffs[:, 0, :] @ parts.vals
-    if cmap.kind == "critical":
-        d0, d1 = cmap.direction
-        return d0 * (coeffs[:, 0, :] @ parts.gxs) + d1 * (coeffs[:, 0, :] @ parts.gys)
-    if cmap.kind == "jacobian":
-        g1x = coeffs[:, 0, :] @ parts.gxs
-        g1y = coeffs[:, 0, :] @ parts.gys
-        g2x = coeffs[:, 1, :] @ parts.gxs
-        g2y = coeffs[:, 1, :] @ parts.gys
-        return g1x * g2y - g1y * g2x
-    rows = np.empty((N, parts.vals.shape[1]))
-    for l in range(N):
-        uv = [coeffs[l, i, :] @ parts.vals for i in range(3)]
-        ux = [coeffs[l, i, :] @ parts.gxs for i in range(3)]
-        uy = [coeffs[l, i, :] @ parts.gys for i in range(3)]
-        rows[l] = values_from_parts(cmap, uv, ux, uy)
-    return rows
+    return det([[coeffs[:, i, :] @ f for i in range(cmap.arity)]
+                for f in feature_rows(cmap, parts.vals, parts.gxs, parts.gys)])
 
 
 @dataclass
@@ -184,7 +166,10 @@ def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, 
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2.0 * total)) / denom
     half = z * np.sqrt(phat * (1.0 - phat) / total + z * z / (4.0 * total * total)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # center - half and center + half cancel inexactly at the two endpoints
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == total else min(1.0, center + half)
+    return (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -259,8 +244,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
             raise DomainError("auto threshold collapsed to zero; draws are degenerate")
     else:
         tau_val = float(tau)
-        if not (tau_val >= 0.0):
-            raise ConfigError(f"tau must be nonnegative, got {tau}")
+        if not (0.0 <= tau_val < math.inf):
+            raise ConfigError(f"tau must be a finite nonnegative number, got {tau}")
 
     rows_out = []
     for j, N in enumerate(Ns):
@@ -289,34 +274,12 @@ class VarianceRow:
     z: float
 
 
-def _feature_rows(cmap: ConstraintMap, parts: _Parts) -> list:
-    """The map's d linear features per mode, (K, P) each: zeta(u_1..u_d) is
-    the determinant of the d x d matrix [feature_r(u_i)]."""
-    if cmap.kind == "nodal":
-        return [parts.vals]
-    if cmap.kind == "critical":
-        d0, d1 = cmap.direction
-        return [d0 * parts.gxs + d1 * parts.gys]
-    if cmap.kind == "jacobian":
-        return [parts.gxs, parts.gys]
-    return [parts.vals, parts.gxs, parts.gys]
-
-
-def _cofactor_det(S):
-    """Determinant by cofactor expansion along the first row; no LU, so a
-    1 x 1 matrix gives its entry itself."""
-    if len(S) == 1:
-        return S[0][0]
-    return sum((-1) ** j * S[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in S[1:]])
-               for j in range(len(S)))
-
-
 def _second_moment_series(feats: list, sig2: np.ndarray) -> np.ndarray:
     """E zeta^2 = d! det S, S_ij = sum_k sig2_k F_ik F_jk: exact by Cauchy-Binet
     for independent zero-mean coefficients of any family."""
     d = len(feats)
     S = [[sig2 @ (feats[i] * feats[j]) for j in range(d)] for i in range(d)]
-    return math.factorial(d) * _cofactor_det(S)
+    return math.factorial(d) * det(S)
 
 
 def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
@@ -342,10 +305,9 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
         iys.append(iy)
     ixs = np.array(ixs)
     iys = np.array(iys)
-    parts = _restrict_parts(dictionary, ixs, iys,
-                            need_grads=(cfg.cmap.kind != "nodal"))
-    series = _second_moment_series(_feature_rows(cfg.cmap, parts),
-                                   cfg.model.sigma ** 2)
+    parts = _restrict_parts(dictionary, ixs, iys)
+    series = _second_moment_series(
+        feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
     draws = sample_coeffs(cfg.model, derive_rng(master_seed, 0), arity * M)
     sq = _constraint_rows(cfg.cmap, parts, draws.reshape(M, arity, K)) ** 2
@@ -446,9 +408,8 @@ def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
     ix, iy = cfg.grid.nearest_node(x_point)
     if not cfg.mask.member[ix, iy]:
         raise ConfigError(f"probe {x_point!r} lies outside the window")
-    parts = _restrict_parts(dictionary, np.array([ix]), np.array([iy]),
-                            need_grads=(cfg.cmap.kind != "nodal"))
-    feats = _feature_rows(cfg.cmap, parts)
+    parts = _restrict_parts(dictionary, np.array([ix]), np.array([iy]))
+    feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
     w = feats[0][:, 0]
     mu = float(_second_moment_series(feats, cfg.model.sigma ** 2)[0])
 

@@ -1,12 +1,15 @@
 """Tiny expression evaluator for coefficient and boundary fields.
 
 Config values like coeff.a = "1 + 0.5*exp(-50*((x1-0.5)**2 + (x2-0.5)**2))"
-are evaluated over lattice coordinates with a restricted namespace: the
-coordinates (x, y, aliases x1, x2), numpy math functions, and the constants
-pi and e.  Nothing else resolves, and builtins are disabled.
+are evaluated over lattice coordinates in a closed language: numbers, the
+coordinates (x, y, aliases x1, x2), the constants pi and e, arithmetic and
+comparison operators, and positional calls of the numpy math functions below.
+The syntax tree is checked before evaluation; anything else is a ConfigError.
 """
 
 from __future__ import annotations
+
+import ast
 
 import numpy as np
 
@@ -22,6 +25,21 @@ _FUNCTIONS["pi"] = np.pi
 _FUNCTIONS["e"] = np.e
 
 
+_OPERATORS = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.operator,
+              ast.unaryop, ast.cmpop, ast.Load)
+
+
+def _allowed(node, names) -> bool:
+    if isinstance(node, _OPERATORS):
+        return True
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_FUNCTIONS.get(node.func.id)))
+
+
 def evaluate_field_expression(expr: str, X, Y) -> np.ndarray:
     """Evaluate expr on coordinate arrays; always returns an array of X's shape."""
     if not isinstance(expr, str) or not expr.strip():
@@ -29,13 +47,19 @@ def evaluate_field_expression(expr: str, X, Y) -> np.ndarray:
     names = dict(_FUNCTIONS)
     names.update({"x": X, "y": Y, "x1": X, "x2": Y})
     try:
-        code = compile(expr, "<config>", "eval")
-        value = eval(code, {"__builtins__": {}}, names)  # noqa: S307 - namespace is closed
+        tree = ast.parse(expr, "<config>", "eval")
+        for node in ast.walk(tree):
+            if not _allowed(node, names):
+                raise ConfigError(
+                    f"expression {expr!r} may not contain the {type(node).__name__} "
+                    f"{ast.unparse(node)!r}")
+        value = eval(compile(tree, "<config>", "eval"),  # noqa: S307 - checked tree
+                     {"__builtins__": {}}, names)
+        out = np.asarray(value, dtype=float)
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    out = np.asarray(value, dtype=float)
     if out.ndim == 0:
         out = np.full(np.shape(X), float(out))
     if out.shape != np.shape(X):

@@ -61,12 +61,15 @@ class QpatResult:
 
 
 def qpat_reconstruct(data: QpatData, tau: float, rtol: float = 1e-10) -> QpatResult:
-    """Recover absorption from one measurement wherever |u| >= tau."""
+    """Recover absorption from one measurement wherever |u| >= tau (DomainError
+    when that is nowhere)."""
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
     grid = data.grid
     u_rec = solve_poisson(grid, data.H, data.boundary_u, rtol=rtol)
     valid = np.abs(u_rec) >= tau
+    if not valid.any():
+        raise DomainError(f"recovered |u| clears tau={tau} at no node")
     mu_hat = np.full((grid.n, grid.n), np.nan)
     mu_hat[valid] = data.H[valid] / u_rec[valid]
     return QpatResult(mu_hat=mu_hat, mask_valid=valid, u_rec=u_rec)
@@ -82,7 +85,8 @@ class QpatMultiResult:
 
 def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = None,
                            rtol: float = 1e-10) -> QpatMultiResult:
-    """Multi-illumination absorption: each node uses its largest |u| measurement."""
+    """Multi-illumination absorption: each node uses its largest |u| measurement
+    (DomainError when no node's |u| clears tau)."""
     datasets = list(datasets)
     if len(datasets) == 0:
         raise ConfigError("need at least one measurement")
@@ -101,6 +105,8 @@ def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = 
     u_best = np.take_along_axis(u_recs, pick[None], axis=0)[0]
     H_best = np.take_along_axis(Hs, pick[None], axis=0)[0]
     valid = np.abs(u_best) >= tau
+    if not valid.any():
+        raise DomainError(f"recovered |u| clears tau={tau} at no node")
     mu_hat = np.full((grid.n, grid.n), np.nan)
     mu_hat[valid] = H_best[valid] / u_best[valid]
     complete = bool(valid[window.indices].all())

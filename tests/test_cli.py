@@ -36,6 +36,12 @@ def test_config_precedence_defaults_file_overrides(tmp_path):
     assert cfg["bc.family"] == "gaussian"
 
 
+def test_cond_bc_is_the_default_pair_or_two_stripped_expressions():
+    assert resolve_config("conductivity", None, {})["cond.bc"] is None
+    cfg = resolve_config("conductivity", None, {"cond.bc": "x ; x*y + y"})
+    assert cfg["cond.bc"] == ("x", "x*y + y")
+
+
 def test_unknown_keys_are_rejected_with_the_valid_key_list(tmp_path, capsys):
     rc = run(["solve", "--out", str(tmp_path / "o"), "--set", "no.such.key=1"])
     assert rc == 2
@@ -50,8 +56,12 @@ def test_bad_value_exits_with_the_config_code(tmp_path, capsys):
     assert "grid.n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, pair", [("constraint-experiment", "tau=abc"),
-                                           ("qpat", "qpat.bc=const:abc")])
+@pytest.mark.parametrize("command, pair", [
+    ("constraint-experiment", "tau=abc"),
+    ("qpat", "qpat.bc=const:abc"),
+    ("solve", "coeff.a=().__class__.__base__.__subclasses__()"),
+    ("solve", "coeff.a='abc'"),
+])
 def test_malformed_value_is_a_config_error_not_a_traceback(command, pair, tmp_path):
     src = os.path.dirname(os.path.dirname(randbc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -61,6 +71,68 @@ def test_malformed_value_is_a_config_error_not_a_traceback(command, pair, tmp_pa
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# (key, command, bad value): one row for every registry key.
+BAD_VALUES = [
+    ("seed", "sample", "-1"),
+    ("threads", "constraint-experiment", "-1"),
+    ("grid.n", "solve", "2.5"),
+    ("omega_prime.lo", "constraint-experiment", "0.25"),
+    ("omega_prime.hi", "constraint-experiment", "inf,0.75"),
+    ("coeff.a", "solve", "().__class__"),
+    ("coeff.q", "solve", "'abc'"),
+    ("solver.rtol", "solve", "inf"),
+    ("solver.maxiter", "solve", "many"),
+    ("bc.family", "sample", "cauchy"),
+    ("bc.K", "sample", "4.5"),
+    ("bc.sigma.c", "sample", "nan"),
+    ("bc.sigma.s", "sample", "inf"),
+    ("zeta", "constraint-experiment", "hessian"),
+    ("zeta.direction", "constraint-experiment", "1,nan"),
+    ("N", "qpat", "0"),
+    ("N_list", "constraint-experiment", "1,x"),
+    ("M", "constraint-experiment", "lots"),
+    ("tau", "constraint-experiment", "inf"),
+    ("solve.bc", "solve", "x +"),
+    ("sample.count", "sample", "0"),
+    ("runge.target", "runge", "cube"),
+    ("runge.pole", "runge", "0.9"),
+    ("runge.disk.center", "runge", "nan,0.5"),
+    ("runge.disk.radius", "runge", "inf"),
+    ("runge.lambdas", "runge", "1e-2,inf"),
+    ("runge.index", "runge", "five"),
+    ("runge.degree", "runge", "two"),
+    ("runge.part", "runge", "abs"),
+    ("qpat.mu", "qpat", "mu(x)"),
+    ("qpat.bc", "qpat", "const:inf"),
+    ("qpat.tau", "qpat", "inf"),
+    ("cond.a", "conductivity", "exp("),
+    ("cond.bc", "conductivity", "x1"),
+    ("cond.tau", "conductivity", "nan"),
+    ("cond.anchor", "conductivity", "0.5,inf"),
+]
+
+
+def test_a_bad_value_for_every_registry_key_exits_with_the_config_code(tmp_path,
+                                                                     capsys):
+    assert {key for key, _, _ in BAD_VALUES} == set(REGISTRY)
+    for key, command, value in BAD_VALUES:
+        small = [] if key == "grid.n" else ["--set", "grid.n=17"]
+        rc = run([command, "--out", str(tmp_path / key), *small,
+                  "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 2, (key, value, err)
+        assert "configuration error" in err, (key, value, err)
+
+
+def test_qpat_without_any_valid_node_exits_with_the_runtime_code(tmp_path, capsys):
+    out = tmp_path / "qpat"
+    rc = run(["qpat", "--out", str(out), "--set", "grid.n=17",
+              "--set", "qpat.bc=const:0"])
+    assert rc == 1
+    assert "clears tau" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solver_failure_exits_with_the_runtime_code(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Pointwise constraint maps: witnesses, multilinearity, covers."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from randbc.constraints import (KIND_ARITY, ConstraintField, ConstraintMap,
-                                CoverLabeling, extract_cover, holder_seminorm,
+                                CoverLabeling, det, extract_cover, holder_seminorm,
                                 max_abs, save_cover_csv, values_from_parts,
                                 witness_check, witness_fields, zeta_eval)
 from randbc.errors import ConfigError
@@ -99,6 +100,22 @@ def test_argument_transposition_flips_the_sign_exactly(kind, swap, grid17):
         base = values_from_parts(cm, *zip(*[_parts(g, f) for f in fields]))
         perm = values_from_parts(cm, *zip(*[_parts(g, fields[i]) for i in swap]))
         np.testing.assert_array_equal(perm, -base)
+
+
+def test_det3_is_within_the_summation_bound_of_an_exactly_rounded_sum():
+    # Two 3-term sums and one subtraction: first-order error at most
+    # 16 u = 8 eps times the largest monomial magnitude.
+    rng = derive_rng(404, 2)
+    F = [[rng.standard_normal(4000) * 10.0 ** rng.integers(-3, 4, 4000)
+          for _ in range(3)] for _ in range(3)]
+    signed = [(1.0, (0, 1, 2)), (1.0, (1, 2, 0)), (1.0, (2, 0, 1)),
+              (-1.0, (0, 2, 1)), (-1.0, (1, 0, 2)), (-1.0, (2, 1, 0))]
+    monomials = np.array([sign * ((F[0][i] * F[1][j]) * F[2][k])
+                          for sign, (i, j, k) in signed])
+    reference = np.array([math.fsum(monomials[:, node])
+                          for node in range(monomials.shape[1])])
+    bound = 8.0 * np.finfo(float).eps * np.abs(monomials).max(axis=0)
+    assert np.all(np.abs(det(F) - reference) <= bound)
 
 
 def test_max_abs_is_the_pointwise_sup_and_window_min(grid17):

@@ -35,6 +35,12 @@ def test_wilson_interval_frozen_values():
         wilson_interval(5, 0)
 
 
+@pytest.mark.parametrize("M", [7, 50, 2000])
+def test_wilson_interval_endpoints_are_exact(M):
+    assert wilson_interval(0, M)[0] == 0.0
+    assert wilson_interval(M, M)[1] == 1.0
+
+
 def test_injected_constant_field_gives_its_magnitude_exactly(cfg17, grid17):
     c = 3.25
     cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
@@ -103,6 +109,9 @@ def test_success_curve_input_validation(cfg17):
         success_curve(cfg17, [0, 2], M=50)
     with pytest.raises(ConfigError):
         success_curve(cfg17, [1, 2], M=50, tau=-0.5)
+    for tau in (np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            success_curve(cfg17, [1, 2], M=50, tau=tau)
 
 
 def test_worker_count_does_not_change_results(cfg17):
@@ -111,6 +120,20 @@ def test_worker_count_does_not_change_results(cfg17):
     np.testing.assert_array_equal(r1.min_max, r4.min_max)
     assert r1.tau == r4.tau
     assert r1.cover_complete_count == r4.cover_complete_count
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+def test_batched_augmented_rows_flip_sign_exactly_under_transpositions(perm, grid17,
+                                                                       ident17, model9,
+                                                                       dict17):
+    cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
+                      cmap=ConstraintMap("augmented"), N=8, dictionary=dict17)
+    parts = _window_parts(cfg)
+    coeffs = sample_coeffs(model9, derive_rng(31, 0), 8 * 3).reshape(8, 3, model9.K)
+    rows = _constraint_rows(cfg.cmap, parts, coeffs)
+    assert rows.shape == (8, cfg.mask.count)
+    np.testing.assert_array_equal(_constraint_rows(cfg.cmap, parts, coeffs[:, perm, :]),
+                                  -rows)
 
 
 def _reference_complete_count(cfg, N_max, M, tau, master_seed):
@@ -180,7 +203,7 @@ def _probe_parts(cfg):
     nodes = [cfg.grid.nearest_node(p) for p in default_probes(cfg.grid)]
     ixs = np.array([ix for ix, _ in nodes])
     iys = np.array([iy for _, iy in nodes])
-    return _restrict_parts(ensure_dictionary(cfg), ixs, iys, need_grads=True)
+    return _restrict_parts(ensure_dictionary(cfg), ixs, iys)
 
 
 def test_series_matches_brute_force_sums_over_modes(grid17, ident17):

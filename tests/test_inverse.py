@@ -57,6 +57,28 @@ def test_threshold_masks_out_the_small_field_region(grid, mu_bump):
     assert valid_err.max() <= 1e-6 * mu_bump.max()
 
 
+@pytest.mark.parametrize("tau", [0.1, 0.2])
+@pytest.mark.parametrize("trace", ["const", "half"])
+def test_multi_reconstruction_of_one_measurement_is_the_single_one(trace, tau, grid,
+                                                                    mu_bump):
+    s = grid.boundary_s
+    bc = (np.ones(s.shape[0]) if trace == "const"
+          else np.clip(np.sin(np.pi * s / 4.0), 0.0, None))
+    data = qpat_forward(grid, mu_bump, bc)
+    single = qpat_reconstruct(data, tau=tau)
+    multi = qpat_reconstruct_multi([data], tau=tau)
+    np.testing.assert_array_equal(multi.mask_valid, single.mask_valid)
+    assert multi.mu_hat.tobytes() == single.mu_hat.tobytes()
+
+
+def test_no_node_clearing_tau_is_a_domain_error(grid, mu_bump):
+    data = qpat_forward(grid, mu_bump, np.zeros(grid.boundary_s.shape[0]))
+    with pytest.raises(DomainError):
+        qpat_reconstruct(data, tau=0.1)
+    with pytest.raises(DomainError):
+        qpat_reconstruct_multi([data, data], tau=0.1)
+
+
 def test_multi_illumination_stitches_a_complete_cover(grid, mu_bump):
     s = grid.boundary_s
     bc1 = np.clip(np.sin(np.pi * s / 2.0), 0.0, None)
