@@ -570,7 +570,7 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     grid = _grid(cfg)
     window = _window(cfg, grid)
     mu = _field_expr(cfg["qpat.mu"], "qpat.mu", grid.X, grid.Y)
-    rtol, _ = _solver_opts(cfg)
+    rtol, maxiter = _solver_opts(cfg)
     N = cfg["N"]
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
@@ -586,9 +586,10 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
         bcs = [eval_bf(BoundaryFunction(coeffs=coeffs[i]), grid) for i in range(N)]
     else:
         bcs = [_boundary_expr(bc_spec, grid, "qpat.bc") for _ in range(N)]
-    datasets = [qpat_forward(grid, mu, bc, rtol=rtol) for bc in bcs]
+    datasets = qpat_forward(grid, mu, bcs, rtol=rtol, maxiter=maxiter)
     tau = cfg["qpat.tau"]
-    recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol)
+    recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol,
+                                   maxiter=maxiter)
     valid, mu_hat = recon.mask_valid, recon.mu_hat
     err = mu_hat[valid] - mu[valid]
     denom = float(np.sqrt(np.sum(mu[valid] ** 2)))
@@ -605,11 +606,11 @@ def cmd_conductivity(cfg: RunConfig, out: OutputWriter) -> None:
     grid = _grid(cfg)
     window = _window(cfg, grid)
     a = _field_expr(cfg["cond.a"], "cond.a", grid.X, grid.Y)
-    rtol, _ = _solver_opts(cfg)
+    rtol, maxiter = _solver_opts(cfg)
     exprs = cfg["cond.bc"]
     bcs = None if exprs is None else tuple(_boundary_expr(e, grid, "cond.bc")
                                            for e in exprs)
-    data = conductivity_forward(grid, a, bcs=bcs, rtol=rtol)
+    data = conductivity_forward(grid, a, bcs=bcs, rtol=rtol, maxiter=maxiter)
     recon = conductivity_reconstruct(data, cfg["cond.tau"], anchor=cfg["cond.anchor"],
                                      window=window)
     log_true = np.log(a)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SolverError
 from .grid import Grid2D, SubdomainMask, default_window
 from .solver import (CoefficientField, ScalarField, assemble, gradient,
                      laplacian, solve_dirichlet, solve_poisson)
@@ -38,8 +38,10 @@ class QpatData:
     mu_true: ScalarField | None = None
 
 
-def qpat_forward(grid: Grid2D, mu, bc, rtol: float = 1e-10) -> QpatData:
-    """Forward photoacoustic measurement for absorption mu and illumination bc."""
+def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
+                 maxiter=None) -> list[QpatData]:
+    """Forward photoacoustic measurements for absorption mu, one per illumination
+    trace in bcs; the operator is assembled once for all of them."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (grid.n, grid.n):
         raise ConfigError(f"mu must have shape {(grid.n, grid.n)}, got {mu.shape}")
@@ -48,9 +50,13 @@ def qpat_forward(grid: Grid2D, mu, bc, rtol: float = 1e-10) -> QpatData:
     if np.any(mu < 0.0):
         raise ConfigError("absorption must be nonnegative")
     op = assemble(grid, CoefficientField.isotropic(grid, a=1.0, q=mu))
-    u = solve_dirichlet(op, bc, rtol=rtol)
-    return QpatData(grid=grid, H=mu * u, boundary_u=np.asarray(bc, dtype=float).copy(),
-                    mu_true=mu.copy())
+    out = []
+    for bc in bcs:
+        u = solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter)
+        out.append(QpatData(grid=grid, H=mu * u,
+                            boundary_u=np.asarray(bc, dtype=float).copy(),
+                            mu_true=mu.copy()))
+    return out
 
 
 @dataclass(eq=False)
@@ -60,13 +66,14 @@ class QpatResult:
     u_rec: ScalarField
 
 
-def qpat_reconstruct(data: QpatData, tau: float, rtol: float = 1e-10) -> QpatResult:
+def qpat_reconstruct(data: QpatData, tau: float, rtol: float = 1e-10,
+                     maxiter=None) -> QpatResult:
     """Recover absorption from one measurement wherever |u| >= tau (DomainError
     when that is nowhere)."""
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
     grid = data.grid
-    u_rec = solve_poisson(grid, data.H, data.boundary_u, rtol=rtol)
+    u_rec = solve_poisson(grid, data.H, data.boundary_u, rtol=rtol, maxiter=maxiter)
     valid = np.abs(u_rec) >= tau
     if not valid.any():
         raise DomainError(f"recovered |u| clears tau={tau} at no node")
@@ -84,7 +91,7 @@ class QpatMultiResult:
 
 
 def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = None,
-                           rtol: float = 1e-10) -> QpatMultiResult:
+                           rtol: float = 1e-10, maxiter=None) -> QpatMultiResult:
     """Multi-illumination absorption: each node uses its largest |u| measurement
     (DomainError when no node's |u| clears tau)."""
     datasets = list(datasets)
@@ -98,7 +105,7 @@ def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = 
             raise ConfigError("measurements live on different grids")
     if window is None:
         window = default_window(grid)
-    u_recs = np.stack([solve_poisson(grid, d.H, d.boundary_u, rtol=rtol)
+    u_recs = np.stack([solve_poisson(grid, d.H, d.boundary_u, rtol=rtol, maxiter=maxiter)
                        for d in datasets])
     Hs = np.stack([d.H for d in datasets])
     pick = np.abs(u_recs).argmax(axis=0)
@@ -123,8 +130,8 @@ class ConductivityData:
     a_true: ScalarField | None = None
 
 
-def conductivity_forward(grid: Grid2D, a, bcs=None,
-                         rtol: float = 1e-10) -> ConductivityData:
+def conductivity_forward(grid: Grid2D, a, bcs=None, rtol: float = 1e-10,
+                         maxiter=None) -> ConductivityData:
     """Solve the two measurement fields; default boundary traces are x1 and x2."""
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.n, grid.n):
@@ -138,7 +145,8 @@ def conductivity_forward(grid: Grid2D, a, bcs=None,
     if len(bcs) != 2:
         raise ConfigError("exactly two boundary traces are required")
     op = assemble(grid, CoefficientField.isotropic(grid, a=a, q=0.0))
-    u = np.stack([solve_dirichlet(op, np.asarray(bc, dtype=float), rtol=rtol)
+    u = np.stack([solve_dirichlet(op, np.asarray(bc, dtype=float), rtol=rtol,
+                                  maxiter=maxiter)
                   for bc in bcs])
     return ConductivityData(grid=grid, u=u, a_true=a.copy())
 
@@ -219,7 +227,12 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(edge, rix.size)).tocsr()
     b = np.concatenate(rhs)
-    sol = spla.lsqr(A, b, atol=1e-13, btol=1e-13, iter_lim=50 * rix.size)[0]
+    sol, istop, iters = spla.lsqr(A, b, atol=1e-13, btol=1e-13, iter_lim=50 * rix.size)[:3]
+    if istop not in (0, 1, 2):
+        # 0: b = 0, 1: a solution, 2: a least-squares solution; anything else
+        # (ill-conditioning, the iteration limit) leaves log a unjustified.
+        raise SolverError(f"potential integration stopped with lsqr istop={istop} "
+                          f"after {iters} iterations", iterations=iters)
 
     aix, aiy = grid.nearest_node(anchor)
     if not region[aix, aiy]:

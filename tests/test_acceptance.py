@@ -184,7 +184,7 @@ def test_acceptance_08_tradeoff_curve(grid65, dict65):
 def test_acceptance_09_absorption_round_trip():
     g = build_grid(129)
     mu = 1.0 + 0.5 * np.exp(-50.0 * ((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2))
-    data = qpat_forward(g, mu, np.ones(g.boundary_s.shape[0]))
+    [data] = qpat_forward(g, mu, [np.ones(g.boundary_s.shape[0])])
     res = qpat_reconstruct(data, tau=0.1)
     w = default_window(g)
     covered = bool(np.all(res.mask_valid[w.member]))

@@ -145,6 +145,16 @@ def test_solver_failure_exits_with_the_runtime_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qpat", "conductivity"])
+def test_imaging_commands_honor_maxiter(command, tmp_path, capsys):
+    out = tmp_path / command
+    rc = run([command, "--out", str(out), "--set", "grid.n=33",
+              "--set", "solver.maxiter=1", "--set", "solver.rtol=1e-14"])
+    assert rc == 1
+    assert "residual" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_writes_solution_and_manifest(tmp_path):
     out = tmp_path / "solve"
     rc = run(["solve", "--out", str(out), "--set", "grid.n=17", "--seed", "3"])

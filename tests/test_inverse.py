@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from randbc.errors import ConfigError, DomainError
+import randbc.inverse
+from randbc.errors import ConfigError, DomainError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct,
@@ -22,7 +23,7 @@ def mu_bump(grid):
 
 def test_absorption_round_trip_from_exact_data(grid, mu_bump):
     bc = np.ones(grid.boundary_s.shape[0])
-    data = qpat_forward(grid, mu_bump, bc)
+    [data] = qpat_forward(grid, mu_bump, [bc])
     res = qpat_reconstruct(data, tau=0.1)
     w = default_window(grid)
     assert np.all(res.mask_valid[w.member])
@@ -35,12 +36,12 @@ def test_absorption_round_trip_from_exact_data(grid, mu_bump):
 def test_absorption_validation(grid, mu_bump):
     bc = np.ones(grid.boundary_s.shape[0])
     with pytest.raises(ConfigError):
-        qpat_forward(grid, -mu_bump, bc)
+        qpat_forward(grid, -mu_bump, [bc])
     bad = mu_bump.copy()
     bad[3, 3] = np.nan
     with pytest.raises(DomainError):
-        qpat_forward(grid, bad, bc)
-    data = qpat_forward(grid, mu_bump, bc)
+        qpat_forward(grid, bad, [bc])
+    [data] = qpat_forward(grid, mu_bump, [bc])
     with pytest.raises(ConfigError):
         qpat_reconstruct(data, tau=0.0)
 
@@ -50,7 +51,7 @@ def test_threshold_masks_out_the_small_field_region(grid, mu_bump):
     # near that part, which the validity mask must exclude
     s = grid.boundary_s
     bc = np.clip(np.sin(np.pi * s / 4.0), 0.0, None)
-    data = qpat_forward(grid, mu_bump, bc)
+    [data] = qpat_forward(grid, mu_bump, [bc])
     res = qpat_reconstruct(data, tau=0.2)
     assert not res.mask_valid.all()
     valid_err = np.abs(res.mu_hat[res.mask_valid] - mu_bump[res.mask_valid])
@@ -64,7 +65,7 @@ def test_multi_reconstruction_of_one_measurement_is_the_single_one(trace, tau, g
     s = grid.boundary_s
     bc = (np.ones(s.shape[0]) if trace == "const"
           else np.clip(np.sin(np.pi * s / 4.0), 0.0, None))
-    data = qpat_forward(grid, mu_bump, bc)
+    [data] = qpat_forward(grid, mu_bump, [bc])
     single = qpat_reconstruct(data, tau=tau)
     multi = qpat_reconstruct_multi([data], tau=tau)
     np.testing.assert_array_equal(multi.mask_valid, single.mask_valid)
@@ -72,7 +73,7 @@ def test_multi_reconstruction_of_one_measurement_is_the_single_one(trace, tau, g
 
 
 def test_no_node_clearing_tau_is_a_domain_error(grid, mu_bump):
-    data = qpat_forward(grid, mu_bump, np.zeros(grid.boundary_s.shape[0]))
+    [data] = qpat_forward(grid, mu_bump, [np.zeros(grid.boundary_s.shape[0])])
     with pytest.raises(DomainError):
         qpat_reconstruct(data, tau=0.1)
     with pytest.raises(DomainError):
@@ -83,8 +84,7 @@ def test_multi_illumination_stitches_a_complete_cover(grid, mu_bump):
     s = grid.boundary_s
     bc1 = np.clip(np.sin(np.pi * s / 2.0), 0.0, None)
     bc2 = np.clip(-np.sin(np.pi * s / 2.0), 0.0, None)
-    d1 = qpat_forward(grid, mu_bump, bc1)
-    d2 = qpat_forward(grid, mu_bump, bc2)
+    d1, d2 = qpat_forward(grid, mu_bump, [bc1, bc2])
     single = qpat_reconstruct(d1, tau=0.2)
     multi = qpat_reconstruct_multi([d1, d2], tau=0.2)
     assert multi.mask_valid.sum() > single.mask_valid.sum()
@@ -93,8 +93,39 @@ def test_multi_illumination_stitches_a_complete_cover(grid, mu_bump):
     assert np.abs(err).max() <= 1e-6 * mu_bump.max()
     # a constant illumination alone already covers the window
     bc = np.ones(grid.boundary_s.shape[0])
-    full = qpat_reconstruct_multi([qpat_forward(grid, mu_bump, bc)], tau=0.1)
+    full = qpat_reconstruct_multi(qpat_forward(grid, mu_bump, [bc]), tau=0.1)
     assert full.complete
+
+
+def test_qpat_forward_assembles_one_operator_for_all_traces(grid, mu_bump, monkeypatch):
+    calls = []
+    assemble = randbc.inverse.assemble
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(randbc.inverse, "assemble", counting)
+    s = grid.boundary_s
+    bcs = [np.ones(s.shape[0]), np.cos(s), np.sin(s)]
+    datasets = qpat_forward(grid, mu_bump, bcs)
+    assert len(calls) == 1
+    for d, bc in zip(datasets, bcs):
+        np.testing.assert_array_equal(d.boundary_u, bc)
+
+
+def test_every_solve_honors_maxiter(grid, mu_bump):
+    bc = np.ones(grid.boundary_s.shape[0])
+    strict = dict(rtol=1e-14, maxiter=1)
+    with pytest.raises(SolverError):
+        qpat_forward(grid, mu_bump, [bc], **strict)
+    [data] = qpat_forward(grid, mu_bump, [bc])
+    with pytest.raises(SolverError):
+        qpat_reconstruct(data, tau=0.1, **strict)
+    with pytest.raises(SolverError):
+        qpat_reconstruct_multi([data], tau=0.1, **strict)
+    with pytest.raises(SolverError):
+        conductivity_forward(grid, np.exp(grid.X), **strict)
 
 
 def test_conductivity_round_trip(grid):
@@ -165,3 +196,16 @@ def test_conductivity_validation(grid):
     data = conductivity_forward(grid, a)
     with pytest.raises(ConfigError):
         conductivity_reconstruct(data, tau=-1.0)
+
+
+def test_conductivity_rejects_an_unconverged_potential_integration(grid, monkeypatch):
+    data = conductivity_forward(grid, np.exp(grid.X))
+
+    def stopped_at_the_iteration_limit(A, b, **kwargs):
+        # lsqr's return tuple: x, istop, itn, r1norm, r2norm, anorm, acond,
+        # arnorm, xnorm, var
+        return np.zeros(A.shape[1]), 7, 123, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, None
+
+    monkeypatch.setattr(randbc.inverse.spla, "lsqr", stopped_at_the_iteration_limit)
+    with pytest.raises(SolverError, match="istop=7"):
+        conductivity_reconstruct(data, tau=1e-3)

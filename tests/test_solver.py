@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import randbc.solver
+from randbc.boundary import RandomBoundaryModel
 from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
+from randbc.runge import build_dictionary
 from randbc.solver import (CoefficientField, assemble, gradient, laplacian,
                            load_field_csv, norms, save_field_csv,
                            solve_dirichlet, solve_poisson)
@@ -113,7 +116,7 @@ def test_residual_contract_holds_on_both_solver_paths():
         rhs = op.boundary_coupling @ bc
         res = np.abs(op.apply(u)).max()
         assert res <= rtol * np.abs(rhs).max()
-        assert info.method == ("cg-jacobi" if op.spd else "lu")
+        assert info.method == ("cg-multigrid" if op.spd else "lu")
         assert info.residual_inf == pytest.approx(res, rel=1e-6, abs=1e-30)
 
 
@@ -138,6 +141,60 @@ def test_discrete_maximum_principle_for_zero_order_free_equation():
     u = solve_dirichlet(op, bc)
     assert u.min() >= bc.min() - 1e-9
     assert u.max() <= bc.max() + 1e-9
+
+
+SPD_COEFFICIENTS = {
+    "one": lambda g: (1.0, 0.0),
+    "exp": lambda g: (np.exp(g.X), 0.0),
+    "disk": lambda g: (np.where((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2 < 0.09, 0.1, 10.0), 0.0),
+    "bump": lambda g: (1.0, 5.0 * np.exp(-20.0 * ((g.X - 0.4) ** 2 + (g.Y - 0.6) ** 2))),
+}
+
+
+@pytest.mark.parametrize("coeff", sorted(SPD_COEFFICIENTS))
+@pytest.mark.parametrize("n", [9, 17, 50, 65, 100, 129])
+def test_multigrid_cg_meets_the_contract_in_few_iterations(n, coeff):
+    g = build_grid(n)
+    a, q = SPD_COEFFICIENTS[coeff](g)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    assert op.spd
+    rtol = 1e-10
+    bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
+    u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
+    assert info.method == "cg-multigrid"
+    assert info.iterations <= 25
+    res = np.abs(op.apply(u)).max()
+    assert res <= rtol * np.abs(op.boundary_coupling @ bc).max()
+
+
+@pytest.mark.parametrize("n", [9, 17, 50, 65, 100, 129])
+def test_multigrid_preconditioner_is_symmetric(n):
+    g = build_grid(n)
+    a, _ = SPD_COEFFICIENTS["disk"](g)
+    op = assemble(g, CoefficientField.isotropic(g, a))
+    rng = np.random.default_rng(n)
+    v, w = rng.standard_normal((2, op.matrix.shape[0]))
+    Mv, Mw = op.multigrid(v), op.multigrid(w)
+    scale = max(np.linalg.norm(Mv) * np.linalg.norm(w), np.linalg.norm(v) * np.linalg.norm(Mw))
+    assert abs(Mv @ w - v @ Mw) <= 1e-12 * scale
+    assert v @ Mv > 0.0
+
+
+def test_dictionary_builds_one_hierarchy_for_all_its_solves(monkeypatch):
+    built = []
+
+    class Counting(randbc.solver.Multigrid):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(randbc.solver, "Multigrid", Counting)
+    g = build_grid(33)
+    model = RandomBoundaryModel.power_law(K=9, c=1.0, s=1.5, family="gaussian")
+    dictionary = build_dictionary(g, CoefficientField.isotropic(g, np.exp(g.X)), model)
+    assert dictionary.K == 9
+    assert len(built) == 1
+    assert isinstance(dictionary.operator.multigrid, Counting)
 
 
 def test_solver_error_reports_residual_and_iterations():
