@@ -18,7 +18,6 @@ canonical, not exactly rounded.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -180,13 +179,13 @@ def save_cover_csv(grid: Grid2D, cfields, labeling: CoverLabeling, path) -> None
     if labeling.label.shape != pointwise.shape:
         raise ConfigError(
             f"labeling covers {labeling.label.shape} nodes, fields {pointwise.shape}")
-    ixs, iys = mask.indices
+    xs = grid.xs.tolist()
+    ixs, iys = (idx.tolist() for idx in mask.indices)
+    # The bytes csv.writer would emit: unquoted fields, "\r\n" line ends.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value", "label"])
-        for j in range(pointwise.size):
-            writer.writerow([repr(float(grid.xs[ixs[j]])), repr(float(grid.xs[iys[j]])),
-                             repr(float(pointwise[j])), int(labeling.label[j])])
+        fh.write("x,y,value,label\r\n")
+        fh.write("".join([f"{xs[i]!r},{xs[j]!r},{v!r},{int(label)}\r\n" for i, j, v, label
+                          in zip(ixs, iys, pointwise.tolist(), labeling.label.tolist())]))
 
 
 def witness_fields(cmap: ConstraintMap, grid: Grid2D):

@@ -9,14 +9,22 @@ expressions, so A equals its transpose bit-for-bit.
 Dirichlet data is a vector over the boundary walk of the grid.  The solve
 contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf:
 conjugate gradients preconditioned by a symmetric geometric-multigrid V-cycle
-when the operator is certified positive definite (scalar a, q >= 0), sparse
-LU with iterative refinement otherwise.  The multigrid hierarchy is built once
+when the operator is certified positive definite, sparse LU with iterative
+refinement otherwise.  The certificate is a closed-form spectral bound: every
+harmonic-mean face weight is at least min(a)/h^2, so for scalar a
+
+    lambda_min(A) >= min(a) * lambda_1 + min(q),
+    lambda_1 = 8 sin^2(pi h / 2) / h^2,
+
+lambda_1 being the smallest eigenvalue of the five-point Dirichlet Laplacian.
+Scalar a with min(q) >= -min(a) * lambda_1 / 2 is certified (the factor 1/2
+is a fixed margin against rounding and poor conditioning); LU is left for
+matrix a and for q below that bound.  The multigrid hierarchy is built once
 per operator and shared by every right-hand side solved with it.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -203,12 +211,14 @@ class Multigrid:
     """
 
     def __init__(self, matrix: sparse.csr_matrix, side: int):
-        self.levels = []   # (A, weighted inverse diagonal, P) from fine to coarse
+        self.levels = []   # (A, weighted inverse diagonal, P, R = P^T) from fine to coarse
         A = matrix
         while side > _COARSEST_SIDE:
             P1 = _interpolation_1d(side)
             P = sparse.kron(P1, P1, format="csr")
-            self.levels.append((A, _SMOOTHING_WEIGHT / A.diagonal(), P))
+            R = P.T.tocsr()
+            self.levels.append((A, _SMOOTHING_WEIGHT / A.diagonal(), P, R))
+            # Not R @ A @ P: that product sums in another order and moves bits.
             A = (P.T @ A @ P).tocsr()
             side //= 2
         self.coarsest = spla.splu(A.tocsc())
@@ -217,9 +227,9 @@ class Multigrid:
         """Apply the cycle from `level` down to the residual r."""
         if level == len(self.levels):
             return self.coarsest.solve(r)
-        A, wdinv, P = self.levels[level]
+        A, wdinv, P, R = self.levels[level]
         x = wdinv * r
-        x += P @ self(P.T @ (r - A @ x), level + 1)
+        x += P @ self(R @ (r - A @ x), level + 1)
         x += wdinv * (r - A @ x)
         return x
 
@@ -227,6 +237,11 @@ class Multigrid:
 def _harm(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Commutative in floating point, so facing rows agree bit-for-bit.
     return (2.0 * (p * r)) / (p + r)
+
+
+def laplacian_floor(grid: Grid2D) -> float:
+    """Smallest eigenvalue of the five-point Dirichlet Laplacian -Delta_h."""
+    return 8.0 * np.sin(0.5 * np.pi * grid.h) ** 2 / (grid.h * grid.h)
 
 
 def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
@@ -291,7 +306,8 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     coupling = -sparse.coo_matrix(
         (np.concatenate(vals_ib), (np.concatenate(rows_ib), np.concatenate(cols_ib))),
         shape=(m, grid.boundary_count)).tocsr()
-    spd = bool(coeff.is_scalar and coeff.q.min() >= 0.0)
+    spd = bool(coeff.is_scalar
+               and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
     return DiscreteOperator(grid=grid, coeff=coeff, matrix=matrix,
                             boundary_coupling=coupling, spd=spd)
 
@@ -450,13 +466,12 @@ def save_field_csv(grid: Grid2D, field: ScalarField, path) -> None:
     f = np.asarray(field, dtype=float)
     if f.shape != (grid.n, grid.n):
         raise ConfigError(f"field must have shape {(grid.n, grid.n)}, got {f.shape}")
+    coords = [repr(x) for x in grid.xs.tolist()]
+    # The bytes csv.writer would emit: unquoted fields, "\r\n" line ends.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for ix in range(grid.n):
-            for iy in range(grid.n):
-                writer.writerow([repr(float(grid.xs[ix])), repr(float(grid.xs[iy])),
-                                 repr(float(f[ix, iy]))])
+        fh.write("x,y,value\r\n")
+        for x, row in zip(coords, f.tolist()):
+            fh.write("".join([f"{x},{y},{v!r}\r\n" for y, v in zip(coords, row)]))
 
 
 def load_field_csv(path) -> tuple[Grid2D, ScalarField]:

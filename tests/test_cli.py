@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import randbc
 from randbc.cli import REGISTRY, resolve_config, run
+from randbc.solver import CoefficientField, assemble, load_field_csv
 
 
 def sha256(path):
@@ -163,6 +165,19 @@ def test_solve_writes_solution_and_manifest(tmp_path):
     assert m["command"] == "solve"
     assert m["config"]["grid.n"] == "17"
     assert m["outputs"]["solution.csv"] == "sha256:" + sha256(out / "solution.csv")
+
+
+def test_solve_with_negative_potential_meets_the_residual_contract(tmp_path):
+    # default coeff.a = 1 and solve.bc = x*x - y*y; q = -5 is above the
+    # certificate's -lambda_1/2 (about -9.9), so this runs multigrid-CG
+    out = tmp_path / "solve"
+    rc = run(["solve", "--out", str(out), "--set", "grid.n=33", "--set", "coeff.q=-5"])
+    assert rc == 0
+    grid, u = load_field_csv(out / "solution.csv")
+    op = assemble(grid, CoefficientField.isotropic(grid, 1.0, -5.0))
+    assert op.spd
+    rhs = op.boundary_coupling @ grid.boundary_values(u)
+    assert np.abs(op.apply(u)).max() <= 1e-10 * np.abs(rhs).max()
 
 
 def test_sample_writes_draws_and_norms(tmp_path):

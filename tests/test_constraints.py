@@ -180,6 +180,29 @@ def test_save_cover_csv_round_trips_values_and_labels(grid17, tmp_path):
         save_cover_csv(grid17, fields, bad, tmp_path / "bad.csv")
 
 
+def test_save_cover_csv_bytes_match_the_csv_module(tmp_path):
+    g = build_grid(257)
+    w = default_window(g)
+    rng = np.random.default_rng(11)
+    fields = [ConstraintField(values=v, mask=w)
+              for v in rng.standard_normal((3, w.count)) * 10.0 ** rng.integers(-300, 300, w.count)]
+    for f in fields:
+        f.values[:7] = [0.0, -0.0, 1e-5, 1e-4, 1e16, 1.0 / 3.0, -2.5e-300]
+    cover = extract_cover(fields, 0.5)
+    pointwise, _ = max_abs(fields)
+    ixs, iys = w.indices
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "value", "label"])
+        for j in range(pointwise.size):
+            writer.writerow([repr(float(g.xs[ixs[j]])), repr(float(g.xs[iys[j]])),
+                             repr(float(pointwise[j])), int(cover.label[j])])
+    out = tmp_path / "cover.csv"
+    save_cover_csv(g, fields, cover, out)
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_holder_seminorm_vanishes_on_constants(grid17):
     w = default_window(grid17)
     const = ConstraintField(values=np.ones(w.count), mask=w)

@@ -1,5 +1,7 @@
 """Discrete elliptic operator assembly and the Dirichlet solve contract."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.runge import build_dictionary
 from randbc.solver import (CoefficientField, assemble, gradient, laplacian,
-                           load_field_csv, norms, save_field_csv,
+                           laplacian_floor, load_field_csv, norms, save_field_csv,
                            solve_dirichlet, solve_poisson)
 
 
@@ -143,11 +145,21 @@ def test_discrete_maximum_principle_for_zero_order_free_equation():
     assert u.max() <= bc.max() + 1e-9
 
 
+def disk_a(g):
+    return np.where((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2 < 0.09, 0.1, 10.0)
+
+
+def q_threshold(g, a):
+    """The lowest potential the closed-form certificate accepts for this a."""
+    return -0.5 * np.min(a) * laplacian_floor(g)
+
+
 SPD_COEFFICIENTS = {
     "one": lambda g: (1.0, 0.0),
     "exp": lambda g: (np.exp(g.X), 0.0),
-    "disk": lambda g: (np.where((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2 < 0.09, 0.1, 10.0), 0.0),
+    "disk": lambda g: (disk_a(g), 0.0),
     "bump": lambda g: (1.0, 5.0 * np.exp(-20.0 * ((g.X - 0.4) ** 2 + (g.Y - 0.6) ** 2))),
+    "negq": lambda g: (np.exp(g.X), 0.999 * q_threshold(g, np.exp(g.X))),
 }
 
 
@@ -170,14 +182,65 @@ def test_multigrid_cg_meets_the_contract_in_few_iterations(n, coeff):
 @pytest.mark.parametrize("n", [9, 17, 50, 65, 100, 129])
 def test_multigrid_preconditioner_is_symmetric(n):
     g = build_grid(n)
-    a, _ = SPD_COEFFICIENTS["disk"](g)
-    op = assemble(g, CoefficientField.isotropic(g, a))
     rng = np.random.default_rng(n)
-    v, w = rng.standard_normal((2, op.matrix.shape[0]))
-    Mv, Mw = op.multigrid(v), op.multigrid(w)
-    scale = max(np.linalg.norm(Mv) * np.linalg.norm(w), np.linalg.norm(v) * np.linalg.norm(Mw))
-    assert abs(Mv @ w - v @ Mw) <= 1e-12 * scale
-    assert v @ Mv > 0.0
+    for coeff in ("disk", "negq"):
+        a, q = SPD_COEFFICIENTS[coeff](g)
+        op = assemble(g, CoefficientField.isotropic(g, a, q))
+        v, w = rng.standard_normal((2, op.matrix.shape[0]))
+        Mv, Mw = op.multigrid(v), op.multigrid(w)
+        scale = max(np.linalg.norm(Mv) * np.linalg.norm(w),
+                    np.linalg.norm(v) * np.linalg.norm(Mw))
+        assert abs(Mv @ w - v @ Mw) <= 1e-12 * scale
+        assert v @ Mv > 0.0
+
+
+@pytest.mark.parametrize("n", [50, 65, 129])
+def test_stored_restriction_is_the_transpose_bit_for_bit(n):
+    g = build_grid(n)
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
+    rng = np.random.default_rng(n)
+    for A, _, P, R in op.multigrid.levels:
+        r = rng.standard_normal(A.shape[0])
+        assert np.array_equal(R @ r, P.T @ r)
+
+
+@pytest.mark.parametrize("kind", ["one", "exp", "disk"])
+@pytest.mark.parametrize("n", [9, 17, 33])
+def test_spectrum_obeys_the_closed_form_lower_bound(n, kind):
+    g = build_grid(n)
+    a, _ = SPD_COEFFICIENTS[kind](g)
+    q = 0.999 * q_threshold(g, a)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    assert op.spd
+    lam_min = np.linalg.eigvalsh(op.matrix.toarray())[0]
+    bound = np.min(a) * laplacian_floor(g) + q
+    assert bound > 0.0
+    assert lam_min >= bound * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+def test_bound_is_attained_for_unit_diffusion_and_constant_potential(n):
+    g = build_grid(n)
+    for q in (0.0, 2.5, 0.999 * q_threshold(g, 1.0)):
+        op = assemble(g, CoefficientField.isotropic(g, 1.0, q))
+        lam_min = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        assert lam_min == pytest.approx(laplacian_floor(g) + q, rel=1e-9)
+
+
+@pytest.mark.parametrize("a_fn, q_fn", [
+    (lambda g: np.exp(g.X), lambda g, a: 1.001 * q_threshold(g, a)),
+    (disk_a, lambda g, a: -5.0),
+], ids=["exp-past-threshold", "disk-q=-5"])
+def test_uncertified_potentials_keep_the_lu_path(a_fn, q_fn):
+    g = build_grid(33)
+    a = a_fn(g)
+    op = assemble(g, CoefficientField.isotropic(g, a, q_fn(g, a)))
+    assert not op.spd
+    rtol = 1e-10
+    bc = np.cos(3.0 * g.boundary_s)
+    u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
+    assert info.method == "lu"
+    assert np.abs(op.apply(u)).max() <= rtol * np.abs(op.boundary_coupling @ bc).max()
 
 
 def test_dictionary_builds_one_hierarchy_for_all_its_solves(monkeypatch):
@@ -264,3 +327,21 @@ def test_field_csv_round_trip_is_exact(tmp_path):
     g2, f2 = load_field_csv(p)
     assert g2.n == g.n
     np.testing.assert_array_equal(f2, f)
+
+
+def test_field_csv_bytes_match_the_csv_module(tmp_path):
+    g = build_grid(257)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(g.X.shape) * 10.0 ** rng.integers(-300, 300, g.X.shape)
+    f.flat[:7] = [0.0, -0.0, 1e-5, 1e-4, 1e16, 1.0 / 3.0, -2.5e-300]
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "value"])
+        for ix in range(g.n):
+            for iy in range(g.n):
+                writer.writerow([repr(float(g.xs[ix])), repr(float(g.xs[iy])),
+                                 repr(float(f[ix, iy]))])
+    out = tmp_path / "field.csv"
+    save_field_csv(g, f, out)
+    assert out.read_bytes() == ref.read_bytes()
