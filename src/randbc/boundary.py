@@ -44,10 +44,6 @@ class BoundaryBasis:
         if self.K < 1 or self.K % 2 == 0:
             raise ConfigError(f"basis truncation must be odd and >= 1, got K={self.K}")
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return mode_frequencies(self.K)
-
     def evaluate(self, grid: Grid2D) -> np.ndarray:
         """(K, 4(n-1)) matrix of basis values along the boundary walk."""
         if self.K - 1 >= 4 * (grid.n - 1):

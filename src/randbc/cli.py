@@ -614,14 +614,16 @@ def cmd_conductivity(cfg: RunConfig, out: OutputWriter) -> None:
     recon = conductivity_reconstruct(data, cfg["cond.tau"], anchor=cfg["cond.anchor"],
                                      window=window)
     log_true = np.log(a)
-    diff = recon.log_a_hat[recon.region] - log_true[recon.region]
-    denom = float(np.sqrt(np.sum(log_true[recon.region] ** 2)))
+    done = np.isfinite(recon.log_a_hat)
+    diff = recon.log_a_hat[done] - log_true[done]
+    denom = float(np.sqrt(np.sum(log_true[done] ** 2)))
     rel = (float(np.sqrt(np.sum(diff ** 2))) / denom if denom > 0
            else float(np.sqrt(np.mean(diff ** 2))))
     out.field("log_a_hat.csv", grid, recon.log_a_hat)
     out.csv("conductivity_metrics.csv", ["metric", "value"],
-            [("coverage", recon.coverage), ("rel_l2_log_error", rel),
-             ("tau", cfg["cond.tau"])])
+            [("coverage", recon.coverage), ("components", recon.components),
+             ("reconstructed_fraction", recon.reconstructed_fraction),
+             ("rel_l2_log_error", rel), ("tau", cfg["cond.tau"])])
 
 
 DISPATCH = {

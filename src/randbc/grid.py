@@ -39,10 +39,6 @@ class Grid2D:
     def boundary_count(self) -> int:
         return 4 * (self.n - 1)
 
-    @property
-    def interior_count(self) -> int:
-        return (self.n - 2) ** 2
-
     @cached_property
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros((self.n, self.n), dtype=bool)

@@ -153,10 +153,31 @@ def conductivity_forward(grid: Grid2D, a, bcs=None, rtol: float = 1e-10,
 
 @dataclass(eq=False)
 class ConductivityResult:
-    log_a_hat: ScalarField       # NaN outside the reconstructed region
+    log_a_hat: ScalarField       # NaN outside the anchor's component of the region
     region: np.ndarray           # (n, n) bool, |Jacobian| >= tau inside the window
-    coverage: float              # fraction of the window reconstructed
+    coverage: float              # fraction of the window in the region
     jacobian: ScalarField
+    components: int              # connected components of the region
+    reconstructed_fraction: float   # fraction of the window in the anchor's component
+
+
+def _potential_edges(grid: Grid2D, region: np.ndarray, gx_log: np.ndarray,
+                     gy_log: np.ndarray):
+    """Node ids of the region, and the (i, j, rhs) of each edge between
+    neighboring region nodes, rhs being the midpoint-rule integral of the
+    log-gradient from node i to node j."""
+    node_id = np.full((grid.n, grid.n), -1, dtype=np.int64)
+    rix, riy = np.nonzero(region)
+    node_id[rix, riy] = np.arange(rix.size)
+    ii, jj, rhs = [], [], []
+    for gcomp, (dx, dy) in ((gx_log, (1, 0)), (gy_log, (0, 1))):
+        six, siy = np.nonzero(region[:grid.n - dx, :grid.n - dy]
+                              & region[dx:, dy:])
+        tix, tiy = six + dx, siy + dy
+        ii.append(node_id[six, siy])
+        jj.append(node_id[tix, tiy])
+        rhs.append(0.5 * grid.h * (gcomp[six, siy] + gcomp[tix, tiy]))
+    return node_id, np.concatenate(ii), np.concatenate(jj), np.concatenate(rhs)
 
 
 def conductivity_reconstruct(data: ConductivityData, tau: float,
@@ -165,9 +186,13 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     """Recover log a where the measurement Jacobian clears tau.
 
     The gauge constant is fixed so log_a_hat(anchor) equals anchor_value
-    (defaults to the true value when the data carries it, else 0).  Warns when
-    the usable region covers less than 99% of the window.
+    (defaults to the true value when the data carries it, else 0).  Only the
+    anchor's connected component of that region is reconstructed: elsewhere
+    the gauge is unknown, so log_a_hat is NaN there.  Warns when the usable
+    region covers less than 99% of the window or splits into components.
     """
+    from scipy.sparse.csgraph import connected_components
+
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
     grid = data.grid
@@ -189,6 +214,9 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
             stacklevel=2)
     if not region.any():
         raise DomainError("Jacobian threshold leaves no node to reconstruct")
+    aix, aiy = grid.nearest_node(anchor)
+    if not region[aix, aiy]:
+        raise DomainError(f"anchor {anchor!r} lies outside the reconstructed region")
 
     lap1 = laplacian(grid, u1)
     lap2 = laplacian(grid, u2)
@@ -196,37 +224,31 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         gx_log = np.where(region, (-lap1 * g2y + lap2 * g1y) / jac, 0.0)
         gy_log = np.where(region, (lap1 * g2x - lap2 * g1x) / jac, 0.0)
 
-    # Least-squares potential integration over the valid-node graph.
-    node_id = np.full((grid.n, grid.n), -1, dtype=np.int64)
-    rix, riy = np.nonzero(region)
-    node_id[rix, riy] = np.arange(rix.size)
-    rows, cols, vals, rhs = [], [], [], []
-    edge = 0
-    for axis, gcomp in ((0, gx_log), (1, gy_log)):
-        if axis == 0:
-            ok = region[:-1, :] & region[1:, :]
-            six, siy = np.nonzero(ok)
-            tix, tiy = six + 1, siy
-        else:
-            ok = region[:, :-1] & region[:, 1:]
-            six, siy = np.nonzero(ok)
-            tix, tiy = six, siy + 1
-        if six.size == 0:
-            continue
-        i = node_id[six, siy]
-        j = node_id[tix, tiy]
-        e = np.arange(edge, edge + i.size)
-        edge += i.size
-        rows.extend([e, e])
-        cols.extend([j, i])
-        vals.extend([np.ones(i.size), -np.ones(i.size)])
-        rhs.append(0.5 * grid.h * (gcomp[six, siy] + gcomp[tix, tiy]))
-    if edge == 0:
-        raise DomainError("reconstructed region has no connected edges")
+    node_id, i, j, b = _potential_edges(grid, region, gx_log, gy_log)
+    count = int(region.sum())
+    components, labels = connected_components(
+        sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(count, count)),
+        directed=False)
+    part, reconstructed = region, coverage
+    if components > 1:
+        part = np.zeros_like(region)
+        part[region] = labels == labels[node_id[aix, aiy]]
+        reconstructed = float(part.sum()) / window.count
+        warnings.warn(
+            f"the region splits into {components} components; only the anchor's "
+            f"({reconstructed:.1%} of the window) is reconstructed", RuntimeWarning,
+            stacklevel=2)
+        node_id, i, j, b = _potential_edges(grid, part, gx_log, gy_log)
+    if i.size == 0:
+        raise DomainError("the anchor's component of the region has no edges")
+
+    # Least-squares potential integration over the component's graph.
+    e = np.arange(i.size)
+    rix, riy = np.nonzero(part)
     A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(edge, rix.size)).tocsr()
-    b = np.concatenate(rhs)
+        (np.concatenate([np.ones(i.size), -np.ones(i.size)]),
+         (np.concatenate([e, e]), np.concatenate([j, i]))),
+        shape=(i.size, rix.size)).tocsr()
     sol, istop, iters = spla.lsqr(A, b, atol=1e-13, btol=1e-13, iter_lim=50 * rix.size)[:3]
     if istop not in (0, 1, 2):
         # 0: b = 0, 1: a solution, 2: a least-squares solution; anything else
@@ -234,9 +256,6 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         raise SolverError(f"potential integration stopped with lsqr istop={istop} "
                           f"after {iters} iterations", iterations=iters)
 
-    aix, aiy = grid.nearest_node(anchor)
-    if not region[aix, aiy]:
-        raise DomainError(f"anchor {anchor!r} lies outside the reconstructed region")
     if anchor_value is None:
         if data.a_true is not None:
             anchor_value = float(np.log(data.a_true[aix, aiy]))
@@ -246,5 +265,6 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
 
     log_a_hat = np.full((grid.n, grid.n), np.nan)
     log_a_hat[rix, riy] = sol
-    return ConductivityResult(log_a_hat=log_a_hat, region=region,
-                              coverage=coverage, jacobian=jac)
+    return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,
+                              jacobian=jac, components=components,
+                              reconstructed_fraction=reconstructed)

@@ -7,20 +7,33 @@ construction: face and corner weights are written with commutative
 expressions, so A equals its transpose bit-for-bit.
 
 Dirichlet data is a vector over the boundary walk of the grid.  The solve
-contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf:
-conjugate gradients preconditioned by a symmetric geometric-multigrid V-cycle
-when the operator is certified positive definite, sparse LU with iterative
-refinement otherwise.  The certificate is a closed-form spectral bound: every
-harmonic-mean face weight is at least min(a)/h^2, so for scalar a
+contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf,
+checked after every solve.  Three paths meet it:
 
-    lambda_min(A) >= min(a) * lambda_1 + min(q),
-    lambda_1 = 8 sin^2(pi h / 2) / h^2,
+- A constant five-point stencil (scalar a and q whose assembled diagonal and
+  off-diagonal weights are each one value, compared bitwise, since
+  harm(a, a) need not round back to a) is diagonalized by the 2-D sine
+  transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)).
+  The solve is direct, S (S r / lambda) (2 / (n - 1))^2, whatever the sign
+  of q, as long as no eigenvalue vanishes; S is built on numpy.fft, which
+  importing numpy already loads.
+- Other operators certified positive definite take conjugate gradients
+  preconditioned by a symmetric geometric-multigrid V-cycle.  The certificate
+  is a closed-form spectral bound: every harmonic-mean face weight is at least
+  min(a)/h^2, so for scalar a
 
-lambda_1 being the smallest eigenvalue of the five-point Dirichlet Laplacian.
-Scalar a with min(q) >= -min(a) * lambda_1 / 2 is certified (the factor 1/2
-is a fixed margin against rounding and poor conditioning); LU is left for
-matrix a and for q below that bound.  The multigrid hierarchy is built once
-per operator and shared by every right-hand side solved with it.
+      lambda_min(A) >= min(a) * lambda_1 + min(q),
+      lambda_1 = 8 sin^2(pi h / 2) / h^2,
+
+  lambda_1 being the smallest eigenvalue of the five-point Dirichlet
+  Laplacian.  Scalar a with min(q) >= -min(a) * lambda_1 / 2 is certified
+  (the factor 1/2 is a fixed margin against rounding and poor conditioning).
+  The multigrid hierarchy is built once per operator and shared by every
+  right-hand side solved with it.
+- Sparse LU with iterative refinement serves the rest: matrix a, and q below
+  the certificate with a variable stencil.
+
+Only the iterative path reads maxiter.
 """
 
 from __future__ import annotations
@@ -167,9 +180,7 @@ class DiscreteOperator:
     matrix: sparse.csr_matrix
     boundary_coupling: sparse.csr_matrix
     spd: bool
-
-    def interior_index(self, ix, iy):
-        return (ix - 1) * (self.grid.n - 2) + (iy - 1)
+    stencil: tuple[float, float] | None   # (diagonal, off-diagonal) if constant
 
     def apply(self, field: ScalarField) -> np.ndarray:
         """L_h applied to a full-grid field; returns (n-2, n-2) interior values."""
@@ -183,6 +194,13 @@ class DiscreteOperator:
     def multigrid(self) -> "Multigrid":
         """The V-cycle preconditioner of an SPD operator, built on first use."""
         return Multigrid(self.matrix, self.grid.n - 2)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """(n-2, n-2) eigenvalues of a constant stencil, indexed like the DST-I modes."""
+        d, o = self.stencil
+        c = np.cos(np.pi * self.grid.h * np.arange(1, self.grid.n - 1))
+        return d + 2.0 * o * (c[:, None] + c[None, :])
 
 
 _SMOOTHING_WEIGHT = 0.8   # damped Jacobi
@@ -308,8 +326,14 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
         shape=(m, grid.boundary_count)).tocsr()
     spd = bool(coeff.is_scalar
                and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
+    stencil = None
+    if coeff.is_scalar:
+        # Compared on the assembled weights: _harm(a, a) need not round back to a.
+        w, d = west.flat[0], center.flat[0]
+        if all(np.all(f == w) for f in (west, east, south, north)) and np.all(center == d):
+            stencil = (float(d), float(-w))
     return DiscreteOperator(grid=grid, coeff=coeff, matrix=matrix,
-                            boundary_coupling=coupling, spd=spd)
+                            boundary_coupling=coupling, spd=spd, stencil=stencil)
 
 
 @dataclass
@@ -317,6 +341,21 @@ class SolveInfo:
     method: str
     iterations: int
     residual_inf: float
+
+
+def _dst1_rows(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I of each row, sum_i x_i sin(pi i k / (m + 1)), from the
+    FFT of the odd extension [0, x, 0, -reversed x]."""
+    k, m = x.shape
+    ext = np.zeros((k, 2 * (m + 1)))
+    ext[:, 1:m + 1] = x
+    ext[:, m + 2:] = -x[:, ::-1]
+    return -0.5 * np.fft.rfft(ext).imag[:, 1:m + 1]
+
+
+def _dst1_2d(x: np.ndarray) -> np.ndarray:
+    """2-D DST-I of a square array; the transform is symmetric, so S x S."""
+    return _dst1_rows(_dst1_rows(x).T).T
 
 
 def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
@@ -327,6 +366,15 @@ def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
     if maxiter is None:
         maxiter = 20 * op.grid.n
     target = rtol * scale
+    if op.stencil is not None:
+        m = op.grid.n - 2
+        x = (_dst1_2d(_dst1_2d(rhs.reshape(m, m)) / op.eigenvalues)
+             * (2.0 / (m + 1)) ** 2).reshape(-1)
+        res = np.abs(op.matrix @ x - rhs).max()
+        if not res <= target:
+            raise SolverError(f"sine-transform solve residual {res:.3e} > target "
+                              f"{target:.3e}", residual=res, iterations=0)
+        return x, SolveInfo("dst", 0, float(res))
     if op.spd:
         precond = spla.LinearOperator(op.matrix.shape, matvec=op.multigrid)
         iters = 0

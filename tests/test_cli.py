@@ -140,6 +140,7 @@ def test_qpat_without_any_valid_node_exits_with_the_runtime_code(tmp_path, capsy
 def test_solver_failure_exits_with_the_runtime_code(tmp_path, capsys):
     out = tmp_path / "o"
     rc = run(["solve", "--out", str(out), "--set", "grid.n=65",
+              "--set", "coeff.a=exp(x)",
               "--set", "solver.maxiter=2", "--set", "solver.rtol=1e-14"])
     assert rc == 1
     assert "residual" in capsys.readouterr().err
@@ -147,11 +148,15 @@ def test_solver_failure_exits_with_the_runtime_code(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["qpat", "conductivity"])
-def test_imaging_commands_honor_maxiter(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, extra", [
+    # a variable absorption keeps the forward solve iterative
+    ("qpat", ["--set", "qpat.mu=1+0.5*exp(-20*((x-0.4)**2+(y-0.6)**2))"]),
+    ("conductivity", []),
+], ids=["qpat", "conductivity"])
+def test_imaging_commands_honor_maxiter(command, extra, tmp_path, capsys):
     out = tmp_path / command
     rc = run([command, "--out", str(out), "--set", "grid.n=33",
-              "--set", "solver.maxiter=1", "--set", "solver.rtol=1e-14"])
+              "--set", "solver.maxiter=1", "--set", "solver.rtol=1e-14"] + extra)
     assert rc == 1
     assert "residual" in capsys.readouterr().err
     assert not out.exists()
@@ -169,7 +174,8 @@ def test_solve_writes_solution_and_manifest(tmp_path):
 
 def test_solve_with_negative_potential_meets_the_residual_contract(tmp_path):
     # default coeff.a = 1 and solve.bc = x*x - y*y; q = -5 is above the
-    # certificate's -lambda_1/2 (about -9.9), so this runs multigrid-CG
+    # certificate's -lambda_1/2 (about -9.9), and the constant stencil solves
+    # by sine transform
     out = tmp_path / "solve"
     rc = run(["solve", "--out", str(out), "--set", "grid.n=33", "--set", "coeff.q=-5"])
     assert rc == 0
@@ -269,6 +275,26 @@ def test_conductivity_command_round_trip(tmp_path):
     assert rc == 0
     assert (out / "log_a_hat.csv").exists()
     assert (out / "conductivity_metrics.csv").exists()
+
+
+def test_conductivity_leaves_a_component_without_gauge_unreconstructed(tmp_path):
+    out = tmp_path / "cond"
+    with pytest.warns(RuntimeWarning) as caught:
+        rc = run(["conductivity", "--out", str(out), "--set", "grid.n=65",
+                  "--set", "cond.a=exp(x+y)", "--set", "cond.bc=x; (x-0.5)*(y-0.5)",
+                  "--set", "cond.tau=0.05", "--set", "cond.anchor=0.3,0.3"])
+    assert rc == 0
+    assert any("splits into 2 components" in str(w.message) for w in caught)
+    rows = dict(line.split(",") for line in
+                (out / "conductivity_metrics.csv").read_text().splitlines()[1:])
+    assert rows["components"] == "2"
+    assert float(rows["reconstructed_fraction"]) < float(rows["coverage"])
+    assert float(rows["rel_l2_log_error"]) <= 1e-4
+    grid, log_a_hat = load_field_csv(out / "log_a_hat.csv")
+    done = np.isfinite(log_a_hat)
+    assert np.std(log_a_hat[done] - (grid.X + grid.Y)[done]) <= 1e-4
+    # nearest nodes to (0.3, 0.3) and (0.7, 0.3) lie in different components
+    assert done[19, 19] and np.isnan(log_a_hat[45, 19])
 
 
 def test_malformed_field_expression_is_a_config_error(tmp_path, capsys):

@@ -120,10 +120,13 @@ def test_every_solve_honors_maxiter(grid, mu_bump):
     with pytest.raises(SolverError):
         qpat_forward(grid, mu_bump, [bc], **strict)
     [data] = qpat_forward(grid, mu_bump, [bc])
+    # The Poisson step is a direct sine-transform solve: no iteration count to
+    # cap, but an unattainable residual target still raises.
+    unattainable = dict(rtol=1e-20, maxiter=1)
     with pytest.raises(SolverError):
-        qpat_reconstruct(data, tau=0.1, **strict)
+        qpat_reconstruct(data, tau=0.1, **unattainable)
     with pytest.raises(SolverError):
-        qpat_reconstruct_multi([data], tau=0.1, **strict)
+        qpat_reconstruct_multi([data], tau=0.1, **unattainable)
     with pytest.raises(SolverError):
         conductivity_forward(grid, np.exp(grid.X), **strict)
 
@@ -209,3 +212,36 @@ def test_conductivity_rejects_an_unconverged_potential_integration(grid, monkeyp
     monkeypatch.setattr(randbc.inverse.spla, "lsqr", stopped_at_the_iteration_limit)
     with pytest.raises(SolverError, match="istop=7"):
         conductivity_reconstruct(data, tau=1e-3)
+
+
+def test_conductivity_reconstructs_only_the_anchors_component(grid):
+    # the Jacobian of (x, (x-0.5)(y-0.5)) vanishes near x = 1/2 and splits the
+    # region; the far component's gauge is unknown, so it must stay NaN
+    a = np.exp(grid.X + grid.Y)
+    bcs = (grid.boundary_values(grid.X),
+           grid.boundary_values((grid.X - 0.5) * (grid.Y - 0.5)))
+    data = conductivity_forward(grid, a, bcs=bcs)
+    with pytest.warns(RuntimeWarning) as caught:
+        res = conductivity_reconstruct(data, tau=0.05, anchor=(0.3, 0.3))
+    assert any("splits into 2 components" in str(w.message) for w in caught)
+    assert res.components == 2
+    done = np.isfinite(res.log_a_hat)
+    assert done[grid.nearest_node((0.3, 0.3))]
+    assert np.all(res.region[done])
+    assert (res.region & ~done).any()
+    # no reconstructed node has an unreconstructed neighbor in the region,
+    # so the reconstructed nodes are the anchor's whole component
+    for axis in (0, 1):
+        for shift in (1, -1):
+            assert not (done & np.roll(res.region & ~done, shift, axis)).any()
+    w = default_window(grid)
+    assert res.reconstructed_fraction == done[w.member].mean() < res.coverage
+    err = res.log_a_hat[done] - np.log(a)[done]
+    assert np.std(err) <= 1e-4
+
+
+def test_connected_region_reports_one_component(grid):
+    data = conductivity_forward(grid, np.exp(grid.X))
+    res = conductivity_reconstruct(data, tau=1e-3)
+    assert res.components == 1
+    assert res.reconstructed_fraction == res.coverage == 1.0

@@ -1,9 +1,13 @@
 """Discrete elliptic operator assembly and the Dirichlet solve contract."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as spla
 
 import randbc.solver
 from randbc.boundary import RandomBoundaryModel
@@ -163,6 +167,16 @@ SPD_COEFFICIENTS = {
 }
 
 
+def multigrid_cg(op, rhs, atol):
+    """Multigrid-preconditioned CG on op, bypassing the solver's path choice."""
+    precond = spla.LinearOperator(op.matrix.shape, matvec=op.multigrid)
+    iters = []
+    x, code = spla.cg(op.matrix, rhs, rtol=0.0, atol=atol, maxiter=200, M=precond,
+                      callback=iters.append)
+    assert code == 0
+    return x, len(iters)
+
+
 @pytest.mark.parametrize("coeff", sorted(SPD_COEFFICIENTS))
 @pytest.mark.parametrize("n", [9, 17, 50, 65, 100, 129])
 def test_multigrid_cg_meets_the_contract_in_few_iterations(n, coeff):
@@ -172,11 +186,17 @@ def test_multigrid_cg_meets_the_contract_in_few_iterations(n, coeff):
     assert op.spd
     rtol = 1e-10
     bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
-    u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
-    assert info.method == "cg-multigrid"
-    assert info.iterations <= 25
-    res = np.abs(op.apply(u)).max()
-    assert res <= rtol * np.abs(op.boundary_coupling @ bc).max()
+    rhs = op.boundary_coupling @ bc
+    if op.stencil is None:
+        u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
+        assert info.method == "cg-multigrid"
+        iterations, res = info.iterations, np.abs(op.apply(u)).max()
+    else:
+        # a = 1 solves by sine transform; drive the multigrid it would use.
+        x, iterations = multigrid_cg(op, rhs, rtol * np.abs(rhs).max())
+        res = np.abs(op.matrix @ x - rhs).max()
+    assert iterations <= 25
+    assert res <= rtol * np.abs(rhs).max()
 
 
 @pytest.mark.parametrize("n", [9, 17, 50, 65, 100, 129])
@@ -262,7 +282,7 @@ def test_dictionary_builds_one_hierarchy_for_all_its_solves(monkeypatch):
 
 def test_solver_error_reports_residual_and_iterations():
     g = build_grid(33)
-    op = assemble(g, CoefficientField.isotropic(g))
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
     bc = np.cos(g.boundary_s)
     with pytest.raises(SolverError) as ei:
         solve_dirichlet(op, bc, rtol=1e-14, maxiter=2)
@@ -345,3 +365,99 @@ def test_field_csv_bytes_match_the_csv_module(tmp_path):
     out = tmp_path / "field.csv"
     save_field_csv(g, f, out)
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 0.0), (1.0, 2.5), (1.0, -5.0), (0.1, 0.0)])
+@pytest.mark.parametrize("n", [9, 17, 65, 129])
+def test_sine_transform_solve_matches_multigrid_cg(n, a, q):
+    g = build_grid(n)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    assert op.stencil is not None and op.spd
+    bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
+    u, info = solve_dirichlet(op, bc, want_info=True)
+    assert (info.method, info.iterations) == ("dst", 0)
+    rhs = op.boundary_coupling @ bc
+    x, _ = multigrid_cg(op, rhs, 1e-15 * np.abs(rhs).max())
+    dst = u[1:-1, 1:-1].reshape(-1)
+    assert np.abs(dst - x).max() <= 1e-11 * np.abs(x).max()
+
+
+def test_constant_potential_below_the_certificate_solves_by_sine_transform():
+    g = build_grid(33)
+    op = assemble(g, CoefficientField.isotropic(g, 1.0, -30.0))
+    assert not op.spd
+    rtol = 1e-10
+    bc = np.cos(3.0 * g.boundary_s)
+    u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
+    assert info.method == "dst"
+    assert np.abs(op.apply(u)).max() <= rtol * np.abs(op.boundary_coupling @ bc).max()
+
+
+def test_stencil_eigenvalues_are_the_spectrum():
+    g = build_grid(9)
+    op = assemble(g, CoefficientField.isotropic(g, 0.1, -3.0))
+    np.testing.assert_allclose(np.sort(op.eigenvalues.ravel()),
+                               np.linalg.eigvalsh(op.matrix.toarray()), rtol=1e-12)
+
+
+def ring_a(g):
+    """Constant inside, different on the boundary ring."""
+    a = np.full_like(g.X, 2.0)
+    a[g.boundary_mask] = 1.0
+    return a
+
+
+def compensated(g):
+    """Variable a with q chosen so that every diagonal entry is one value."""
+    a = 1.0 + 0.5 * g.X
+    weights = assemble(g, CoefficientField.isotropic(g, a)).matrix.diagonal()
+    # weights.max() - weights is exact (they lie within a factor 2), so the
+    # assembled diagonal weights + q rounds to weights.max() at every node
+    q = np.zeros_like(a)
+    q[1:-1, 1:-1] = (weights.max() - weights).reshape(g.n - 2, g.n - 2)
+    return CoefficientField.isotropic(g, a, q)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: CoefficientField.isotropic(g, 1.0, SPD_COEFFICIENTS["bump"](g)[1]),
+    lambda g: CoefficientField.isotropic(g, np.exp(g.X)),
+    lambda g: CoefficientField.isotropic(g, ring_a(g)),
+    compensated,
+    lambda g: CoefficientField.anisotropic(g, 1.0, 0.2, 1.0),
+], ids=["q-bump", "a=exp(x)", "a-ring", "constant-diagonal", "matrix-a"])
+def test_variable_or_matrix_coefficients_are_not_constant_stencils(make):
+    g = build_grid(17)
+    op = assemble(g, make(g))
+    if make is compensated:
+        assert np.ptp(op.matrix.diagonal()) == 0.0
+    assert op.stencil is None
+    u, info = solve_dirichlet(op, np.cos(g.boundary_s), want_info=True)
+    assert info.method == ("cg-multigrid" if op.spd else "lu")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_sine_transform_result_raises():
+    # finite data whose transform overflows
+    g = build_grid(9)
+    op = assemble(g, CoefficientField.isotropic(g))
+    with pytest.raises(SolverError, match="residual"):
+        solve_dirichlet(op, np.full(g.boundary_count, 1e306))
+
+
+def test_importing_the_cli_does_not_load_scipy_fft():
+    # numpy.fft carries the sine transform; scipy.fft would add import time
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, randbc.cli; print('scipy.fft' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+def test_sine_transform_matches_the_dense_sine_sum(m):
+    x = np.random.default_rng(m).standard_normal((3, m))
+    i = np.arange(1, m + 1)
+    S = np.sin(np.pi * np.outer(i, i) / (m + 1))
+    np.testing.assert_allclose(randbc.solver._dst1_rows(x), x @ S, rtol=0, atol=1e-13)
