@@ -16,9 +16,9 @@ from .experiments import (ConcentrationReport, SuccessCurveResult, TailReport,
 from .grid import (Grid2D, SubdomainMask, build_grid, default_window,
                    disk_mask, rect_mask)
 from .inverse import (ConductivityData, ConductivityResult, QpatData,
-                      QpatMultiResult, QpatResult, conductivity_forward,
+                      QpatMultiResult, conductivity_forward,
                       conductivity_reconstruct, qpat_forward,
-                      qpat_reconstruct, qpat_reconstruct_multi)
+                      qpat_reconstruct_multi)
 from .runge import (Dictionary, LocalTarget, RungeResult, approximate,
                     build_dictionary, make_target, tradeoff_curve)
 from .solver import (CoefficientField, DiscreteOperator, FieldNorms,

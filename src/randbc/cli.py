@@ -612,7 +612,7 @@ def cmd_conductivity(cfg: RunConfig, out: OutputWriter) -> None:
                                            for e in exprs)
     data = conductivity_forward(grid, a, bcs=bcs, rtol=rtol, maxiter=maxiter)
     recon = conductivity_reconstruct(data, cfg["cond.tau"], anchor=cfg["cond.anchor"],
-                                     window=window)
+                                     window=window, rtol=rtol, maxiter=maxiter)
     log_true = np.log(a)
     done = np.isfinite(recon.log_a_hat)
     diff = recon.log_a_hat[done] - log_true[done]

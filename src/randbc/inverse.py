@@ -10,7 +10,9 @@ Conductivity: for fields u_i of -div(a grad u_i) = 0, the log-gradient
 g = grad log a solves the 2x2 system  [grad u_i] . g = -Delta u_i  nodewise;
 where the measurement Jacobian det[grad u1 grad u2] clears a threshold the
 system inverts, and log a is recovered from g by least-squares potential
-integration over the valid-node graph, gauge-fixed at an anchor node.
+integration over the valid-node graph: its normal equations are the graph
+Laplacian with the anchor node's unknown fixed (the gauge), which is SPD and
+is solved by conjugate gradients.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .errors import ConfigError, DomainError, SolverError
 from .grid import Grid2D, SubdomainMask, default_window
-from .solver import (CoefficientField, ScalarField, assemble, gradient,
-                     laplacian, solve_dirichlet, solve_poisson)
+from .solver import (CoefficientField, ScalarField, assemble,
+                     conjugate_gradients, gradient, laplacian, solve_dirichlet,
+                     solve_poisson)
 
 
 @dataclass(eq=False)
@@ -57,29 +59,6 @@ def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
                             boundary_u=np.asarray(bc, dtype=float).copy(),
                             mu_true=mu.copy()))
     return out
-
-
-@dataclass(eq=False)
-class QpatResult:
-    mu_hat: ScalarField          # NaN where invalid
-    mask_valid: np.ndarray       # (n, n) bool
-    u_rec: ScalarField
-
-
-def qpat_reconstruct(data: QpatData, tau: float, rtol: float = 1e-10,
-                     maxiter=None) -> QpatResult:
-    """Recover absorption from one measurement wherever |u| >= tau (DomainError
-    when that is nowhere)."""
-    if not (tau > 0.0):
-        raise ConfigError(f"threshold must be positive, got tau={tau}")
-    grid = data.grid
-    u_rec = solve_poisson(grid, data.H, data.boundary_u, rtol=rtol, maxiter=maxiter)
-    valid = np.abs(u_rec) >= tau
-    if not valid.any():
-        raise DomainError(f"recovered |u| clears tau={tau} at no node")
-    mu_hat = np.full((grid.n, grid.n), np.nan)
-    mu_hat[valid] = data.H[valid] / u_rec[valid]
-    return QpatResult(mu_hat=mu_hat, mask_valid=valid, u_rec=u_rec)
 
 
 @dataclass(eq=False)
@@ -182,7 +161,8 @@ def _potential_edges(grid: Grid2D, region: np.ndarray, gx_log: np.ndarray,
 
 def conductivity_reconstruct(data: ConductivityData, tau: float,
                              anchor=(0.5, 0.5), anchor_value: float | None = None,
-                             window: SubdomainMask | None = None) -> ConductivityResult:
+                             window: SubdomainMask | None = None, rtol: float = 1e-10,
+                             maxiter=None) -> ConductivityResult:
     """Recover log a where the measurement Jacobian clears tau.
 
     The gauge constant is fixed so log_a_hat(anchor) equals anchor_value
@@ -190,11 +170,15 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     anchor's connected component of that region is reconstructed: elsewhere
     the gauge is unknown, so log_a_hat is NaN there.  Warns when the usable
     region covers less than 99% of the window or splits into components.
+    The integration meets ||L x - A^T b||_inf <= rtol * ||A^T b||_inf on the
+    gauge-fixed Laplacian L, within maxiter CG iterations (default 20 n).
     """
     from scipy.sparse.csgraph import connected_components
 
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
+    if not (rtol > 0.0):
+        raise ConfigError(f"rtol must be positive, got {rtol}")
     grid = data.grid
     if window is None:
         window = default_window(grid)
@@ -242,29 +226,33 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     if i.size == 0:
         raise DomainError("the anchor's component of the region has no edges")
 
-    # Least-squares potential integration over the component's graph.
-    e = np.arange(i.size)
+    # Least-squares potential integration over the component's graph: with
+    # incidence A (row e is x_j - x_i), A^T A is the graph Laplacian.  Fixing
+    # the anchor's unknown at 0 turns its row and column into the identity.
     rix, riy = np.nonzero(part)
-    A = sparse.coo_matrix(
-        (np.concatenate([np.ones(i.size), -np.ones(i.size)]),
-         (np.concatenate([e, e]), np.concatenate([j, i]))),
-        shape=(i.size, rix.size)).tocsr()
-    sol, istop, iters = spla.lsqr(A, b, atol=1e-13, btol=1e-13, iter_lim=50 * rix.size)[:3]
-    if istop not in (0, 1, 2):
-        # 0: b = 0, 1: a solution, 2: a least-squares solution; anything else
-        # (ill-conditioning, the iteration limit) leaves log a unjustified.
-        raise SolverError(f"potential integration stopped with lsqr istop={istop} "
-                          f"after {iters} iterations", iterations=iters)
+    count = rix.size
+    anchor_id = node_id[aix, aiy]
+    diag = (np.bincount(i, minlength=count) + np.bincount(j, minlength=count)).astype(float)
+    rhs = np.bincount(j, b, minlength=count) - np.bincount(i, b, minlength=count)
+    diag[anchor_id], rhs[anchor_id] = 1.0, 0.0
+    free = (i != anchor_id) & (j != anchor_id)
+    fi, fj = i[free], j[free]
+    lap = sparse.coo_matrix(
+        (np.concatenate([diag, -np.ones(2 * fi.size)]),
+         (np.concatenate([np.arange(count), fi, fj]),
+          np.concatenate([np.arange(count), fj, fi]))),
+        shape=(count, count)).tocsr()
+    if maxiter is None:
+        maxiter = 20 * grid.n
+    x, _, _ = conjugate_gradients(lap, rhs, rtol * np.abs(rhs).max(), maxiter)
 
     if anchor_value is None:
         if data.a_true is not None:
             anchor_value = float(np.log(data.a_true[aix, aiy]))
         else:
             anchor_value = 0.0
-    sol = sol - sol[node_id[aix, aiy]] + anchor_value
-
     log_a_hat = np.full((grid.n, grid.n), np.nan)
-    log_a_hat[rix, riy] = sol
+    log_a_hat[rix, riy] = x + anchor_value
     return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,
                               jacobian=jac, components=components,
                               reconstructed_fraction=reconstructed)

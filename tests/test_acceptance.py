@@ -17,7 +17,7 @@ from randbc.experiments import (TrialConfig, success_curve, tail_check,
                                 variance_identity_check)
 from randbc.grid import build_grid, default_window, disk_mask
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
-                            qpat_forward, qpat_reconstruct)
+                            qpat_forward, qpat_reconstruct_multi)
 from randbc.runge import approximate, build_dictionary, make_target, tradeoff_curve
 from randbc.solver import CoefficientField, assemble, gradient, solve_dirichlet
 from randbc.streams import derive_rng
@@ -185,7 +185,7 @@ def test_acceptance_09_absorption_round_trip():
     g = build_grid(129)
     mu = 1.0 + 0.5 * np.exp(-50.0 * ((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2))
     [data] = qpat_forward(g, mu, [np.ones(g.boundary_s.shape[0])])
-    res = qpat_reconstruct(data, tau=0.1)
+    res = qpat_reconstruct_multi([data], tau=0.1)
     w = default_window(g)
     covered = bool(np.all(res.mask_valid[w.member]))
     err = res.mu_hat[res.mask_valid] - mu[res.mask_valid]

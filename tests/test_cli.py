@@ -162,6 +162,55 @@ def test_imaging_commands_honor_maxiter(command, extra, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_iterative_solves_run_on_the_one_cg_loop(tmp_path, monkeypatch):
+    # scipy's Krylov solvers must stay unused: every iterative solve, and the
+    # conductivity potential integration, goes through conjugate_gradients.
+    import scipy.sparse.linalg
+
+    import randbc.inverse
+    import randbc.solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy Krylov solver called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", forbidden)
+    monkeypatch.setattr(scipy.sparse.linalg, "lsqr", forbidden)
+    loops = []
+    loop = randbc.solver.conjugate_gradients
+
+    def counting(*args, **kwargs):
+        loops.append(args[1].size)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(randbc.solver, "conjugate_gradients", counting)
+    monkeypatch.setattr(randbc.inverse, "conjugate_gradients", counting)
+    for command, extra in [
+            ("solve", ["--set", "coeff.a=exp(x)"]),
+            ("qpat", ["--set", "qpat.mu=1+0.5*exp(-20*((x-0.4)**2+(y-0.6)**2))"]),
+            ("conductivity", [])]:
+        before = len(loops)
+        rc = run([command, "--out", str(tmp_path / command), "--set", "grid.n=33"]
+                 + extra)
+        assert rc == 0
+        assert len(loops) > before, command
+
+
+def test_conductivity_integration_honors_maxiter(tmp_path, capsys):
+    # 20 iterations let both forward solves converge but not the potential
+    # integration, which needs about 1.3 n
+    from randbc.grid import build_grid
+    from randbc.inverse import conductivity_forward
+
+    grid = build_grid(33)
+    conductivity_forward(grid, np.exp(grid.X), maxiter=20)
+    out = tmp_path / "o"
+    rc = run(["conductivity", "--out", str(out), "--set", "grid.n=33",
+              "--set", "solver.maxiter=20"])
+    assert rc == 1
+    assert "after 20 iterations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_writes_solution_and_manifest(tmp_path):
     out = tmp_path / "solve"
     rc = run(["solve", "--out", str(out), "--set", "grid.n=17", "--seed", "3"])

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as spla
 
 import randbc.inverse
 from randbc.errors import ConfigError, DomainError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
-                            qpat_forward, qpat_reconstruct,
-                            qpat_reconstruct_multi)
+                            qpat_forward, qpat_reconstruct_multi)
+from randbc.solver import solve_poisson
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def mu_bump(grid):
 def test_absorption_round_trip_from_exact_data(grid, mu_bump):
     bc = np.ones(grid.boundary_s.shape[0])
     [data] = qpat_forward(grid, mu_bump, [bc])
-    res = qpat_reconstruct(data, tau=0.1)
+    res = qpat_reconstruct_multi([data], tau=0.1)
     w = default_window(grid)
     assert np.all(res.mask_valid[w.member])
     err = res.mu_hat[res.mask_valid] - mu_bump[res.mask_valid]
@@ -43,7 +45,7 @@ def test_absorption_validation(grid, mu_bump):
         qpat_forward(grid, bad, [bc])
     [data] = qpat_forward(grid, mu_bump, [bc])
     with pytest.raises(ConfigError):
-        qpat_reconstruct(data, tau=0.0)
+        qpat_reconstruct_multi([data], tau=0.0)
 
 
 def test_threshold_masks_out_the_small_field_region(grid, mu_bump):
@@ -52,7 +54,7 @@ def test_threshold_masks_out_the_small_field_region(grid, mu_bump):
     s = grid.boundary_s
     bc = np.clip(np.sin(np.pi * s / 4.0), 0.0, None)
     [data] = qpat_forward(grid, mu_bump, [bc])
-    res = qpat_reconstruct(data, tau=0.2)
+    res = qpat_reconstruct_multi([data], tau=0.2)
     assert not res.mask_valid.all()
     valid_err = np.abs(res.mu_hat[res.mask_valid] - mu_bump[res.mask_valid])
     assert valid_err.max() <= 1e-6 * mu_bump.max()
@@ -66,16 +68,20 @@ def test_multi_reconstruction_of_one_measurement_is_the_single_one(trace, tau, g
     bc = (np.ones(s.shape[0]) if trace == "const"
           else np.clip(np.sin(np.pi * s / 4.0), 0.0, None))
     [data] = qpat_forward(grid, mu_bump, [bc])
-    single = qpat_reconstruct(data, tau=tau)
+    # the single-measurement formula: one Poisson solve, then mu = H / u
+    u = solve_poisson(grid, data.H, data.boundary_u)
+    valid = np.abs(u) >= tau
+    single = np.full((grid.n, grid.n), np.nan)
+    single[valid] = data.H[valid] / u[valid]
     multi = qpat_reconstruct_multi([data], tau=tau)
-    np.testing.assert_array_equal(multi.mask_valid, single.mask_valid)
-    assert multi.mu_hat.tobytes() == single.mu_hat.tobytes()
+    np.testing.assert_array_equal(multi.mask_valid, valid)
+    assert multi.mu_hat.tobytes() == single.tobytes()
 
 
 def test_no_node_clearing_tau_is_a_domain_error(grid, mu_bump):
     [data] = qpat_forward(grid, mu_bump, [np.zeros(grid.boundary_s.shape[0])])
     with pytest.raises(DomainError):
-        qpat_reconstruct(data, tau=0.1)
+        qpat_reconstruct_multi([data], tau=0.1)
     with pytest.raises(DomainError):
         qpat_reconstruct_multi([data, data], tau=0.1)
 
@@ -85,7 +91,7 @@ def test_multi_illumination_stitches_a_complete_cover(grid, mu_bump):
     bc1 = np.clip(np.sin(np.pi * s / 2.0), 0.0, None)
     bc2 = np.clip(-np.sin(np.pi * s / 2.0), 0.0, None)
     d1, d2 = qpat_forward(grid, mu_bump, [bc1, bc2])
-    single = qpat_reconstruct(d1, tau=0.2)
+    single = qpat_reconstruct_multi([d1], tau=0.2)
     multi = qpat_reconstruct_multi([d1, d2], tau=0.2)
     assert multi.mask_valid.sum() > single.mask_valid.sum()
     assert set(np.unique(multi.labels)) <= {1, 2}
@@ -124,11 +130,12 @@ def test_every_solve_honors_maxiter(grid, mu_bump):
     # cap, but an unattainable residual target still raises.
     unattainable = dict(rtol=1e-20, maxiter=1)
     with pytest.raises(SolverError):
-        qpat_reconstruct(data, tau=0.1, **unattainable)
-    with pytest.raises(SolverError):
         qpat_reconstruct_multi([data], tau=0.1, **unattainable)
     with pytest.raises(SolverError):
         conductivity_forward(grid, np.exp(grid.X), **strict)
+    fields = conductivity_forward(grid, np.exp(grid.X))
+    with pytest.raises(SolverError):
+        conductivity_reconstruct(fields, tau=1e-3, **unattainable)
 
 
 def test_conductivity_round_trip(grid):
@@ -201,26 +208,61 @@ def test_conductivity_validation(grid):
         conductivity_reconstruct(data, tau=-1.0)
 
 
-def test_conductivity_rejects_an_unconverged_potential_integration(grid, monkeypatch):
+def test_conductivity_rejects_an_unconverged_potential_integration(grid):
     data = conductivity_forward(grid, np.exp(grid.X))
+    with pytest.raises(SolverError, match="after 1 iterations") as caught:
+        conductivity_reconstruct(data, tau=1e-3, rtol=1e-20, maxiter=1)
+    assert caught.value.iterations == 1
+    assert caught.value.residual > 0.0
 
-    def stopped_at_the_iteration_limit(A, b, **kwargs):
-        # lsqr's return tuple: x, istop, itn, r1norm, r2norm, anorm, acond,
-        # arnorm, xnorm, var
-        return np.zeros(A.shape[1]), 7, 123, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, None
 
-    monkeypatch.setattr(randbc.inverse.spla, "lsqr", stopped_at_the_iteration_limit)
-    with pytest.raises(SolverError, match="istop=7"):
-        conductivity_reconstruct(data, tau=1e-3)
+def split_region_data(grid):
+    """Fields whose Jacobian vanishes near x = 1/2, splitting the region at tau=0.05."""
+    a = np.exp(grid.X + grid.Y)
+    bcs = (grid.boundary_values(grid.X),
+           grid.boundary_values((grid.X - 0.5) * (grid.Y - 0.5)))
+    return conductivity_forward(grid, a, bcs=bcs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["connected", "split"])
+def test_potential_integration_matches_a_direct_solve(case, grid, monkeypatch):
+    # Capture the edges of the integrated component, then solve the normal
+    # equations of its incidence matrix, gauge-fixed at the anchor, by LU.
+    edges = []
+    potential_edges = randbc.inverse._potential_edges
+
+    def capture(*args):
+        edges.append(potential_edges(*args))
+        return edges[-1]
+
+    monkeypatch.setattr(randbc.inverse, "_potential_edges", capture)
+    if case == "connected":
+        data, kwargs = conductivity_forward(grid, np.exp(grid.X)), dict(tau=1e-3)
+    else:
+        data, kwargs = split_region_data(grid), dict(tau=0.05, anchor=(0.3, 0.3))
+    res = conductivity_reconstruct(data, anchor_value=0.25, **kwargs)
+    node_id, i, j, b = edges[-1]
+    e = np.arange(i.size)
+    count = int((node_id >= 0).sum())
+    A = sparse.csr_matrix((np.r_[np.ones(i.size), -np.ones(i.size)],
+                           (np.r_[e, e], np.r_[j, i])), shape=(i.size, count))
+    anchor = node_id[grid.nearest_node(kwargs.get("anchor", (0.5, 0.5)))]
+    keep = np.arange(count) != anchor
+    lap = (A.T @ A).tocsr()[keep][:, keep]
+    expect = np.full(count, 0.25)
+    expect[keep] += spla.splu(lap.tocsc()).solve((A.T @ b)[keep])
+    got = res.log_a_hat[node_id >= 0]   # row-major, the order node ids follow
+    assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
+    assert got[anchor] == 0.25
+    assert np.isnan(res.log_a_hat[node_id < 0]).all()
 
 
 def test_conductivity_reconstructs_only_the_anchors_component(grid):
     # the Jacobian of (x, (x-0.5)(y-0.5)) vanishes near x = 1/2 and splits the
     # region; the far component's gauge is unknown, so it must stay NaN
     a = np.exp(grid.X + grid.Y)
-    bcs = (grid.boundary_values(grid.X),
-           grid.boundary_values((grid.X - 0.5) * (grid.Y - 0.5)))
-    data = conductivity_forward(grid, a, bcs=bcs)
+    data = split_region_data(grid)
     with pytest.warns(RuntimeWarning) as caught:
         res = conductivity_reconstruct(data, tau=0.05, anchor=(0.3, 0.3))
     assert any("splits into 2 components" in str(w.message) for w in caught)

@@ -14,9 +14,9 @@ from randbc.boundary import RandomBoundaryModel
 from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.runge import build_dictionary
-from randbc.solver import (CoefficientField, assemble, gradient, laplacian,
-                           laplacian_floor, load_field_csv, norms, save_field_csv,
-                           solve_dirichlet, solve_poisson)
+from randbc.solver import (CoefficientField, assemble, conjugate_gradients,
+                           gradient, laplacian, laplacian_floor, load_field_csv,
+                           norms, save_field_csv, solve_dirichlet, solve_poisson)
 
 
 def exact_harmonic(g):
@@ -197,6 +197,45 @@ def test_multigrid_cg_meets_the_contract_in_few_iterations(n, coeff):
         res = np.abs(op.matrix @ x - rhs).max()
     assert iterations <= 25
     assert res <= rtol * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("coeff", sorted(SPD_COEFFICIENTS))
+@pytest.mark.parametrize("n", [17, 65, 129])
+def test_cg_loop_meets_the_inf_norm_target_no_later_than_scipy_cg(n, coeff):
+    g = build_grid(n)
+    a, q = SPD_COEFFICIENTS[coeff](g)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
+    rhs = op.boundary_coupling @ bc
+    target = 1e-10 * np.abs(rhs).max()
+    x, iterations, res = conjugate_gradients(op.matrix, rhs, target, 200, op.multigrid)
+    assert res == np.abs(rhs - op.matrix @ x).max() <= target
+    _, reference_iterations = multigrid_cg(op, rhs, target)
+    assert 0 < iterations <= reference_iterations
+
+
+def test_cg_loop_reports_the_iteration_cap():
+    g = build_grid(33)
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
+    rhs = op.boundary_coupling @ np.cos(g.boundary_s)
+    with pytest.raises(SolverError, match="after 2 iterations") as caught:
+        conjugate_gradients(op.matrix, rhs, 1e-14 * np.abs(rhs).max(), 2, op.multigrid)
+    assert caught.value.iterations == 2
+    assert caught.value.residual > 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("precond", [False, True], ids=["plain", "multigrid"])
+def test_cg_loop_rejects_a_non_finite_right_hand_side(bad, precond):
+    g = build_grid(17)
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
+    rhs = op.boundary_coupling @ np.cos(g.boundary_s)
+    rhs[7] = bad
+    with pytest.raises(SolverError) as caught:
+        conjugate_gradients(op.matrix, rhs, 1e-10, 100,
+                            op.multigrid if precond else None)
+    assert caught.value.iterations == 0
 
 
 @pytest.mark.parametrize("n", [9, 17, 50, 65, 100, 129])
