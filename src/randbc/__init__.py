@@ -10,9 +10,9 @@ from .constraints import (ConstraintField, ConstraintMap, CoverLabeling,
                           zeta_eval)
 from .errors import ConfigError, DomainError, RandbcError, SolverError
 from .experiments import (ConcentrationReport, SuccessCurveResult, TailReport,
-                          TrialConfig, TrialOutcome, concentration_check,
-                          run_trial, success_curve, tail_check, trial_fields,
-                          variance_identity_check, wilson_interval)
+                          TrialConfig, concentration_check, success_curve,
+                          tail_check, trial_fields, variance_identity_check,
+                          wilson_interval)
 from .grid import (Grid2D, SubdomainMask, build_grid, default_window,
                    disk_mask, rect_mask)
 from .inverse import (ConductivityData, ConductivityResult, QpatData,

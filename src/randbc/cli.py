@@ -19,7 +19,6 @@ failure, 2 configuration error.  RANDBC_THREADS sets the worker count when
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -383,11 +382,11 @@ class OutputWriter:
         return os.path.join(self.out_dir, name)
 
     def csv(self, name: str, header, rows) -> None:
+        # The bytes csv.writer would emit: every field is a number or a fixed
+        # identifier, so none needs quoting; "\r\n" line ends.
         with open(self.path(name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            fh.write("".join([",".join([_fmt(v) for v in row]) + "\r\n"
+                              for row in [header, *rows]]))
         self.written.append(name)
 
     def field(self, name: str, grid, field) -> None:

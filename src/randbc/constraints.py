@@ -70,19 +70,23 @@ def feature_rows(cmap: ConstraintMap, vals, gxs, gys) -> list:
     return [vals, gxs, gys]
 
 
-def det(F):
+def det(F, in_place: bool = False):
     """Elementwise determinant of a d x d (d <= 3) list of equal-shape arrays.
 
     F[r][i] is feature r of argument i.  For d = 3 each monomial multiplies
     in role order (F0[i] * F1[j]) * F2[k], so permuting arguments only
     reorders the same floats; sorting each sign group before summing makes
-    the result depend on the group alone.
+    the result depend on the group alone.  in_place lets d = 2 overwrite
+    F[0][0] and F[1][0] with its two products and return F[0][0]; the
+    operations, and so the bits, are those of a fresh evaluation.
     """
     d = len(F)
     if d == 1:
         return F[0][0]
     if d == 2:
-        return F[0][0] * F[1][1] - F[1][0] * F[0][1]
+        a, b = (F[0][0], F[1][0]) if in_place else (None, None)
+        a = np.multiply(F[0][0], F[1][1], out=a)
+        return np.subtract(a, np.multiply(F[1][0], F[0][1], out=b), out=a)
 
     def group_sum(perms):
         s = np.sort([(F[0][i] * F[1][j]) * F[2][k] for i, j, k in perms], axis=0)

@@ -15,8 +15,11 @@ PDE solves regardless of the number of draws.  Covered studies:
   concentration_check     deviation of empirical means of zeta^2 around the
                           series value against a fitted mixed bound.
 
-Randomness is keyed per work item (seed, repetition index), so thread count
-changes wall time only, never a single emitted number.
+Randomness is keyed per work item (seed, repetition index).  success_curve
+runs its repetitions in one contiguous block per worker, reusing the block's
+product buffers and reducing each repetition by exact block maxima, so a
+repetition's floats never depend on its block: thread count changes wall time
+only, never a single emitted number.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import RandomBoundaryModel, mode_frequencies, sample_coeffs
-from .constraints import (ConstraintField, ConstraintMap, CoverLabeling, det,
-                          extract_cover, feature_rows, max_abs, zeta_eval)
+from .constraints import ConstraintField, ConstraintMap, det, feature_rows
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
 from .runge import Dictionary, build_dictionary
@@ -115,16 +117,6 @@ def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
                 for f in feature_rows(cmap, parts.vals, parts.gxs, parts.gys)])
 
 
-@dataclass
-class TrialOutcome:
-    min_max: float
-    labels: CoverLabeling | None
-    reference_tau: float | None
-
-    def success_at(self, tau: float) -> bool:
-        return self.min_max >= tau
-
-
 def trial_fields(cfg: TrialConfig, trial_seed: int) -> list:
     """Draw and evaluate one trial's N constraint fields, kept for inspection."""
     parts = _window_parts(cfg)
@@ -134,28 +126,6 @@ def trial_fields(cfg: TrialConfig, trial_seed: int) -> list:
     rows = _constraint_rows(cfg.cmap, parts, coeffs)
     return [ConstraintField(values=rows[l], mask=cfg.mask)
             for l in range(cfg.N)]
-
-
-def run_trial(cfg: TrialConfig, trial_seed: int, inject_fields=None,
-              reference_tau: float | None = None) -> TrialOutcome:
-    """One trial: draw (or inject) N measurements, evaluate, take min over window.
-
-    inject_fields, when given, is a sequence of solution tuples (full-grid
-    fields) used verbatim instead of random draws; this gives deterministic
-    positive controls such as the witness tuples.
-    """
-    if inject_fields is not None:
-        cfields = [zeta_eval(cfg.cmap, tup, cfg.grid, cfg.mask)
-                   for tup in inject_fields]
-        if len(cfields) == 0:
-            raise ConfigError("inject_fields must hold at least one tuple")
-    else:
-        cfields = trial_fields(cfg, trial_seed)
-    _, min_max = max_abs(cfields)
-    labels = None
-    if reference_tau is not None:
-        labels = extract_cover(cfields, reference_tau)
-    return TrialOutcome(min_max=min_max, labels=labels, reference_tau=reference_tau)
 
 
 def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, float]:
@@ -207,6 +177,13 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     non-decreasing in N.  tau="auto" calibrates the threshold to the
     empirical 5% quantile (floor(0.05 M)-th smallest) of min-max at the
     largest N.
+
+    Repetitions run in min(threads, M) contiguous blocks, one per worker.  A
+    worker allocates its (N_max, m) products once, evaluates the map in place
+    in them, and merges the maxima of |zeta| over [N_{j-1}, N_j) into a
+    running maximum.  Max is exact and each repetition uses only its own
+    stream derive_rng(master_seed, rep), so min_max is bitwise the same for
+    every thread count.
     """
     if not isinstance(M, (int, np.integer)) or M < 50:
         raise ConfigError(f"need at least 50 repetitions for the curve, got M={M!r}")
@@ -219,22 +196,36 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     N_max = Ns[-1]
     arity = cfg.cmap.arity
     parts = _window_parts(cfg)
-    K = cfg.model.K
+    feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
+    K, m = cfg.model.K, parts.vals.shape[1]
+    blocks = list(zip([0] + Ns[:-1], Ns))             # [N_{j-1}, N_j)
+    min_max = np.empty((M, len(Ns)))
 
-    def one_rep(rep: int):
-        rng = derive_rng(master_seed, rep)
-        coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
-        rows = _constraint_rows(cfg.cmap, parts, coeffs)
-        running = np.maximum.accumulate(np.abs(rows), axis=0)
-        return np.array([running[N - 1].min() for N in Ns])
+    def run_reps(start: int, stop: int) -> None:
+        prods = [[np.empty((N_max, m)) for _ in range(arity)] for _ in feats]
+        cur = np.empty(m)
+        blk = np.empty(m)
+        for rep in range(start, stop):
+            rng = derive_rng(master_seed, rep)
+            coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
+            for f, row in zip(feats, prods):
+                for i, buf in enumerate(row):
+                    np.matmul(coeffs[:, i, :], f, out=buf)
+            rows = det(prods, in_place=True)
+            np.abs(rows, out=rows)
+            cur.fill(0.0)                             # identity of max over |zeta|
+            for j, (lo, hi) in enumerate(blocks):
+                np.maximum(cur, rows[lo:hi].max(axis=0, out=blk), out=cur)
+                min_max[rep, j] = cur.min()
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_rep, range(M)))
+    workers = max(1, min(threads, M))
+    bounds = [M * w // workers for w in range(workers + 1)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_reps, bounds[:-1], bounds[1:]))
     else:
-        results = [one_rep(rep) for rep in range(M)]
+        run_reps(0, M)
 
-    min_max = np.stack(results)                           # (M, len(Ns))
     if isinstance(tau, str):
         if tau != "auto":
             raise ConfigError(f"tau must be a nonnegative number or 'auto', got {tau!r}")

@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .errors import ConfigError, DomainError, SolverError
 from .grid import Grid2D, SubdomainMask, default_window
-from .solver import (CoefficientField, ScalarField, assemble,
+from .solver import (CoefficientField, ScalarField, SolveInfo, assemble,
                      conjugate_gradients, gradient, laplacian, solve_dirichlet,
                      solve_poisson)
 
@@ -138,6 +138,7 @@ class ConductivityResult:
     jacobian: ScalarField
     components: int              # connected components of the region
     reconstructed_fraction: float   # fraction of the window in the anchor's component
+    integration: SolveInfo       # the potential integration's CG solve
 
 
 def _potential_edges(grid: Grid2D, region: np.ndarray, gx_log: np.ndarray,
@@ -244,7 +245,8 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         shape=(count, count)).tocsr()
     if maxiter is None:
         maxiter = 20 * grid.n
-    x, _, _ = conjugate_gradients(lap, rhs, rtol * np.abs(rhs).max(), maxiter)
+    x, iterations, residual = conjugate_gradients(lap, rhs, rtol * np.abs(rhs).max(),
+                                                  maxiter)
 
     if anchor_value is None:
         if data.a_true is not None:
@@ -255,4 +257,5 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     log_a_hat[rix, riy] = x + anchor_value
     return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,
                               jacobian=jac, components=components,
-                              reconstructed_fraction=reconstructed)
+                              reconstructed_fraction=reconstructed,
+                              integration=SolveInfo("cg", iterations, residual))

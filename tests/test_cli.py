@@ -1,5 +1,6 @@
 """Command line interface: config resolution, outputs, manifests, exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import randbc
-from randbc.cli import REGISTRY, resolve_config, run
+from randbc.cli import REGISTRY, OutputWriter, _fmt, resolve_config, run
 from randbc.solver import CoefficientField, assemble, load_field_csv
 
 
@@ -27,6 +28,23 @@ def test_registry_covers_the_documented_keys():
                 "coeff.q", "solver.rtol", "solver.maxiter", "bc.family",
                 "bc.K", "bc.sigma.c", "bc.sigma.s", "seed", "threads"):
         assert key in REGISTRY
+
+
+def test_table_csv_bytes_match_the_csv_module(tmp_path):
+    header = ["metric", "value"]
+    rows = [("tau", 0.1), ("complete_at_max_N", 1947), ("M", np.int64(2000)),
+            ("dominated", True), ("window_complete", np.False_), ("family", "rademacher"),
+            ("rate", np.float64(1.0) / 3.0), ("tiny", -2.5e-300), ("big", 1e16),
+            ("zero", -0.0), ("missing", float("nan")), ("over", float("-inf"))]
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([[_fmt(v) for v in row] for row in rows])
+    out = OutputWriter(str(tmp_path / "out"))
+    out.csv("table.csv", header, rows)
+    assert (tmp_path / "out" / "table.csv").read_bytes() == ref.read_bytes()
+    assert out.written == ["table.csv"]
 
 
 def test_config_precedence_defaults_file_overrides(tmp_path):

@@ -1,16 +1,19 @@
 """Monte Carlo studies over the random boundary model."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import randbc.experiments
 from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
 from randbc.constraints import (ConstraintField, ConstraintMap, extract_cover,
-                                max_abs)
+                                max_abs, zeta_eval)
 from randbc.errors import ConfigError
 from randbc.experiments import (TrialConfig, _constraint_rows,
                                 _restrict_parts, _window_parts,
                                 concentration_check, default_probes,
-                                ensure_dictionary, run_trial, success_curve, tail_check,
+                                ensure_dictionary, success_curve, tail_check,
                                 trial_fields, variance_identity_check,
                                 wilson_interval)
 from randbc.streams import derive_rng
@@ -43,37 +46,39 @@ def test_wilson_interval_endpoints_are_exact(M):
 
 def test_injected_constant_field_gives_its_magnitude_exactly(cfg17, grid17):
     c = 3.25
-    cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
-                      cmap=ConstraintMap("nodal"), N=1,
-                      dictionary=cfg17.dictionary)
-    out = run_trial(cfg, trial_seed=0,
-                    inject_fields=[(np.full(grid17.X.shape, c),)])
-    assert out.min_max == c
+    field = zeta_eval(ConstraintMap("nodal"), (np.full(grid17.X.shape, c),),
+                      grid17, cfg17.mask)
+    _, min_max = max_abs([field])
+    assert min_max == c
 
 
 def test_trial_labels_appear_at_a_reference_threshold(cfg17):
-    out = run_trial(cfg17, trial_seed=1, reference_tau=1e-6)
-    assert out.labels is not None
-    assert out.labels.label.min() >= 1
-    assert out.labels.label.max() <= cfg17.N
-    assert out.success_at(0.0)
-    assert not out.success_at(np.inf)
+    fields = trial_fields(cfg17, 1)
+    labels = extract_cover(fields, 1e-6)
+    assert labels.label.min() >= 1
+    assert labels.label.max() <= cfg17.N
+    pointwise, min_max = max_abs(fields)
+    assert labels.complete == (min_max >= 1e-6)
+    np.testing.assert_array_equal(
+        pointwise, np.abs([f.values for f in fields])[labels.label - 1,
+                                                      np.arange(cfg17.mask.count)])
 
 
-def test_trial_fields_agree_with_run_trial(cfg17):
+def test_trial_fields_are_the_rows_of_the_trial_seeds_stream(cfg17):
     fields = trial_fields(cfg17, 7)
     assert len(fields) == cfg17.N
-    _, mm = max_abs(fields)
-    assert run_trial(cfg17, trial_seed=7).min_max == mm
-    again = trial_fields(cfg17, 7)
-    for f, g in zip(fields, again):
-        np.testing.assert_array_equal(f.values, g.values)
+    coeffs = sample_coeffs(cfg17.model, derive_rng(7), cfg17.N)
+    rows = _constraint_rows(cfg17.cmap, _window_parts(cfg17),
+                            coeffs.reshape(cfg17.N, 1, cfg17.model.K))
+    for l, f in enumerate(fields):
+        assert f.mask is cfg17.mask
+        np.testing.assert_array_equal(f.values, rows[l])
 
 
 def test_trials_are_reproducible_and_seed_sensitive(cfg17):
-    a = run_trial(cfg17, trial_seed=9).min_max
-    b = run_trial(cfg17, trial_seed=9).min_max
-    c = run_trial(cfg17, trial_seed=10).min_max
+    a = max_abs(trial_fields(cfg17, 9))[1]
+    b = max_abs(trial_fields(cfg17, 9))[1]
+    c = max_abs(trial_fields(cfg17, 10))[1]
     assert a == b
     assert a != c
 
@@ -114,12 +119,39 @@ def test_success_curve_input_validation(cfg17):
             success_curve(cfg17, [1, 2], M=50, tau=tau)
 
 
-def test_worker_count_does_not_change_results(cfg17):
-    r1 = success_curve(cfg17, [1, 4], M=50, tau="auto", master_seed=7, threads=1)
-    r4 = success_curve(cfg17, [1, 4], M=50, tau="auto", master_seed=7, threads=4)
-    np.testing.assert_array_equal(r1.min_max, r4.min_max)
-    assert r1.tau == r4.tau
-    assert r1.cover_complete_count == r4.cover_complete_count
+@pytest.mark.parametrize("threads", [2, 3, 7, 60])
+def test_worker_count_does_not_change_results(threads, cfg17, monkeypatch):
+    pools = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.workers = max_workers
+            self.blocks = []
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.blocks.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    M = 53
+    monkeypatch.setattr(randbc.experiments, "ThreadPoolExecutor", RecordingExecutor)
+    r1 = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=1)
+    assert pools == []
+    rt = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=threads)
+    np.testing.assert_array_equal(r1.min_max, rt.min_max)
+    assert r1.tau == rt.tau
+    assert [r.successes for r in r1.rows] == [r.successes for r in rt.rows]
+    assert r1.cover_complete_count == rt.cover_complete_count
+    # one nonempty contiguous block per worker, never more workers than repetitions
+    (pool,) = pools
+    workers = min(threads, M)
+    assert pool.workers == workers
+    assert len(pool.blocks) == workers
+    starts, stops = zip(*pool.blocks)
+    assert starts[0] == 0 and stops[-1] == M
+    assert list(starts[1:]) == list(stops[:-1])
+    assert all(stop > start for start, stop in pool.blocks)
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
@@ -151,16 +183,31 @@ def _reference_complete_count(cfg, N_max, M, tau, master_seed):
     return complete
 
 
-@pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian"])
+def _reference_min_max(cfg, Ns, M, master_seed):
+    """min over nodes of max_{l < N_j} |zeta^l|, from each repetition's full rows."""
+    parts = _window_parts(cfg)
+    arity, K = cfg.cmap.arity, cfg.model.K
+    out = np.empty((M, len(Ns)))
+    for rep in range(M):
+        coeffs = sample_coeffs(cfg.model, derive_rng(master_seed, rep), Ns[-1] * arity)
+        rows = np.abs(_constraint_rows(cfg.cmap, parts, coeffs.reshape(-1, arity, K)))
+        out[rep] = [rows[:N].max(axis=0).min() for N in Ns]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
 def test_cover_complete_count_matches_labeling_every_repetition(kind, grid17, ident17,
                                                                 model9, dict17):
+    Ns = [1, 3, 4]
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
                       cmap=ConstraintMap(kind), N=4, dictionary=dict17)
-    auto = success_curve(cfg, [1, 2, 4], M=50, tau="auto", master_seed=5)
+    auto = success_curve(cfg, Ns, M=50, tau="auto", master_seed=5)
     explicit_tau = float(np.median(auto.min_max[:, -1]))
-    explicit = success_curve(cfg, [1, 2, 4], M=50, tau=explicit_tau, master_seed=5)
+    explicit = success_curve(cfg, Ns, M=50, tau=explicit_tau, master_seed=5)
+    reference = _reference_min_max(cfg, Ns, M=50, master_seed=5)
     for res in (auto, explicit):
         assert res.tau > 0.0
+        assert res.min_max.tobytes() == reference.tobytes()
         assert res.cover_complete_count == _reference_complete_count(
             cfg, N_max=4, M=50, tau=res.tau, master_seed=5)
     assert 0 < explicit.cover_complete_count < explicit.M

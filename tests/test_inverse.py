@@ -256,6 +256,10 @@ def test_potential_integration_matches_a_direct_solve(case, grid, monkeypatch):
     assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
     assert got[anchor] == 0.25
     assert np.isnan(res.log_a_hat[node_id < 0]).all()
+    info = res.integration
+    assert info.method == "cg"
+    assert 0 < info.iterations <= 20 * grid.n
+    assert 0.0 < info.residual_inf <= 1e-10 * np.abs((A.T @ b)[keep]).max()
 
 
 def test_conductivity_reconstructs_only_the_anchors_component(grid):
