@@ -12,8 +12,9 @@ configuration of the run that produced it.
 
 Every run writes its CSV artifacts plus manifest.json (resolved config and
 sha256 of each output) into --out.  Exit status: 0 success, 1 runtime/domain
-failure, 2 configuration error.  RANDBC_THREADS sets the worker count when
---threads/threads is 0 (auto); thread count never changes emitted numbers.
+failure or exhausted memory, 2 configuration error.  RANDBC_THREADS sets the
+worker count when --threads/threads is 0 (auto); thread count never changes
+emitted numbers.
 """
 
 from __future__ import annotations
@@ -656,6 +657,10 @@ def run(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"randbc: run failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"randbc: run failed: out of memory{detail}", file=sys.stderr)
         return 1
 
 def main(argv=None) -> None:

@@ -20,6 +20,12 @@ runs its repetitions in one contiguous block per worker, reusing the block's
 product buffers and reducing each repetition by exact block maxima, so a
 repetition's floats never depend on its block: thread count changes wall time
 only, never a single emitted number.
+
+The three checks stream their draws from one generator in chunks of _CHUNK
+samples, which give the same numbers as one large draw, and carry their
+reductions in numpy's own order, so memory does not grow with M.  The
+exception is a quantile: tail_check keeps the M norms and
+concentration_check the M deviations of one N, 8 bytes per sample.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from .solver import CoefficientField, gradient
 from .streams import derive_rng
 
 Z95 = 1.959963984540054
+
+_CHUNK = 2048       # samples per streamed chunk; a multiple of 64 rows
 
 
 @dataclass(eq=False)
@@ -115,6 +123,29 @@ def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
     """
     return det([[coeffs[:, i, :] @ f for i in range(cmap.arity)]
                 for f in feature_rows(cmap, parts.vals, parts.gxs, parts.gys)])
+
+
+def _spans(count: int, size: int):
+    """Consecutive [lo, hi) spans of `size` covering range(count).
+
+    A one-element remainder joins the span before it: numpy takes a one-row
+    product by a dot product, which rounds differently from the gemv and
+    gemm kernels that take the same row inside a longer block.
+    """
+    bounds = list(range(0, count, size)) + [count]
+    if len(bounds) > 2 and count - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _survival(samples: np.ndarray, t) -> np.ndarray:
+    """Fraction of samples >= each t, sorting samples in place.
+
+    The counts are exact, so this is (samples >= t).mean() bit for bit
+    without its M-byte mask.
+    """
+    samples.sort()
+    return (samples.size - np.searchsorted(samples, t, side="left")) / samples.size
 
 
 def trial_fields(cfg: TrialConfig, trial_seed: int) -> list:
@@ -278,7 +309,13 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     """Monte-Carlo E[zeta(u)^2] against the exact closed form at probes.
 
     Every map is supported (see _second_moment_series).  z scores use the
-    sample standard error.
+    sample standard error.  The M draws of derive_rng(master_seed, 0) are
+    streamed in chunks, twice: one pass sums zeta^2, a second regenerates the
+    stream and sums (zeta^2 - mc)^2.  Row 0 of the chunk buffer carries the
+    running sums, so each column adds its samples in order, as numpy's
+    axis-0 reduction does; for two or more probes mc and z are bitwise
+    sq.mean(0) and the value from sq.std(0, ddof=1) of the whole (M, probes)
+    array of squares sq.
     """
     if not isinstance(M, (int, np.integer)) or M < 2:
         raise ConfigError(f"need at least two samples, got M={M!r}")
@@ -300,11 +337,25 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     series = _second_moment_series(
         feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
-    draws = sample_coeffs(cfg.model, derive_rng(master_seed, 0), arity * M)
-    sq = _constraint_rows(cfg.cmap, parts, draws.reshape(M, arity, K)) ** 2
+    buf = np.empty((_CHUNK + 2, len(ixs)))      # running sums, then a span's rows
 
-    mc = sq.mean(axis=0)
-    se = sq.std(axis=0, ddof=1) / np.sqrt(M)
+    def column_sum(mc=None) -> np.ndarray:
+        """Sum over the samples of zeta^2, or of (zeta^2 - mc)^2 given mc."""
+        rng = derive_rng(master_seed, 0)
+        buf[0] = 0.0                              # 0 + s == s for s >= +0
+        for lo, hi in _spans(M, _CHUNK):
+            coeffs = sample_coeffs(cfg.model, rng, arity * (hi - lo))
+            sq = buf[1:hi - lo + 1]
+            np.square(_constraint_rows(cfg.cmap, parts,
+                                       coeffs.reshape(hi - lo, arity, K)), out=sq)
+            if mc is not None:
+                np.square(np.subtract(sq, mc, out=sq), out=sq)
+            buf[0] = np.add.reduce(buf[:hi - lo + 1], axis=0)
+        return buf[0].copy()
+
+    # numpy's mean and std(ddof=1), operation for operation
+    mc = column_sum() / M
+    se = np.sqrt(column_sum(mc) / (M - 1)) / np.sqrt(M)
     diff = mc - series
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, diff / se,
@@ -336,22 +387,29 @@ def tail_check(model: RandomBoundaryModel, M: int, t_grid=None,
     """Fit the largest c1 with 2 exp(-c1 t^2) >= P(||phi|| >= t) on a t-grid.
 
     The norm is the spectral H^{1/2} surrogate of the sampled boundary data.
+    The (M, K) draws of derive_rng(master_seed, 0) are streamed in chunks;
+    only the M norms (8 bytes per sample) are kept, for the quantiles and
+    the survival counts.
     """
     if not isinstance(M, (int, np.integer)) or M < 1000:
         raise ConfigError(f"tail check needs at least 1000 samples, got M={M!r}")
     M = int(M)
-    draws = sample_coeffs(model, derive_rng(master_seed, 0), M)
     m = mode_frequencies(model.K).astype(float)
     weights = np.sqrt(1.0 + m * m)
-    nrm = np.sqrt((draws * draws) @ weights)
+    rng = derive_rng(master_seed, 0)
+    nrm = np.empty(M)
+    for lo, hi in _spans(M, _CHUNK):
+        draws = sample_coeffs(model, rng, hi - lo)
+        np.matmul(np.square(draws, out=draws), weights, out=nrm[lo:hi])
+    np.sqrt(nrm, out=nrm)
     if t_grid is None:
         levels = np.geomspace(0.5, 5.0 / M, 24)
-        t_grid = np.quantile(nrm, 1.0 - levels)
+        t_grid = np.quantile(nrm, 1.0 - levels, overwrite_input=True)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0):
         raise ConfigError("tail thresholds must be nonnegative")
 
-    survival = np.array([(nrm >= t).mean() for t in t_grid])
+    survival = _survival(nrm, t_grid)
     usable = (t_grid > 0.0) & (survival > 0.0)
     if not np.any(usable):
         raise DomainError("no usable tail points; sampled norms are degenerate")
@@ -383,7 +441,13 @@ def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
                         levels=(0.5, 0.2, 0.1, 0.05, 0.02),
                         master_seed: int = 0) -> ConcentrationReport:
     """Deviation of mean_l zeta(u_l)^2 from the series mean, with a fitted
-    mixed bound 2 exp(-C min(N t^2, t N)) per sampled (N, t)."""
+    mixed bound 2 exp(-C min(N t^2, t N)) per sampled (N, t).
+
+    Each N streams derive_rng(master_seed, N) in chunks of whole
+    repetitions, a multiple of 64 of them, so every chunk's product rows
+    keep their alignment in one (M N, K) product and each repetition's mean
+    is unchanged.  Only the M deviations (8 bytes per repetition) are kept.
+    """
     if cfg.cmap.arity != 1:
         raise ConfigError("concentration check is implemented for arity-1 maps")
     if not isinstance(M, (int, np.integer)) or M < 100:
@@ -406,13 +470,16 @@ def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
 
     rows = []
     fits = []
+    dev = np.empty(M)
     for N in Ns:
-        draws = sample_coeffs(cfg.model, derive_rng(master_seed, N), M * N)
-        vals = (draws @ w) ** 2
-        dev = np.abs(vals.reshape(M, N).mean(axis=1) - mu)
-        for lev in levels:
-            t = float(np.quantile(dev, 1.0 - lev))
-            p_emp = float((dev >= t).mean()) if t > 0.0 else 1.0
+        rng = derive_rng(master_seed, N)
+        for lo, hi in _spans(M, 64 * max(1, _CHUNK // (64 * N))):
+            vals = np.square(sample_coeffs(cfg.model, rng, (hi - lo) * N) @ w)
+            d = dev[lo:hi]
+            np.abs(np.subtract(vals.reshape(hi - lo, N).mean(axis=1), mu, out=d), out=d)
+        ts = np.quantile(dev, 1.0 - np.asarray(levels), overwrite_input=True)
+        for t, p in zip(ts.tolist(), _survival(dev, ts).tolist()):
+            p_emp = p if t > 0.0 else 1.0
             rows.append([N, t, p_emp])
             if t > 0.0 and p_emp > 0.0:
                 fits.append(np.log(2.0 / p_emp) / min(N * t * t, t * N))

@@ -229,6 +229,20 @@ def test_conductivity_integration_honors_maxiter(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exhausted_memory_exits_with_the_runtime_code(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 24.0 TiB for an array")
+
+    monkeypatch.setattr("randbc.cli.tail_check", no_memory)
+    out = tmp_path / "oom"
+    rc = run(["tail-check", "--out", str(out), "--set", "M=1000", "--set", "bc.K=9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "randbc: run failed: out of memory (Unable to allocate 24.0 TiB" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_writes_solution_and_manifest(tmp_path):
     out = tmp_path / "solve"
     rc = run(["solve", "--out", str(out), "--set", "grid.n=17", "--seed", "3"])

@@ -1,5 +1,6 @@
 """Monte Carlo studies over the random boundary model."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,8 +11,8 @@ from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
 from randbc.constraints import (ConstraintField, ConstraintMap, extract_cover,
                                 max_abs, zeta_eval)
 from randbc.errors import ConfigError
-from randbc.experiments import (TrialConfig, _constraint_rows,
-                                _restrict_parts, _window_parts,
+from randbc.experiments import (_CHUNK, TrialConfig, _constraint_rows,
+                                _restrict_parts, _spans, _survival, _window_parts,
                                 concentration_check, default_probes,
                                 ensure_dictionary, success_curve, tail_check,
                                 trial_fields, variance_identity_check,
@@ -316,6 +317,90 @@ def test_variance_identity_zero_model_is_exactly_zero(grid17, ident17):
         assert row.mc == 0.0
         assert row.series == 0.0
         assert row.z == 0.0
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
+@pytest.mark.parametrize("K", [7, 33])
+def test_chunked_draws_from_one_generator_equal_one_draw(family, K):
+    # the premise of the streamed checks: chunk boundaries do not move a bit
+    model = RandomBoundaryModel.power_law(K=K, family=family)
+    sizes = (_CHUNK + 1, 17, 1, 333, 5)
+    whole = sample_coeffs(model, derive_rng(4, 0), sum(sizes))
+    rng = derive_rng(4, 0)
+    np.testing.assert_array_equal(
+        whole, np.concatenate([sample_coeffs(model, rng, c) for c in sizes]))
+
+
+def test_spans_cover_the_range_without_a_one_element_tail():
+    assert list(_spans(5, 2)) == [(0, 2), (2, 5)]
+    assert list(_spans(6, 2)) == [(0, 2), (2, 4), (4, 6)]
+    assert list(_spans(1, 4)) == [(0, 1)]
+    assert list(_spans(0, 4)) == []
+    for count in (2 * _CHUNK, 2 * _CHUNK + 1, 2 * _CHUNK + 2):
+        spans = list(_spans(count, _CHUNK))
+        assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+        assert spans[0][0] == 0 and spans[-1][1] == count
+        assert all(hi - lo > 1 for lo, hi in spans)
+
+
+def test_survival_counts_equal_the_mask_means():
+    x = np.random.default_rng(3).integers(0, 50, size=1001).astype(float)
+    t = np.array([-1.0, 0.0, 10.0, 10.5, 49.0, 50.0, np.nan])
+    expect = np.array([(x >= s).mean() for s in t])
+    np.testing.assert_array_equal(_survival(x.copy(), t), expect)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
+@pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
+def test_streamed_variance_reductions_equal_the_one_shot_ones(kind, family, grid17,
+                                                              ident17, dict17):
+    model = RandomBoundaryModel.power_law(K=9, family=family)
+    cfg = TrialConfig(grid=grid17, coeff=ident17, model=model,
+                      cmap=ConstraintMap(kind), N=1, dictionary=dict17)
+    M = 5 * _CHUNK // 2
+    rows = variance_identity_check(cfg, M=M, master_seed=3)
+
+    parts, arity = _probe_parts(cfg), cfg.cmap.arity
+    rng = derive_rng(3, 0)
+    sq = np.concatenate([
+        _constraint_rows(cfg.cmap, parts, sample_coeffs(model, rng, arity * (hi - lo))
+                         .reshape(hi - lo, arity, 9)) ** 2
+        for lo, hi in _spans(M, _CHUNK)])
+    series = np.array([r.series for r in rows])
+    z = (sq.mean(axis=0) - series) / (sq.std(axis=0, ddof=1) / np.sqrt(M))
+    np.testing.assert_array_equal([r.mc for r in rows], sq.mean(axis=0))
+    np.testing.assert_array_equal([r.z for r in rows], z)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_growth(check) -> int:
+    small, large = 3 * _CHUNK + 17, 30 * _CHUNK + 17
+    return _traced_peak(lambda: check(large)) - _traced_peak(lambda: check(small))
+
+
+@pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
+def test_variance_check_memory_does_not_grow_with_M(kind, grid17, ident17, model9,
+                                                    dict17):
+    cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
+                      cmap=ConstraintMap(kind), N=1, dictionary=dict17)
+    assert _peak_growth(lambda M: variance_identity_check(cfg, M=M)) <= 64 * 1024
+
+
+def test_tail_and_concentration_memory_grow_by_at_most_8_bytes_per_sample(cfg17):
+    cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
+                      cmap=ConstraintMap("critical"), N=1,
+                      dictionary=cfg17.dictionary)
+    bound = 8 * 27 * _CHUNK + 64 * 1024
+    assert _peak_growth(lambda M: tail_check(cfg.model, M)) <= bound
+    assert _peak_growth(lambda M: concentration_check(cfg, [4, 16], M)) <= bound
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
