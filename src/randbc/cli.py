@@ -179,16 +179,16 @@ class RunConfig:
 def _read_config_file(path: str):
     """Returns (command_or_None, {key: raw string}) from text or manifest."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if path.endswith(".json"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "config" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
             raise ConfigError(f"{path} is not a run manifest (no 'config' map)")
         cfg = {str(k): str(v) for k, v in doc["config"].items()}
         return doc.get("command"), cfg
@@ -471,6 +471,8 @@ def _model(cfg: RunConfig) -> RandomBoundaryModel:
 def _solver_opts(cfg: RunConfig):
     rtol = cfg["solver.rtol"]
     maxiter = cfg["solver.maxiter"]
+    if maxiter < 0:
+        raise ConfigError(f"solver.maxiter must be >= 0 (0: auto), got {maxiter}")
     return rtol, (None if maxiter == 0 else maxiter)
 
 

@@ -21,13 +21,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, DomainError, SolverError
 from .grid import Grid2D, SubdomainMask, default_window
 from .solver import (CoefficientField, ScalarField, SolveInfo, assemble,
-                     conjugate_gradients, gradient, laplacian, solve_dirichlet,
-                     solve_poisson)
+                     conjugate_gradients, gradient, laplacian, lattice_operator,
+                     neighbor_field, solve_dirichlet, solve_poisson)
 
 
 @dataclass(eq=False)
@@ -84,6 +83,8 @@ def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = 
             raise ConfigError("measurements live on different grids")
     if window is None:
         window = default_window(grid)
+    if window.grid_n != grid.n:
+        raise ConfigError("window grid size does not match the data grid")
     u_recs = np.stack([solve_poisson(grid, d.H, d.boundary_u, rtol=rtol, maxiter=maxiter)
                        for d in datasets])
     Hs = np.stack([d.H for d in datasets])
@@ -141,23 +142,11 @@ class ConductivityResult:
     integration: SolveInfo       # the potential integration's CG solve
 
 
-def _potential_edges(grid: Grid2D, region: np.ndarray, gx_log: np.ndarray,
-                     gy_log: np.ndarray):
-    """Node ids of the region, and the (i, j, rhs) of each edge between
-    neighboring region nodes, rhs being the midpoint-rule integral of the
-    log-gradient from node i to node j."""
-    node_id = np.full((grid.n, grid.n), -1, dtype=np.int64)
-    rix, riy = np.nonzero(region)
-    node_id[rix, riy] = np.arange(rix.size)
-    ii, jj, rhs = [], [], []
-    for gcomp, (dx, dy) in ((gx_log, (1, 0)), (gy_log, (0, 1))):
-        six, siy = np.nonzero(region[:grid.n - dx, :grid.n - dy]
-                              & region[dx:, dy:])
-        tix, tiy = six + dx, siy + dy
-        ii.append(node_id[six, siy])
-        jj.append(node_id[tix, tiy])
-        rhs.append(0.5 * grid.h * (gcomp[six, siy] + gcomp[tix, tiy]))
-    return node_id, np.concatenate(ii), np.concatenate(jj), np.concatenate(rhs)
+def _edge_bands(mask: np.ndarray) -> dict:
+    """The four 4-neighbor bands of the graph on mask's nodes: 1.0 where a
+    node and its (dx, dy) neighbor both lie in mask."""
+    return {(dx, dy): (mask & neighbor_field(mask, dx, dy)).astype(float)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
 
 
 def conductivity_reconstruct(data: ConductivityData, tau: float,
@@ -209,40 +198,42 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         gx_log = np.where(region, (-lap1 * g2y + lap2 * g1y) / jac, 0.0)
         gy_log = np.where(region, (lap1 * g2x - lap2 * g1x) / jac, 0.0)
 
-    node_id, i, j, b = _potential_edges(grid, region, gx_log, gy_log)
-    count = int(region.sum())
+    nodes = np.flatnonzero(region)
     components, labels = connected_components(
-        sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(count, count)),
-        directed=False)
+        lattice_operator(_edge_bands(region))[nodes][:, nodes], directed=False)
     part, reconstructed = region, coverage
     if components > 1:
-        part = np.zeros_like(region)
-        part[region] = labels == labels[node_id[aix, aiy]]
+        label = np.full(region.shape, -1)
+        label[region] = labels
+        part = label == label[aix, aiy]
         reconstructed = float(part.sum()) / window.count
         warnings.warn(
             f"the region splits into {components} components; only the anchor's "
             f"({reconstructed:.1%} of the window) is reconstructed", RuntimeWarning,
             stacklevel=2)
-        node_id, i, j, b = _potential_edges(grid, part, gx_log, gy_log)
-    if i.size == 0:
+    if part.sum() == 1:
         raise DomainError("the anchor's component of the region has no edges")
 
     # Least-squares potential integration over the component's graph: with
     # incidence A (row e is x_j - x_i), A^T A is the graph Laplacian.  Fixing
     # the anchor's unknown at 0 turns its row and column into the identity.
-    rix, riy = np.nonzero(part)
-    count = rix.size
-    anchor_id = node_id[aix, aiy]
-    diag = (np.bincount(i, minlength=count) + np.bincount(j, minlength=count)).astype(float)
-    rhs = np.bincount(j, b, minlength=count) - np.bincount(i, b, minlength=count)
-    diag[anchor_id], rhs[anchor_id] = 1.0, 0.0
-    free = (i != anchor_id) & (j != anchor_id)
-    fi, fj = i[free], j[free]
-    lap = sparse.coo_matrix(
-        (np.concatenate([diag, -np.ones(2 * fi.size)]),
-         (np.concatenate([np.arange(count), fi, fj]),
-          np.concatenate([np.arange(count), fj, fi]))),
-        shape=(count, count)).tocsr()
+    edges = _edge_bands(part)
+    free = part.copy()
+    free[aix, aiy] = False
+    bands = {offset: -w for offset, w in _edge_bands(free).items()}
+    bands[0, 0] = sum(edges.values())
+    bands[0, 0][aix, aiy] = 1.0
+    nodes = np.flatnonzero(part)
+    lap = lattice_operator(bands)[nodes][:, nodes]
+    # A^T b: the midpoint-rule integrals of the log-gradient along the edges
+    # into each node, less those along the edges out of it.
+    half_h = 0.5 * grid.h
+    out_x = np.where(edges[1, 0], half_h * (gx_log + neighbor_field(gx_log, 1, 0)), 0.0)
+    out_y = np.where(edges[0, 1], half_h * (gy_log + neighbor_field(gy_log, 0, 1)), 0.0)
+    atb = ((neighbor_field(out_x, -1, 0) + neighbor_field(out_y, 0, -1))
+           - (out_x + out_y))
+    atb[aix, aiy] = 0.0
+    rhs = atb[part]
     if maxiter is None:
         maxiter = 20 * grid.n
     x, iterations, residual = conjugate_gradients(lap, rhs, rtol * np.abs(rhs).max(),
@@ -254,7 +245,7 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         else:
             anchor_value = 0.0
     log_a_hat = np.full((grid.n, grid.n), np.nan)
-    log_a_hat[rix, riy] = x + anchor_value
+    log_a_hat[part] = x + anchor_value
     return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,
                               jacobian=jac, components=components,
                               reconstructed_fraction=reconstructed,

@@ -4,7 +4,9 @@ Scalar diffusion uses the conservative five-point stencil with harmonic-mean
 face coefficients; symmetric-matrix diffusion adds the centered cross-term
 corners (a nine-point stencil).  Both assemblies are symmetric by
 construction: face and corner weights are written with commutative
-expressions, so A equals its transpose bit-for-bit.
+expressions, so A equals its transpose bit-for-bit.  lattice_operator builds
+the whole lattice's operator from per-node weight bands; the interior matrix
+and the boundary coupling are slices of it.
 
 Dirichlet data is a vector over the boundary walk of the grid.  The solve
 contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf,
@@ -105,14 +107,7 @@ class CoefficientField:
 
     def min_eigenvalues(self) -> np.ndarray:
         """Nodewise smallest eigenvalue of the diffusion matrix."""
-        if self.is_scalar:
-            return self.a
-        a11 = self.a[..., 0, 0]
-        a12 = self.a[..., 0, 1]
-        a22 = self.a[..., 1, 1]
-        half_tr = 0.5 * (a11 + a22)
-        disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12 ** 2, 0.0))
-        return half_tr - disc
+        return _min_eigenvalues(self.a)
 
     def validate(self, grid: Grid2D) -> None:
         if self.q.shape != (grid.n, grid.n):
@@ -145,19 +140,21 @@ class CoefficientField:
         return self.is_scalar and np.all(self.a == 1.0) and np.all(self.q == 0.0)
 
 
+def _min_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Nodewise smallest eigenvalue of scalar (n, n) or matrix (n, n, 2, 2) a."""
+    if a.ndim == 2:
+        return a
+    a11 = a[..., 0, 0]
+    a12 = a[..., 0, 1]
+    a22 = a[..., 1, 1]
+    half_tr = 0.5 * (a11 + a22)
+    return half_tr - np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12 ** 2, 0.0))
+
+
 def _auto_lambda(a: np.ndarray, q: np.ndarray, given) -> float:
     if given is not None:
         return float(given)
-    if a.ndim == 2:
-        mineig = a
-        amax = np.abs(a).max()
-    else:
-        a11 = a[..., 0, 0]
-        a12 = a[..., 0, 1]
-        a22 = a[..., 1, 1]
-        half_tr = 0.5 * (a11 + a22)
-        mineig = half_tr - np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12 ** 2, 0.0))
-        amax = max(np.abs(a11).max(), np.abs(a12).max(), np.abs(a22).max())
+    mineig = _min_eigenvalues(a)
     floor = mineig.min()
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(q)):
         raise ConfigError("coefficients must be finite")
@@ -165,8 +162,8 @@ def _auto_lambda(a: np.ndarray, q: np.ndarray, given) -> float:
         ix, iy = np.argwhere(mineig <= 0.0)[0]
         raise ConfigError(
             f"diffusion is not elliptic at node ({ix}, {iy}): min eigenvalue {floor:.6g}")
-    qmax = np.abs(q).max()
-    return float(max(1.0, amax, qmax, 1.0 / floor))
+    # a is symmetric, so its largest |entry| is max(|a11|, |a12|, |a22|).
+    return float(max(1.0, np.abs(a).max(), np.abs(q).max(), 1.0 / floor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,17 +207,6 @@ _SMOOTHING_WEIGHT = 0.8   # damped Jacobi
 _COARSEST_SIDE = 8        # factor directly at <= 64 unknowns
 
 
-def _interpolation_1d(m: int) -> sparse.csr_matrix:
-    """Linear interpolation from m // 2 coarse nodes, sitting at the odd fine
-    indices, to m fine nodes with zero Dirichlet values beyond either end."""
-    j = np.arange(m // 2)
-    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
-    cols = np.concatenate([j, j, j])
-    vals = np.repeat([1.0, 0.5, 0.5], j.size)
-    keep = rows < m
-    return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, j.size))
-
-
 class Multigrid:
     """Symmetric V-cycle for an SPD interior matrix on a side x side lattice.
 
@@ -235,7 +221,10 @@ class Multigrid:
         self.levels = []   # (A, weighted inverse diagonal, P, R = P^T) from fine to coarse
         A = matrix
         while side > _COARSEST_SIDE:
-            P1 = _interpolation_1d(side)
+            # 1-D linear interpolation from the coarse nodes at the odd fine
+            # indices, with zero Dirichlet values beyond either end.
+            P1 = sparse.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(side, side),
+                              format="csr")[:, 1::2]
             P = sparse.kron(P1, P1, format="csr")
             R = P.T.tocsr()
             self.levels.append((A, _SMOOTHING_WEIGHT / A.diagonal(), P, R))
@@ -265,75 +254,66 @@ def laplacian_floor(grid: Grid2D) -> float:
     return 8.0 * np.sin(0.5 * np.pi * grid.h) ** 2 / (grid.h * grid.h)
 
 
+def neighbor_field(field: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """field at each node's (dx, dy) neighbor, |dx|, |dy| <= 1; zero (False)
+    where that neighbor is off the lattice."""
+    n = field.shape[0]
+    return np.pad(field, 1)[1 + dx:n + 1 + dx, 1 + dy:n + 1 + dy]
+
+
+def lattice_operator(bands: dict) -> sparse.csr_matrix:
+    """The n^2 x n^2 CSR operator on an n x n lattice in row-major (ix, iy)
+    order from {(dx, dy): (n, n) weights}: row (ix, iy) holds
+    bands[dx, dy][ix, iy] in the column of node (ix + dx, iy + dy), for
+    |dx|, |dy| <= 1 and n >= 3.  Weights coupling to nodes off the lattice are
+    dropped, and so are zeros."""
+    n = next(iter(bands.values())).shape[0]
+    on_lattice = np.ones((n, n), dtype=bool)
+    offsets, diagonals = [], []
+    for (dx, dy), weights in bands.items():
+        k = dx * n + dy
+        flat = np.where(neighbor_field(on_lattice, dx, dy), weights, 0.0).reshape(-1)
+        offsets.append(k)
+        diagonals.append(flat[max(-k, 0):n * n - max(k, 0)])
+    return sparse.diags(diagonals, offsets, shape=(n * n, n * n), format="csr")
+
+
 def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     """Assemble the interior system and the boundary-coupling map."""
     coeff.validate(grid)
     n = grid.n
     h2 = grid.h * grid.h
-    ix, iy = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
-    q_c = coeff.q[ix, iy]
-
-    if coeff.is_scalar:
-        a = coeff.a
-        a_c = a[ix, iy]
-        west = _harm(a[ix - 1, iy], a_c) / h2
-        east = _harm(a[ix + 1, iy], a_c) / h2
-        south = _harm(a[ix, iy - 1], a_c) / h2
-        north = _harm(a[ix, iy + 1], a_c) / h2
-        center = west + east + south + north + q_c
-        offsets = [(-1, 0, -west), (1, 0, -east), (0, -1, -south), (0, 1, -north),
-                   (0, 0, center)]
-    else:
-        a11 = coeff.a[..., 0, 0]
+    a11, a22 = ((coeff.a, coeff.a) if coeff.is_scalar
+                else (coeff.a[..., 0, 0], coeff.a[..., 1, 1]))
+    east = _harm(a11, neighbor_field(a11, 1, 0)) / h2
+    north = _harm(a22, neighbor_field(a22, 0, 1)) / h2
+    west = neighbor_field(east, -1, 0)     # the same faces seen from the other side
+    south = neighbor_field(north, 0, -1)
+    center = west + east + south + north + coeff.q
+    bands = {(-1, 0): -west, (1, 0): -east, (0, -1): -south, (0, 1): -north,
+             (0, 0): center}
+    if not coeff.is_scalar:
         a12 = coeff.a[..., 0, 1]
-        a22 = coeff.a[..., 1, 1]
-        west = _harm(a11[ix - 1, iy], a11[ix, iy]) / h2
-        east = _harm(a11[ix + 1, iy], a11[ix, iy]) / h2
-        south = _harm(a22[ix, iy - 1], a22[ix, iy]) / h2
-        north = _harm(a22[ix, iy + 1], a22[ix, iy]) / h2
         quarter = 0.25 / h2
-        ne = -(a12[ix + 1, iy] + a12[ix, iy + 1]) * quarter
-        sw = -(a12[ix - 1, iy] + a12[ix, iy - 1]) * quarter
-        se = (a12[ix + 1, iy] + a12[ix, iy - 1]) * quarter
-        nw = (a12[ix - 1, iy] + a12[ix, iy + 1]) * quarter
-        center = west + east + south + north + q_c
-        offsets = [(-1, 0, -west), (1, 0, -east), (0, -1, -south), (0, 1, -north),
-                   (1, 1, ne), (-1, -1, sw), (1, -1, se), (-1, 1, nw),
-                   (0, 0, center)]
+        ne = -(neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, 1)) * quarter
+        se = (neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, -1)) * quarter
+        bands.update({(1, 1): ne, (-1, -1): neighbor_field(ne, -1, -1),
+                      (1, -1): se, (-1, 1): neighbor_field(se, -1, 1)})
 
-    m = (n - 2) ** 2
-    row_idx = ((ix - 1) * (n - 2) + (iy - 1)).reshape(-1)
-    border_pos = np.full((n, n), -1, dtype=np.int64)
-    border_pos[grid.boundary_ix, grid.boundary_iy] = np.arange(grid.boundary_count)
-
-    rows_ii, cols_ii, vals_ii = [], [], []
-    rows_ib, cols_ib, vals_ib = [], [], []
-    for dx, dy, weight in offsets:
-        cx = (ix + dx).reshape(-1)
-        cy = (iy + dy).reshape(-1)
-        w = np.asarray(weight).reshape(-1)
-        inner = (cx >= 1) & (cx <= n - 2) & (cy >= 1) & (cy <= n - 2)
-        rows_ii.append(row_idx[inner])
-        cols_ii.append((cx[inner] - 1) * (n - 2) + (cy[inner] - 1))
-        vals_ii.append(w[inner])
-        outer = ~inner
-        rows_ib.append(row_idx[outer])
-        cols_ib.append(border_pos[cx[outer], cy[outer]])
-        vals_ib.append(w[outer])
-
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals_ii), (np.concatenate(rows_ii), np.concatenate(cols_ii))),
-        shape=(m, m)).tocsr()
-    coupling = -sparse.coo_matrix(
-        (np.concatenate(vals_ib), (np.concatenate(rows_ib), np.concatenate(cols_ib))),
-        shape=(m, grid.boundary_count)).tocsr()
+    interior = np.flatnonzero(grid.interior_mask)
+    rows = lattice_operator(bands)[interior]
+    matrix = rows[:, interior]
+    # Sorted by walk position, so each row of coupling @ g sums in that order.
+    coupling = -rows[:, grid.boundary_ix * n + grid.boundary_iy].sorted_indices()
     spd = bool(coeff.is_scalar
                and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
     stencil = None
     if coeff.is_scalar:
         # Compared on the assembled weights: _harm(a, a) need not round back to a.
-        w, d = west.flat[0], center.flat[0]
-        if all(np.all(f == w) for f in (west, east, south, north)) and np.all(center == d):
+        inner = np.s_[1:-1, 1:-1]
+        w, d = west[1, 1], center[1, 1]
+        if (all(np.all(f[inner] == w) for f in (west, east, south, north))
+                and np.all(center[inner] == d)):
             stencil = (float(d), float(-w))
     return DiscreteOperator(grid=grid, coeff=coeff, matrix=matrix,
                             boundary_coupling=coupling, spd=spd, stencil=stencil)
@@ -378,7 +358,7 @@ def conjugate_gradients(matrix, rhs: np.ndarray, target: float, maxiter: int,
     res = np.abs(r).max()
     iterations = 0
     while not res <= target:
-        if iterations == maxiter or not np.isfinite(rz):
+        if iterations >= maxiter or not np.isfinite(rz):
             res = np.abs(rhs - matrix @ x).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "

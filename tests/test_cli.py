@@ -93,6 +93,24 @@ def test_malformed_value_is_a_config_error_not_a_traceback(command, pair, tmp_pa
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, content", [
+    ("binary.cfg", b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))),
+    ("manifest.json", b'{"config": [1, 2]}'),
+], ids=["not-utf8", "config-not-a-map"])
+def test_malformed_config_file_is_a_config_error_not_a_traceback(name, content,
+                                                                 tmp_path):
+    path = tmp_path / name
+    path.write_bytes(content)
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "randbc", "solve",
+                           "--out", str(tmp_path / "o"), "--config", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # (key, command, bad value): one row for every registry key.
 BAD_VALUES = [
     ("seed", "sample", "-1"),
@@ -104,6 +122,7 @@ BAD_VALUES = [
     ("coeff.q", "solve", "'abc'"),
     ("solver.rtol", "solve", "inf"),
     ("solver.maxiter", "solve", "many"),
+    ("solver.maxiter", "solve", "-1"),
     ("bc.family", "sample", "cauchy"),
     ("bc.K", "sample", "4.5"),
     ("bc.sigma.c", "sample", "nan"),

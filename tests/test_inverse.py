@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import ndimage, sparse
 from scipy.sparse import linalg as spla
 
 import randbc.inverse
@@ -10,7 +10,7 @@ from randbc.errors import ConfigError, DomainError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct_multi)
-from randbc.solver import solve_poisson
+from randbc.solver import gradient, laplacian, solve_poisson
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,13 @@ def test_absorption_validation(grid, mu_bump):
     [data] = qpat_forward(grid, mu_bump, [bc])
     with pytest.raises(ConfigError):
         qpat_reconstruct_multi([data], tau=0.0)
+
+
+@pytest.mark.parametrize("n", [17, 129])
+def test_absorption_window_must_match_the_data_grid(grid, mu_bump, n):
+    [data] = qpat_forward(grid, mu_bump, [np.ones(grid.boundary_s.shape[0])])
+    with pytest.raises(ConfigError, match="window grid size"):
+        qpat_reconstruct_multi([data], tau=0.1, window=default_window(build_grid(n)))
 
 
 def test_threshold_masks_out_the_small_field_region(grid, mu_bump):
@@ -226,25 +233,34 @@ def split_region_data(grid):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", ["connected", "split"])
-def test_potential_integration_matches_a_direct_solve(case, grid, monkeypatch):
-    # Capture the edges of the integrated component, then solve the normal
-    # equations of its incidence matrix, gauge-fixed at the anchor, by LU.
-    edges = []
-    potential_edges = randbc.inverse._potential_edges
-
-    def capture(*args):
-        edges.append(potential_edges(*args))
-        return edges[-1]
-
-    monkeypatch.setattr(randbc.inverse, "_potential_edges", capture)
+def test_potential_integration_matches_a_direct_solve(case, grid):
+    # Rebuild the anchor's component from the data, and the log-gradient on
+    # it, then solve the normal equations of its incidence matrix, gauge-fixed
+    # at the anchor, by LU.
     if case == "connected":
         data, kwargs = conductivity_forward(grid, np.exp(grid.X)), dict(tau=1e-3)
     else:
         data, kwargs = split_region_data(grid), dict(tau=0.05, anchor=(0.3, 0.3))
     res = conductivity_reconstruct(data, anchor_value=0.25, **kwargs)
-    node_id, i, j, b = edges[-1]
+    (g1x, g1y), (g2x, g2y) = gradient(grid, data.u[0]), gradient(grid, data.u[1])
+    lap1, lap2 = laplacian(grid, data.u[0]), laplacian(grid, data.u[1])
+    jac = g1x * g2y - g1y * g2x
+    region = (default_window(grid).member & grid.interior_mask
+              & (np.abs(jac) >= kwargs["tau"]))
+    labels, _ = ndimage.label(region)   # 4-connected components
+    part = labels == labels[grid.nearest_node(kwargs.get("anchor", (0.5, 0.5)))]
+    node_id = np.full(part.shape, -1)
+    node_id[part] = np.arange(part.sum())
+    i, j, b = [], [], []
+    for gcomp, (dx, dy) in (((-lap1 * g2y + lap2 * g1y) / jac, (1, 0)),
+                            ((lap1 * g2x - lap2 * g1x) / jac, (0, 1))):
+        six, siy = np.nonzero(part[:grid.n - dx, :grid.n - dy] & part[dx:, dy:])
+        i.append(node_id[six, siy])
+        j.append(node_id[six + dx, siy + dy])
+        b.append(0.5 * grid.h * (gcomp[six, siy] + gcomp[six + dx, siy + dy]))
+    i, j, b = np.concatenate(i), np.concatenate(j), np.concatenate(b)
     e = np.arange(i.size)
-    count = int((node_id >= 0).sum())
+    count = int(part.sum())
     A = sparse.csr_matrix((np.r_[np.ones(i.size), -np.ones(i.size)],
                            (np.r_[e, e], np.r_[j, i])), shape=(i.size, count))
     anchor = node_id[grid.nearest_node(kwargs.get("anchor", (0.5, 0.5)))]
@@ -252,10 +268,10 @@ def test_potential_integration_matches_a_direct_solve(case, grid, monkeypatch):
     lap = (A.T @ A).tocsr()[keep][:, keep]
     expect = np.full(count, 0.25)
     expect[keep] += spla.splu(lap.tocsc()).solve((A.T @ b)[keep])
-    got = res.log_a_hat[node_id >= 0]   # row-major, the order node ids follow
+    got = res.log_a_hat[part]   # row-major, the order node ids follow
     assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
     assert got[anchor] == 0.25
-    assert np.isnan(res.log_a_hat[node_id < 0]).all()
+    assert np.isnan(res.log_a_hat[~part]).all()
     info = res.integration
     assert info.method == "cg"
     assert 0 < info.iterations <= 20 * grid.n

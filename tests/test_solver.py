@@ -15,8 +15,9 @@ from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.runge import build_dictionary
 from randbc.solver import (CoefficientField, assemble, conjugate_gradients,
-                           gradient, laplacian, laplacian_floor, load_field_csv,
-                           norms, save_field_csv, solve_dirichlet, solve_poisson)
+                           gradient, laplacian, laplacian_floor, lattice_operator,
+                           load_field_csv, norms, save_field_csv, solve_dirichlet,
+                           solve_poisson)
 
 
 def exact_harmonic(g):
@@ -54,6 +55,84 @@ def test_anisotropic_matrix_is_exactly_symmetric():
     op = assemble(g, coeff)
     assert not op.spd
     assert (op.matrix - op.matrix.T).nnz == 0
+
+
+def dense_lattice(bands, n):
+    dense = np.zeros((n * n, n * n))
+    for (dx, dy), weights in bands.items():
+        for ix in range(n):
+            for iy in range(n):
+                if 0 <= ix + dx < n and 0 <= iy + dy < n:
+                    dense[ix * n + iy, (ix + dx) * n + iy + dy] = weights[ix, iy]
+    return dense
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_lattice_operator_matches_a_dense_build(n):
+    rng = np.random.default_rng(n)
+    offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    bands = {o: rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.8)
+             for o in offsets}
+    for chosen in (bands, {o: bands[o] for o in offsets[::2]}):
+        op = lattice_operator(chosen)
+        dense = dense_lattice(chosen, n)
+        np.testing.assert_array_equal(op.toarray(), dense)
+        assert op.nnz == np.count_nonzero(dense)   # zeros are not stored
+
+
+def dense_assembly(g, coeff):
+    """Interior matrix and boundary coupling of L_h, written node by node."""
+    n, h2 = g.n, g.h ** 2
+    a11 = coeff.a if coeff.is_scalar else coeff.a[..., 0, 0]
+    a22 = coeff.a if coeff.is_scalar else coeff.a[..., 1, 1]
+    a12 = np.zeros((n, n)) if coeff.is_scalar else coeff.a[..., 0, 1]
+    harm = lambda p, r: (2.0 * (p * r)) / (p + r)
+    walk = {(int(x), int(y)): k for k, (x, y) in enumerate(zip(g.boundary_ix,
+                                                               g.boundary_iy))}
+    m = n - 2
+    matrix = np.zeros((m * m, m * m))
+    coupling = np.zeros((m * m, g.boundary_count))
+    for ix in range(1, n - 1):
+        for iy in range(1, n - 1):
+            w = harm(a11[ix - 1, iy], a11[ix, iy]) / h2
+            e = harm(a11[ix + 1, iy], a11[ix, iy]) / h2
+            s = harm(a22[ix, iy - 1], a22[ix, iy]) / h2
+            nn = harm(a22[ix, iy + 1], a22[ix, iy]) / h2
+            weights = {(0, 0): w + e + s + nn + coeff.q[ix, iy],
+                       (-1, 0): -w, (1, 0): -e, (0, -1): -s, (0, 1): -nn,
+                       (1, 1): -(a12[ix + 1, iy] + a12[ix, iy + 1]) * 0.25 / h2,
+                       (-1, -1): -(a12[ix - 1, iy] + a12[ix, iy - 1]) * 0.25 / h2,
+                       (1, -1): (a12[ix + 1, iy] + a12[ix, iy - 1]) * 0.25 / h2,
+                       (-1, 1): (a12[ix - 1, iy] + a12[ix, iy + 1]) * 0.25 / h2}
+            row = (ix - 1) * m + iy - 1
+            for (dx, dy), weight in weights.items():
+                jx, jy = ix + dx, iy + dy
+                if (jx, jy) in walk:
+                    coupling[row, walk[jx, jy]] = -weight
+                else:
+                    matrix[row, (jx - 1) * m + jy - 1] = weight
+    return matrix, coupling
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+def test_assembly_matches_a_dense_reference(kind):
+    g = build_grid(9)
+    rng = np.random.default_rng(9)
+    a11, a22 = 2.0 + rng.random((2, g.n, g.n))
+    a12 = 0.3 * rng.random((g.n, g.n))
+    q = rng.standard_normal((g.n, g.n))
+    if kind == "scalar":
+        coeff = CoefficientField.isotropic(g, a11, q)
+    else:
+        coeff = CoefficientField.anisotropic(g, a11, a12, a22, q)
+    op = assemble(g, coeff)
+    matrix, coupling = dense_assembly(g, coeff)
+    np.testing.assert_allclose(op.matrix.toarray(), matrix, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(op.boundary_coupling.toarray(), coupling,
+                               rtol=1e-15, atol=0.0)
+    assert op.matrix.nnz == np.count_nonzero(matrix)
+    assert op.boundary_coupling.nnz == np.count_nonzero(coupling)
+    assert op.boundary_coupling.has_sorted_indices
 
 
 def test_interior_stencil_row_of_the_laplacian():
@@ -222,6 +301,8 @@ def test_cg_loop_reports_the_iteration_cap():
         conjugate_gradients(op.matrix, rhs, 1e-14 * np.abs(rhs).max(), 2, op.multigrid)
     assert caught.value.iterations == 2
     assert caught.value.residual > 0.0
+    with pytest.raises(SolverError, match="after 0 iterations"):
+        conjugate_gradients(op.matrix, rhs, 1e-14 * np.abs(rhs).max(), -3, op.multigrid)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
