@@ -471,6 +471,8 @@ def _model(cfg: RunConfig) -> RandomBoundaryModel:
 def _solver_opts(cfg: RunConfig):
     rtol = cfg["solver.rtol"]
     maxiter = cfg["solver.maxiter"]
+    if not (0.0 < rtol < 1.0):
+        raise ConfigError(f"solver.rtol must lie in (0, 1), got {rtol}")
     if maxiter < 0:
         raise ConfigError(f"solver.maxiter must be >= 0 (0: auto), got {maxiter}")
     return rtol, (None if maxiter == 0 else maxiter)

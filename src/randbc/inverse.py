@@ -11,8 +11,10 @@ g = grad log a solves the 2x2 system  [grad u_i] . g = -Delta u_i  nodewise;
 where the measurement Jacobian det[grad u1 grad u2] clears a threshold the
 system inverts, and log a is recovered from g by least-squares potential
 integration over the valid-node graph: its normal equations are the graph
-Laplacian with the anchor node's unknown fixed (the gauge), which is SPD and
-is solved by conjugate gradients.
+Laplacian with the anchor node's unknown fixed (the gauge), a masked
+five-point stencil that is SPD and is solved by conjugate gradients.  The
+graph's components come from numpy labelling (min-label propagation with
+pointer jumping).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SolverError
 from .grid import Grid2D, SubdomainMask, default_window
-from .solver import (CoefficientField, ScalarField, SolveInfo, assemble,
-                     conjugate_gradients, gradient, laplacian, lattice_operator,
-                     neighbor_field, solve_dirichlet, solve_poisson)
+from .solver import (CoefficientField, ScalarField, SolveInfo, Stencil, assemble,
+                     conjugate_gradients, gradient, laplacian, neighbor_field,
+                     solve_dirichlet, solve_poisson)
 
 
 @dataclass(eq=False)
@@ -149,6 +151,38 @@ def _edge_bands(mask: np.ndarray) -> dict:
             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
 
 
+def _components(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """The 4-connected components of mask: their number, and at each node of
+    mask the smallest row-major index in its component.
+
+    Min-label propagation with pointer jumping: every sweep lowers each
+    node's label to the least among its own and its neighbors', and then
+    replaces it by the label of the node it names.  Labels only ever name
+    nodes of the same component, and they stop changing once each component
+    carries its least index.
+    """
+    index = np.arange(mask.size).reshape(mask.shape)
+    label = np.where(mask, index, mask.size)   # mask.size: above every index
+    while True:
+        new = label.copy()
+        np.minimum(new[1:], label[:-1], out=new[1:])
+        np.minimum(new[:-1], label[1:], out=new[:-1])
+        np.minimum(new[:, 1:], label[:, :-1], out=new[:, 1:])
+        np.minimum(new[:, :-1], label[:, 1:], out=new[:, :-1])
+        new[~mask] = mask.size
+        new[mask] = new.reshape(-1)[new[mask]]
+        if np.array_equal(new, label):
+            return int(np.count_nonzero(label[mask] == index[mask])), label
+        label = new
+
+
+def _padded_box(mask: np.ndarray):
+    """Slices of mask's bounding box grown by one node on every side."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return np.s_[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2]
+
+
 def conductivity_reconstruct(data: ConductivityData, tau: float,
                              anchor=(0.5, 0.5), anchor_value: float | None = None,
                              window: SubdomainMask | None = None, rtol: float = 1e-10,
@@ -163,12 +197,10 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     The integration meets ||L x - A^T b||_inf <= rtol * ||A^T b||_inf on the
     gauge-fixed Laplacian L, within maxiter CG iterations (default 20 n).
     """
-    from scipy.sparse.csgraph import connected_components
-
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
-    if not (rtol > 0.0):
-        raise ConfigError(f"rtol must be positive, got {rtol}")
+    if not (0.0 < rtol < 1.0):
+        raise ConfigError(f"rtol must lie in (0, 1), got {rtol}")
     grid = data.grid
     if window is None:
         window = default_window(grid)
@@ -198,13 +230,9 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         gx_log = np.where(region, (-lap1 * g2y + lap2 * g1y) / jac, 0.0)
         gy_log = np.where(region, (lap1 * g2x - lap2 * g1x) / jac, 0.0)
 
-    nodes = np.flatnonzero(region)
-    components, labels = connected_components(
-        lattice_operator(_edge_bands(region))[nodes][:, nodes], directed=False)
+    components, label = _components(region)
     part, reconstructed = region, coverage
     if components > 1:
-        label = np.full(region.shape, -1)
-        label[region] = labels
         part = label == label[aix, aiy]
         reconstructed = float(part.sum()) / window.count
         warnings.warn(
@@ -217,14 +245,17 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     # Least-squares potential integration over the component's graph: with
     # incidence A (row e is x_j - x_i), A^T A is the graph Laplacian.  Fixing
     # the anchor's unknown at 0 turns its row and column into the identity.
+    # The Laplacian lives on the component's padded bounding box, whose
+    # row-major order is the order of part's nodes.
     edges = _edge_bands(part)
     free = part.copy()
     free[aix, aiy] = False
-    bands = {offset: -w for offset, w in _edge_bands(free).items()}
-    bands[0, 0] = sum(edges.values())
-    bands[0, 0][aix, aiy] = 1.0
-    nodes = np.flatnonzero(part)
-    lap = lattice_operator(bands)[nodes][:, nodes]
+    center = sum(edges.values())
+    center[aix, aiy] = 1.0
+    box = _padded_box(part)
+    free_edges = _edge_bands(free)
+    lap = Stencil(part[box], center[box],
+                  {offset: -free_edges[offset][box] for offset in ((1, 0), (0, 1))})
     # A^T b: the midpoint-rule integrals of the log-gradient along the edges
     # into each node, less those along the edges out of it.
     half_h = 0.5 * grid.h

@@ -6,9 +6,10 @@ disk D, approximate() finds coefficients c minimizing
 
     || sum_k c_k z_k - h ||_{L2(D)}^2 + lambda * sum_k c_k^2 / sigma_k^2,
 
-by a dense eigendecomposition of the normal equations (eigenvalues floored at
-1e-14 * trace).  Small lambda buys interior accuracy eps at the price of a
-large weighted boundary cost; tradeoff_curve() sweeps that exchange.
+by a dense eigendecomposition of the normal equations (numpy.linalg.eigh;
+eigenvalues floored at 1e-14 * trace).  Small lambda buys interior accuracy
+eps at the price of a large weighted boundary cost; tradeoff_curve() sweeps
+that exchange.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .boundary import RandomBoundaryModel
 from .errors import ConfigError, DomainError
@@ -186,7 +186,7 @@ def approximate(target: LocalTarget, dictionary: Dictionary,
     b = h2 * (Zd @ hv)
     M = G + lam * np.diag(1.0 / sigma ** 2)
 
-    w, V = eigh(M)
+    w, V = np.linalg.eigh(M)
     floor = 1e-14 * float(np.trace(M))
     floored = int(np.sum(w < floor))
     if floored and lam == 0.0:

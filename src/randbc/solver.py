@@ -4,9 +4,12 @@ Scalar diffusion uses the conservative five-point stencil with harmonic-mean
 face coefficients; symmetric-matrix diffusion adds the centered cross-term
 corners (a nine-point stencil).  Both assemblies are symmetric by
 construction: face and corner weights are written with commutative
-expressions, so A equals its transpose bit-for-bit.  lattice_operator builds
-the whole lattice's operator from per-node weight bands; the interior matrix
-and the boundary coupling are slices of it.
+expressions, and the interior matrix is a Stencil that stores each coupling
+once, so A equals its transpose bit-for-bit.  A Stencil keeps the per-node
+weight bands over the flattened lattice, and its product is a sum of shifted
+1-D slices; the boundary coupling is a scatter over the boundary walk.
+Everything here runs on numpy alone except LU, which imports scipy inside
+its branch and builds CSR there through lattice_operator.
 
 Dirichlet data is a vector over the boundary walk of the grid.  The solve
 contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf,
@@ -21,7 +24,8 @@ checked after every solve.  Three paths meet it:
   importing numpy already loads.
 - Other operators certified positive definite take conjugate gradients
   (conjugate_gradients, the loop potential integration in randbc.inverse
-  shares) preconditioned by a symmetric geometric-multigrid V-cycle.  CG stops
+  shares) preconditioned by a symmetric geometric-multigrid V-cycle whose
+  transfers are slices and whose coarse operators are probed stencils.  CG stops
   on the contract's own inf-norm, confirmed on the true residual, and raises
   SolverError after maxiter iterations.  The certificate
   is a closed-form spectral bound: every harmonic-mean face weight is at least
@@ -35,8 +39,8 @@ checked after every solve.  Three paths meet it:
   (the factor 1/2 is a fixed margin against rounding and poor conditioning).
   The multigrid hierarchy is built once per operator and shared by every
   right-hand side solved with it.
-- Sparse LU with iterative refinement serves the rest: matrix a, and q below
-  the certificate with a variable stencil.
+- Sparse LU with iterative refinement (scipy's splu) serves the rest:
+  matrix a, and q below the certificate with a variable stencil.
 
 Only CG reads maxiter; the sine-transform and LU solves are direct.
 """
@@ -47,8 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .errors import ConfigError, DomainError, SolverError
 from .grid import Grid2D, SubdomainMask, build_grid
@@ -167,18 +169,39 @@ def _auto_lambda(a: np.ndarray, q: np.ndarray, given) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class BoundaryCoupling:
+    """The map from Dirichlet data g along the boundary walk to the interior
+    right-hand side: interior row rows[i] gains weights[i] * g[cols[i]].
+
+    Entries are sorted by row and then by walk position, and @ adds each
+    row's terms in that order starting from 0.0, the order of a sorted CSR
+    product.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, g: np.ndarray) -> np.ndarray:
+        # bincount adds its weights one by one in index order.
+        return np.bincount(self.rows, self.weights * g[self.cols],
+                           minlength=self.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Interior operator plus the map from boundary values to interior rhs.
 
-    matrix is symmetric CSR over interior nodes in row-major (ix, iy) order;
-    boundary_coupling @ g is the right-hand-side contribution of Dirichlet
-    data g given along the grid's boundary walk.
+    matrix is a symmetric Stencil whose unknowns are the interior nodes in
+    row-major (ix, iy) order; boundary_coupling @ g is the right-hand-side
+    contribution of Dirichlet data g given along the grid's boundary walk.
     """
 
     grid: Grid2D
     coeff: CoefficientField
-    matrix: sparse.csr_matrix
-    boundary_coupling: sparse.csr_matrix
+    matrix: "Stencil"
+    boundary_coupling: BoundaryCoupling
     spd: bool
     stencil: tuple[float, float] | None   # (diagonal, off-diagonal) if constant
 
@@ -193,7 +216,7 @@ class DiscreteOperator:
     @cached_property
     def multigrid(self) -> "Multigrid":
         """The V-cycle preconditioner of an SPD operator, built on first use."""
-        return Multigrid(self.matrix, self.grid.n - 2)
+        return Multigrid(self.matrix)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -203,45 +226,198 @@ class DiscreteOperator:
         return d + 2.0 * o * (c[:, None] + c[None, :])
 
 
+# The neighbors that follow a node in row-major order; a symmetric stencil
+# stores its coupling to each of them, and reads the other four from them.
+FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+class Stencil:
+    """A symmetric operator of at most nine points on the nodes of a lattice.
+
+    Its unknowns are the True nodes of mask, an (nx, ny) bool array whose
+    outer ring is False, in row-major order.  center and forward[dx, dy]
+    ((dx, dy) in FORWARD) are (nx, ny) weights: a node's diagonal entry and its
+    coupling to its (dx, dy) neighbor.  Couplings that touch a node off the
+    mask are dropped, and the backward couplings are the forward ones read
+    from the other end, so the operator is symmetric by construction.
+
+    Internally vectors are lattice fields, flattened row-major and zero off
+    the mask (scatter, gather).  There a neighbor is a fixed shift of the flat
+    index, and the False ring keeps a shift from wrapping a coupling onto a
+    node, so product() is a sum of contiguous shifted 1-D slices.
+    """
+
+    def __init__(self, mask: np.ndarray, center: np.ndarray, forward: dict):
+        self.mask = mask
+        self.nodes = np.flatnonzero(mask)
+        self.center = np.where(mask, center, 0.0).reshape(-1)
+        self.forward = {offset: np.where(mask & neighbor_field(mask, *offset), w, 0.0)
+                        for offset, w in forward.items()}
+        ny = mask.shape[1]
+        self._shifts = [(dx * ny + dy, w.reshape(-1))
+                        for (dx, dy), w in self.forward.items()]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nodes.size, self.nodes.size)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """The lattice field holding x at the nodes."""
+        v = np.zeros(self.mask.size)
+        v[self.nodes] = x
+        return v
+
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """The node values of a lattice field."""
+        return v[self.nodes]
+
+    def product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = A v for a lattice field v that is zero off the mask; returns out."""
+        np.multiply(self.center, v, out=out)
+        size = v.size
+        for k, w in self._shifts:
+            w = w[:size - k]
+            out[:size - k] += w * v[k:]
+            out[k:] += w * v[:size - k]
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.gather(self.product(self.scatter(x), np.empty(self.mask.size)))
+
+    def diagonal(self) -> np.ndarray:
+        return self.center[self.nodes]
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        index = np.zeros(self.mask.size, dtype=np.intp)
+        index[self.nodes] = np.arange(self.nodes.size)
+        dense = np.diag(self.diagonal())
+        for k, w in self._shifts:
+            at = np.flatnonzero(w)
+            dense[index[at], index[at + k]] = w[at]
+            dense[index[at + k], index[at]] = w[at]
+        return dense
+
+    def tocsr(self):
+        """The CSR matrix, built by lattice_operator (this imports scipy)."""
+        bands = {(0, 0): self.center.reshape(self.mask.shape)}
+        for (dx, dy), w in self.forward.items():
+            bands[dx, dy] = w
+            bands[-dx, -dy] = neighbor_field(w, -dx, -dy)
+        return lattice_operator(bands)[self.nodes][:, self.nodes]
+
+    def tocsc(self):
+        return self.tocsr().tocsc()
+
+
 _SMOOTHING_WEIGHT = 0.8   # damped Jacobi
-_COARSEST_SIDE = 8        # factor directly at <= 64 unknowns
+_COARSEST_SIDE = 8        # solve densely at <= 64 unknowns
 
 
 class Multigrid:
-    """Symmetric V-cycle for an SPD interior matrix on a side x side lattice.
+    """Symmetric V-cycle for an SPD Stencil on the interior of a square lattice.
 
-    Prolongation is the tensor product of 1-D linear interpolation, coarse
-    operators are Galerkin products P^T A P, and each level smooths with one
+    Coarse node J of a level is node 2J of the finer lattice (rings included).
+    Prolongation P interpolates linearly along each axis with zero Dirichlet
+    values on the ring, and restriction applies P^T; both work by slicing
+    lattice fields.  Coarse operators are the Galerkin products P^T A P,
+    nine-point stencils recovered by probing with nine colored coarse vectors
+    (Curtis, Powell & Reid 1974): the nodes of one color lie three apart along
+    both axes, so no coarse row sees two of them.  Each level smooths with one
     damped Jacobi sweep before and one after its coarse correction; the
-    coarsest level is factored.  With a symmetric smoother on both sides the
-    cycle is a symmetric positive definite map, so it can precondition CG.
+    coarsest level is solved with a dense inverse.  With a symmetric smoother
+    on both sides the cycle is a symmetric positive definite map, so it can
+    precondition CG.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix, side: int):
-        self.levels = []   # (A, weighted inverse diagonal, P, R = P^T) from fine to coarse
+    def __init__(self, matrix: Stencil):
+        self.matrix = matrix
+        self.levels = []   # (A, weighted inverse diagonal field) from fine to coarse
         A = matrix
-        while side > _COARSEST_SIDE:
-            # 1-D linear interpolation from the coarse nodes at the odd fine
-            # indices, with zero Dirichlet values beyond either end.
-            P1 = sparse.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(side, side),
-                              format="csr")[:, 1::2]
-            P = sparse.kron(P1, P1, format="csr")
-            R = P.T.tocsr()
-            self.levels.append((A, _SMOOTHING_WEIGHT / A.diagonal(), P, R))
-            # Not R @ A @ P: that product sums in another order and moves bits.
-            A = (P.T @ A @ P).tocsr()
-            side //= 2
-        self.coarsest = spla.splu(A.tocsc())
+        while A.mask.shape[0] - 2 > _COARSEST_SIDE:
+            self.levels.append((A, A.scatter(_SMOOTHING_WEIGHT / A.diagonal())))
+            A = _galerkin(A)
+        self.coarsest = A
+        inverse = np.linalg.inv(A.toarray())
+        self.inverse = 0.5 * (inverse + inverse.T)
 
-    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
-        """Apply the cycle from `level` down to the residual r."""
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The cycle applied to r over the operator's unknowns."""
+        return self.matrix.gather(self.cycle(self.matrix.scatter(r)))
+
+    def cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        """The cycle from `level` down applied to a lattice field r."""
         if level == len(self.levels):
-            return self.coarsest.solve(r)
-        A, wdinv, P, R = self.levels[level]
+            return self.coarsest.scatter(self.inverse @ self.coarsest.gather(r))
+        A, wdinv = self.levels[level]
+        side = A.mask.shape[0]
+        res = np.empty_like(r)
         x = wdinv * r
-        x += P @ self(R @ (r - A @ x), level + 1)
-        x += wdinv * (r - A @ x)
+        np.subtract(r, A.product(x, res), out=res)
+        x += _prolong(self.cycle(_restrict(res, side), level + 1), side)
+        np.subtract(r, A.product(x, res), out=res)
+        res *= wdinv
+        x += res
         return x
+
+
+def _interpolate(c: np.ndarray, f: np.ndarray) -> None:
+    """f[2J] = c[J], f[2J + 1] = (c[J] + c[J + 1]) / 2 along axis 0; the last
+    row of f is its ring and stays zero."""
+    side = f.shape[0]
+    f[0::2] = c[:(side + 1) // 2]
+    f[1::2] = 0.5 * (c[:side // 2] + c[1:side // 2 + 1])
+    f[-1] = 0.0
+
+
+def _coarsen(f: np.ndarray, c: np.ndarray) -> None:
+    """The transpose of _interpolate along axis 0, for f zero on its ring."""
+    nc = c.shape[0]
+    c[0] = c[-1] = 0.0
+    c[1:-1] = f[2:2 * nc - 2:2] + 0.5 * (f[1:2 * nc - 3:2] + f[3:2 * nc - 1:2])
+
+
+def _prolong(c: np.ndarray, side: int) -> np.ndarray:
+    """P c: the flat coarse field c on the fine lattice of side x side nodes."""
+    nc = side // 2 + 1
+    half = np.empty((side, nc))
+    _interpolate(c.reshape(nc, nc), half)
+    f = np.empty((side, side))
+    _interpolate(half.T, f.T)
+    return f.reshape(-1)
+
+
+def _restrict(f: np.ndarray, side: int) -> np.ndarray:
+    """P^T f for a flat fine field f that is zero on its ring."""
+    nc = side // 2 + 1
+    half = np.empty((nc, side))
+    _coarsen(f.reshape(side, side), half)
+    c = np.empty((nc, nc))
+    _coarsen(half.T, c.T)
+    return c.reshape(-1)
+
+
+def _galerkin(A: Stencil) -> Stencil:
+    """P^T A P on the next coarser lattice, probed with nine colored vectors."""
+    side = A.mask.shape[0]
+    nc = side // 2 + 1
+    interior = np.zeros((nc, nc), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    color = np.arange(nc) % 3
+    probed = np.empty((3, 3, nc, nc))
+    Ap = np.empty(side * side)
+    for cx in range(3):
+        for cy in range(3):
+            e = interior & (color[:, None] == cx) & (color[None, :] == cy)
+            probed[cx, cy] = _restrict(A.product(_prolong(e.reshape(-1).astype(float), side),
+                                                 Ap), side).reshape(nc, nc)
+    jx, jy = np.meshgrid(np.arange(nc), np.arange(nc), indexing="ij")
+
+    def band(dx, dy):
+        # The (dx, dy) neighbor is the one node of its color a coarse row sees.
+        return probed[(jx + dx) % 3, (jy + dy) % 3, jx, jy]
+
+    return Stencil(interior, band(0, 0), {offset: band(*offset) for offset in FORWARD})
 
 
 def _harm(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -257,31 +433,54 @@ def laplacian_floor(grid: Grid2D) -> float:
 def neighbor_field(field: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """field at each node's (dx, dy) neighbor, |dx|, |dy| <= 1; zero (False)
     where that neighbor is off the lattice."""
-    n = field.shape[0]
-    return np.pad(field, 1)[1 + dx:n + 1 + dx, 1 + dy:n + 1 + dy]
+    n, m = field.shape[:2]
+    return np.pad(field, 1)[1 + dx:n + 1 + dx, 1 + dy:m + 1 + dy]
 
 
-def lattice_operator(bands: dict) -> sparse.csr_matrix:
-    """The n^2 x n^2 CSR operator on an n x n lattice in row-major (ix, iy)
-    order from {(dx, dy): (n, n) weights}: row (ix, iy) holds
-    bands[dx, dy][ix, iy] in the column of node (ix + dx, iy + dy), for
-    |dx|, |dy| <= 1 and n >= 3.  Weights coupling to nodes off the lattice are
-    dropped, and so are zeros."""
-    n = next(iter(bands.values())).shape[0]
-    on_lattice = np.ones((n, n), dtype=bool)
+def lattice_operator(bands: dict):
+    """The N x N scipy CSR operator on an nx x ny lattice (N = nx ny) in
+    row-major (ix, iy) order from {(dx, dy): (nx, ny) weights}: row (ix, iy)
+    holds bands[dx, dy][ix, iy] in the column of node (ix + dx, iy + dy), for
+    |dx|, |dy| <= 1 and nx, ny >= 3.  Weights coupling to nodes off the lattice
+    are dropped, and so are zeros.  Only the LU path needs CSR, so scipy is
+    imported here."""
+    from scipy import sparse
+
+    nx, ny = next(iter(bands.values())).shape
+    size = nx * ny
+    on_lattice = np.ones((nx, ny), dtype=bool)
     offsets, diagonals = [], []
     for (dx, dy), weights in bands.items():
-        k = dx * n + dy
+        k = dx * ny + dy
         flat = np.where(neighbor_field(on_lattice, dx, dy), weights, 0.0).reshape(-1)
         offsets.append(k)
-        diagonals.append(flat[max(-k, 0):n * n - max(k, 0)])
-    return sparse.diags(diagonals, offsets, shape=(n * n, n * n), format="csr")
+        diagonals.append(flat[max(-k, 0):size - max(k, 0)])
+    return sparse.diags(diagonals, offsets, shape=(size, size), format="csr")
+
+
+def _walk_coupling(grid: Grid2D, bands: dict) -> BoundaryCoupling:
+    """The boundary coupling of the lattice weights bands[dx, dy]."""
+    n = grid.n
+    walk = np.zeros((n, n), dtype=np.intp)   # 1 + walk position on the boundary
+    walk[grid.boundary_ix, grid.boundary_iy] = np.arange(1, grid.boundary_count + 1)
+    row = np.zeros((n, n), dtype=np.intp)
+    row[1:-1, 1:-1] = np.arange((n - 2) ** 2).reshape(n - 2, n - 2)
+    rows, cols, weights = [], [], []
+    for (dx, dy), w in bands.items():
+        col = neighbor_field(walk, dx, dy) - 1
+        hit = grid.interior_mask & (col >= 0) & (w != 0.0)
+        rows.append(row[hit])
+        cols.append(col[hit])
+        weights.append(-w[hit])
+    rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
+    order = np.lexsort((cols, rows))
+    return BoundaryCoupling(rows=rows[order], cols=cols[order], weights=weights[order],
+                            shape=((n - 2) ** 2, grid.boundary_count))
 
 
 def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     """Assemble the interior system and the boundary-coupling map."""
     coeff.validate(grid)
-    n = grid.n
     h2 = grid.h * grid.h
     a11, a22 = ((coeff.a, coeff.a) if coeff.is_scalar
                 else (coeff.a[..., 0, 0], coeff.a[..., 1, 1]))
@@ -300,11 +499,8 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
         bands.update({(1, 1): ne, (-1, -1): neighbor_field(ne, -1, -1),
                       (1, -1): se, (-1, 1): neighbor_field(se, -1, 1)})
 
-    interior = np.flatnonzero(grid.interior_mask)
-    rows = lattice_operator(bands)[interior]
-    matrix = rows[:, interior]
-    # Sorted by walk position, so each row of coupling @ g sums in that order.
-    coupling = -rows[:, grid.boundary_ix * n + grid.boundary_iy].sorted_indices()
+    matrix = Stencil(grid.interior_mask, center,
+                     {offset: bands[offset] for offset in FORWARD if offset in bands})
     spd = bool(coeff.is_scalar
                and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
     stencil = None
@@ -316,7 +512,8 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
                 and np.all(center[inner] == d)):
             stencil = (float(d), float(-w))
     return DiscreteOperator(grid=grid, coeff=coeff, matrix=matrix,
-                            boundary_coupling=coupling, spd=spd, stencil=stencil)
+                            boundary_coupling=_walk_coupling(grid, bands), spd=spd,
+                            stencil=stencil)
 
 
 @dataclass
@@ -341,44 +538,49 @@ def _dst1_2d(x: np.ndarray) -> np.ndarray:
     return _dst1_rows(_dst1_rows(x).T).T
 
 
-def conjugate_gradients(matrix, rhs: np.ndarray, target: float, maxiter: int,
-                        precond=None) -> tuple[np.ndarray, int, float]:
-    """Solve matrix x = rhs for SPD matrix by (preconditioned) CG from x = 0.
+def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
+                        precond: Multigrid | None = None) -> tuple[np.ndarray, int, float]:
+    """Solve matrix x = rhs for an SPD Stencil by (preconditioned) CG from x = 0.
 
-    Stops once the recurrence residual has ||r||_inf <= target, then checks the
-    true residual ||rhs - matrix x||_inf; if that misses the target it replaces
-    the recurrence residual and the iteration goes on.  Returns (x, iterations,
-    true residual); raises SolverError at maxiter or when r.z is not finite.
+    rhs and x are over the stencil's unknowns; the iteration runs on its
+    lattice fields, so every product writes into one buffer and no vector is
+    copied per step.  Stops once the recurrence residual has
+    ||r||_inf <= target, then checks the true residual ||rhs - matrix x||_inf;
+    if that misses the target it replaces the recurrence residual and the
+    iteration goes on.  Returns (x, iterations, true residual); raises
+    SolverError at maxiter or when r.z is not finite.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = r if precond is None else precond(r)
+    b = matrix.scatter(rhs)
+    x = np.zeros_like(b)
+    r = b.copy()
+    Ap = np.empty_like(b)
+    z = r if precond is None else precond.cycle(r)
     p = z.copy()
     rz = r @ z
     res = np.abs(r).max()
     iterations = 0
     while not res <= target:
         if iterations >= maxiter or not np.isfinite(rz):
-            res = np.abs(rhs - matrix @ x).max()
+            res = np.abs(b - matrix.product(x, Ap)).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "
                 f"residual {res:.3e} > target {target:.3e}",
                 residual=res, iterations=iterations)
-        Ap = matrix @ p
+        matrix.product(p, Ap)
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
         res = np.abs(r).max()
         if res <= target:
-            r = rhs - matrix @ x
+            r = b - matrix.product(x, Ap)
             res = np.abs(r).max()
             if res <= target:
                 break
-        z = r if precond is None else precond(r)
+        z = r if precond is None else precond.cycle(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    return x, iterations, float(res)
+    return matrix.gather(x), iterations, float(res)
 
 
 def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
@@ -401,8 +603,10 @@ def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
     if op.spd:
         x, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter, op.multigrid)
         return x, SolveInfo("cg-multigrid", iters, res)
+    from scipy.sparse.linalg import splu   # the one path that needs scipy
+
     try:
-        lu = spla.splu(op.matrix.tocsc())
+        lu = splu(op.matrix.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}", residual=np.inf) from exc
     x = lu.solve(rhs)
@@ -433,8 +637,8 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
             f"boundary data must have shape ({grid.boundary_count},), got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise DomainError("boundary data must be finite")
-    if not (rtol > 0.0):
-        raise ConfigError(f"rtol must be positive, got {rtol}")
+    if not (0.0 < rtol < 1.0):
+        raise ConfigError(f"rtol must lie in (0, 1), got {rtol}")
     rhs = op.boundary_coupling @ g
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)

@@ -4,12 +4,45 @@ Dictionary construction dominates test cost (one PDE solve per basis mode),
 so dictionaries are built once per session and shared read-only.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from randbc.boundary import RandomBoundaryModel
 from randbc.grid import build_grid
 from randbc.runge import build_dictionary
 from randbc.solver import CoefficientField
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Run first in the child interpreter: a meta-path finder that makes every
+# import of scipy or of a scipy submodule raise ImportError.
+SCIPY_BLOCKER = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+@pytest.fixture
+def block_scipy():
+    """Runs Python source in a fresh interpreter that finds randbc in src/
+    and cannot import scipy; returns the CompletedProcess."""
+    def run(code: str, timeout: float = 600.0) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run([sys.executable, "-c", SCIPY_BLOCKER + code],
+                              capture_output=True, text=True, env=env, timeout=timeout)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -121,6 +121,7 @@ BAD_VALUES = [
     ("coeff.a", "solve", "().__class__"),
     ("coeff.q", "solve", "'abc'"),
     ("solver.rtol", "solve", "inf"),
+    ("solver.rtol", "solve", "2"),
     ("solver.maxiter", "solve", "many"),
     ("solver.maxiter", "solve", "-1"),
     ("bc.family", "sample", "cauchy"),
@@ -410,3 +411,29 @@ def test_existing_output_directory_with_files_is_refused(tmp_path, capsys):
     (out / "leftover.txt").write_text("x")
     rc = run(["solve", "--out", str(out), "--set", "grid.n=17"])
     assert rc == 2
+
+
+def test_benchmark_workloads_run_without_scipy(block_scipy, tmp_path):
+    # every command of the benchmark's workloads, at its tiny sizes, in an
+    # interpreter where importing scipy raises ImportError
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    code = f"""
+import json
+import os
+sys.path.insert(0, {perfbench!r})
+import randbc.cli
+import workloads
+
+codes = []
+for name in workloads.NAMES:
+    for j, argv in enumerate(workloads.commands(name, 0, "tiny")):
+        out = os.path.join({str(tmp_path)!r}, f"{{name}}-{{j}}")
+        codes.append((argv[0], randbc.cli.run(argv + ["--out", out])))
+print(json.dumps(codes))
+"""
+    proc = block_scipy(code)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(codes) == 8
+    assert all(rc == 0 for _, rc in codes), (codes, proc.stderr)

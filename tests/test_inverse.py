@@ -10,7 +10,7 @@ from randbc.errors import ConfigError, DomainError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct_multi)
-from randbc.solver import gradient, laplacian, solve_poisson
+from randbc.solver import gradient, laplacian, lattice_operator, solve_poisson
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +213,9 @@ def test_conductivity_validation(grid):
     data = conductivity_forward(grid, a)
     with pytest.raises(ConfigError):
         conductivity_reconstruct(data, tau=-1.0)
+    for rtol in (0.0, 1.0, 2.0, np.nan):
+        with pytest.raises(ConfigError, match="rtol"):
+            conductivity_reconstruct(data, tau=1e-3, rtol=rtol)
 
 
 def test_conductivity_rejects_an_unconverged_potential_integration(grid):
@@ -307,3 +310,36 @@ def test_connected_region_reports_one_component(grid):
     res = conductivity_reconstruct(data, tau=1e-3)
     assert res.components == 1
     assert res.reconstructed_fraction == res.coverage == 1.0
+
+
+def snake(n):
+    """A one-node-wide path winding back and forth through an n x n box."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_component_labels_give_the_partition_of_scipy_csgraph(case):
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(case)
+    if case == 0:
+        mask = snake(31)
+    else:
+        shape = tuple(rng.integers(3, 40, size=2))
+        mask = rng.random(shape) < rng.uniform(0.3, 0.7)
+    count, label = randbc.inverse._components(mask)
+    nodes = np.flatnonzero(mask)
+    graph = lattice_operator(randbc.inverse._edge_bands(mask))[nodes][:, nodes]
+    expect_count, expect = connected_components(graph, directed=False)
+    assert count == expect_count
+    got = label[mask]
+    assert len(set(zip(got, expect))) == len(set(got)) == count
+    # each component carries its smallest row-major index
+    first = {}
+    for node, part in zip(nodes, got):
+        first.setdefault(part, node)
+    assert all(part == node for part, node in first.items())

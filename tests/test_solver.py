@@ -14,10 +14,10 @@ from randbc.boundary import RandomBoundaryModel
 from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.runge import build_dictionary
-from randbc.solver import (CoefficientField, assemble, conjugate_gradients,
-                           gradient, laplacian, laplacian_floor, lattice_operator,
-                           load_field_csv, norms, save_field_csv, solve_dirichlet,
-                           solve_poisson)
+from randbc.solver import (FORWARD, CoefficientField, Stencil, assemble,
+                           conjugate_gradients, gradient, laplacian, laplacian_floor,
+                           lattice_operator, load_field_csv, neighbor_field, norms,
+                           save_field_csv, solve_dirichlet, solve_poisson)
 
 
 def exact_harmonic(g):
@@ -42,8 +42,8 @@ def solve_with_exact(n, a_fn=None, q=0.0):
 def test_system_matrix_is_exactly_symmetric():
     g = build_grid(17)
     coeff = CoefficientField.isotropic(g, smooth_a(g), 0.3)
-    op = assemble(g, coeff)
-    assert (op.matrix - op.matrix.T).nnz == 0
+    A = assemble(g, coeff).matrix.tocsr()
+    assert (A - A.T).nnz == 0
 
 
 def test_anisotropic_matrix_is_exactly_symmetric():
@@ -54,7 +54,8 @@ def test_anisotropic_matrix_is_exactly_symmetric():
     coeff = CoefficientField.anisotropic(g, a11, a12, a22, q=0.1)
     op = assemble(g, coeff)
     assert not op.spd
-    assert (op.matrix - op.matrix.T).nnz == 0
+    A = op.matrix.tocsr()
+    assert (A - A.T).nnz == 0
 
 
 def dense_lattice(bands, n):
@@ -78,6 +79,79 @@ def test_lattice_operator_matches_a_dense_build(n):
         dense = dense_lattice(chosen, n)
         np.testing.assert_array_equal(op.toarray(), dense)
         assert op.nnz == np.count_nonzero(dense)   # zeros are not stored
+
+
+def symmetric_bands(center, forward):
+    bands = {(0, 0): center}
+    for (dx, dy), w in forward.items():
+        bands[dx, dy] = w
+        bands[-dx, -dy] = neighbor_field(w, -dx, -dy)
+    return bands
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_stencil_product_matches_the_lattice_operator(n):
+    rng = np.random.default_rng(n)
+    center = rng.standard_normal((n, n))
+    weights = {o: rng.standard_normal((n, n)) for o in FORWARD}
+    full = np.ones((n, n), dtype=bool)
+    for offsets in (((0, 1), (1, 0)), FORWARD):   # five and nine points
+        forward = {o: weights[o] for o in offsets}
+        # the whole n x n lattice, and a random subset of its nodes
+        for mask in (full, rng.random((n, n)) < 0.6):
+            nodes = np.flatnonzero(mask)
+            csr = lattice_operator(symmetric_bands(center * mask, forward))[nodes][:, nodes]
+            # an outer ring of non-nodes around the lattice
+            A = Stencil(np.pad(mask, 1), np.pad(center, 1),
+                        {o: np.pad(w, 1) for o, w in forward.items()})
+            assert A.shape == csr.shape
+            x = rng.standard_normal(nodes.size)
+            bound = 1e-15 * (abs(csr) @ np.abs(x))
+            assert np.all(np.abs(A @ x - csr @ x) <= bound)
+            np.testing.assert_array_equal(A.toarray(), csr.toarray())
+            np.testing.assert_array_equal(A.tocsr().toarray(), csr.toarray())
+            np.testing.assert_array_equal(A.diagonal(), csr.diagonal())
+
+
+def csr_boundary_coupling(g, coeff):
+    """The sorted CSR boundary coupling, as assembly built it from the
+    lattice operator's interior rows."""
+    h2 = g.h * g.h
+    a11 = coeff.a if coeff.is_scalar else coeff.a[..., 0, 0]
+    a22 = coeff.a if coeff.is_scalar else coeff.a[..., 1, 1]
+    east = randbc.solver._harm(a11, neighbor_field(a11, 1, 0)) / h2
+    north = randbc.solver._harm(a22, neighbor_field(a22, 0, 1)) / h2
+    forward = {(1, 0): -east, (0, 1): -north}
+    if not coeff.is_scalar:
+        a12 = coeff.a[..., 0, 1]
+        forward[1, 1] = -(neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, 1)) * 0.25 / h2
+        forward[1, -1] = (neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, -1)) * 0.25 / h2
+    bands = symmetric_bands(np.zeros((g.n, g.n)), forward)
+    rows = lattice_operator(bands)[np.flatnonzero(g.interior_mask)]
+    return -rows[:, g.boundary_ix * g.n + g.boundary_iy].sorted_indices()
+
+
+@pytest.mark.parametrize("kind", ["one", "random", "matrix"])
+@pytest.mark.parametrize("n", [9, 17, 65])
+def test_walk_coupling_is_bitwise_the_sorted_csr_product(kind, n):
+    # A scalar-a row holds at most two boundary terms, whose sum does not
+    # depend on their order; matrix a's corners give rows of three.
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    a, q = 0.5 + rng.random((2, n, n))
+    if kind == "one":
+        coeff = CoefficientField.isotropic(g, 1.0, q)
+    elif kind == "random":
+        coeff = CoefficientField.isotropic(g, a, q)
+    else:
+        coeff = CoefficientField.anisotropic(g, a, 0.4 * rng.random((n, n)) - 0.2, a, q)
+    op = assemble(g, coeff)
+    csr = csr_boundary_coupling(g, coeff)
+    for _ in range(3):
+        bc = rng.standard_normal(g.boundary_count) * 10.0 ** rng.integers(-5, 5)
+        bc[::5] = 0.0
+        bc[1::7] *= -0.0
+        assert (op.boundary_coupling @ bc).tobytes() == (csr @ bc).tobytes()
 
 
 def dense_assembly(g, coeff):
@@ -127,12 +201,16 @@ def test_assembly_matches_a_dense_reference(kind):
         coeff = CoefficientField.anisotropic(g, a11, a12, a22, q)
     op = assemble(g, coeff)
     matrix, coupling = dense_assembly(g, coeff)
-    np.testing.assert_allclose(op.matrix.toarray(), matrix, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(op.boundary_coupling.toarray(), coupling,
-                               rtol=1e-15, atol=0.0)
-    assert op.matrix.nnz == np.count_nonzero(matrix)
-    assert op.boundary_coupling.nnz == np.count_nonzero(coupling)
-    assert op.boundary_coupling.has_sorted_indices
+    A = op.matrix.tocsr()
+    np.testing.assert_allclose(A.toarray(), matrix, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(op.matrix.toarray(), A.toarray())
+    walk = op.boundary_coupling
+    columns = np.column_stack([walk @ e for e in np.eye(g.boundary_count)])
+    np.testing.assert_allclose(columns, coupling, rtol=1e-15, atol=0.0)
+    assert A.nnz == np.count_nonzero(matrix)
+    assert walk.weights.size == np.count_nonzero(coupling)
+    # sorted by row, then walk position, with no entry twice
+    assert np.all(np.diff(walk.rows * g.boundary_count + walk.cols) > 0)
 
 
 def test_interior_stencil_row_of_the_laplacian():
@@ -140,7 +218,7 @@ def test_interior_stencil_row_of_the_laplacian():
     op = assemble(g, CoefficientField.isotropic(g))
     # row of the interior node (4, 4) in the (n-2)^2 interior ordering
     k = (4 - 1) * (g.n - 2) + (4 - 1)
-    row = op.matrix.getrow(k).toarray().ravel()
+    row = op.matrix.tocsr().getrow(k).toarray().ravel()
     h2 = g.h ** 2
     assert row[k] == pytest.approx(4.0 / h2, rel=1e-14)
     neighbors = np.sort(np.delete(np.nonzero(row)[0], np.searchsorted(
@@ -150,7 +228,7 @@ def test_interior_stencil_row_of_the_laplacian():
         assert row[j] == pytest.approx(-1.0 / h2, rel=1e-14)
     # doubling the coefficient doubles every entry
     op2 = assemble(g, CoefficientField.isotropic(g, 2.0))
-    assert (op2.matrix - 2.0 * op.matrix).nnz == 0
+    assert (op2.matrix.tocsr() - 2.0 * op.matrix.tocsr()).nnz == 0
 
 
 def test_zero_boundary_data_gives_the_zero_solution():
@@ -250,7 +328,7 @@ def multigrid_cg(op, rhs, atol):
     """Multigrid-preconditioned CG on op, bypassing the solver's path choice."""
     precond = spla.LinearOperator(op.matrix.shape, matvec=op.multigrid)
     iters = []
-    x, code = spla.cg(op.matrix, rhs, rtol=0.0, atol=atol, maxiter=200, M=precond,
+    x, code = spla.cg(op.matrix.tocsr(), rhs, rtol=0.0, atol=atol, maxiter=200, M=precond,
                       callback=iters.append)
     assert code == 0
     return x, len(iters)
@@ -334,14 +412,53 @@ def test_multigrid_preconditioner_is_symmetric(n):
         assert v @ Mv > 0.0
 
 
+def dense_prolongation(side):
+    """P = P1 (x) P1 over interior unknowns: coarse j at fine 2j + 1, linear
+    interpolation between, zero beyond either end."""
+    P1 = np.zeros((side, side // 2))
+    for j in range(side // 2):
+        P1[2 * j + 1, j] = 1.0
+        P1[2 * j, j] = 0.5
+        if 2 * j + 2 < side:
+            P1[2 * j + 2, j] = 0.5
+    return np.kron(P1, P1)
+
+
 @pytest.mark.parametrize("n", [50, 65, 129])
-def test_stored_restriction_is_the_transpose_bit_for_bit(n):
+def test_restriction_is_the_adjoint_of_prolongation(n):
     g = build_grid(n)
     op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
     rng = np.random.default_rng(n)
-    for A, _, P, R in op.multigrid.levels:
-        r = rng.standard_normal(A.shape[0])
-        assert np.array_equal(R @ r, P.T @ r)
+    mg = op.multigrid
+    coarser = [A for A, _ in mg.levels[1:]] + [mg.coarsest]
+    for (A, _), C in zip(mg.levels, coarser):
+        side = A.mask.shape[0]
+        f = A.scatter(rng.standard_normal(A.shape[0]))
+        c = C.scatter(rng.standard_normal(C.shape[0]))
+        Pc = randbc.solver._prolong(c, side)
+        Rf = randbc.solver._restrict(f, side)
+        assert np.all(Pc[~A.mask.reshape(-1)] == 0.0)
+        assert np.all(Rf[~C.mask.reshape(-1)] == 0.0)
+        scale = np.linalg.norm(Pc) * np.linalg.norm(f)
+        assert abs(Pc @ f - c @ Rf) <= 1e-14 * scale
+        P = dense_prolongation(side - 2)
+        expect = P @ C.gather(c)
+        assert np.abs(A.gather(Pc) - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_probed_galerkin_operator_is_the_dense_product(n):
+    g = build_grid(n)
+    for a, q in (SPD_COEFFICIENTS["disk"](g),
+                 (1.0, SPD_COEFFICIENTS["bump"](g)[1])):
+        mg = assemble(g, CoefficientField.isotropic(g, a, q)).multigrid
+        coarser = [A for A, _ in mg.levels[1:]] + [mg.coarsest]
+        for (A, _), C in zip(mg.levels, coarser):
+            P = dense_prolongation(A.mask.shape[0] - 2)
+            expect = P.T @ A.toarray() @ P
+            got = C.toarray()
+            assert np.array_equal(got, got.T)
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("kind", ["one", "exp", "disk"])
@@ -398,6 +515,15 @@ def test_dictionary_builds_one_hierarchy_for_all_its_solves(monkeypatch):
     assert dictionary.K == 9
     assert len(built) == 1
     assert isinstance(dictionary.operator.multigrid, Counting)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, 2.0, np.nan])
+def test_rtol_outside_the_unit_interval_is_a_config_error(rtol):
+    # at rtol >= 1 the starting guess x = 0 already meets the contract
+    g = build_grid(17)
+    op = assemble(g, CoefficientField.isotropic(g, 1.0 + g.X))
+    with pytest.raises(ConfigError, match="rtol"):
+        solve_dirichlet(op, np.cos(g.boundary_s), rtol=rtol)
 
 
 def test_solver_error_reports_residual_and_iterations():
@@ -564,15 +690,19 @@ def test_non_finite_sine_transform_result_raises():
         solve_dirichlet(op, np.full(g.boundary_count, 1e306))
 
 
-def test_importing_the_cli_does_not_load_scipy_fft():
-    # numpy.fft carries the sine transform; scipy.fft would add import time
+def test_importing_the_cli_does_not_load_scipy_fft(block_scipy):
+    # numpy.fft carries the sine transform, and only the LU path imports
+    # scipy: importing it would add about 0.25 s to every command
     src = os.path.dirname(os.path.dirname(randbc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, randbc.cli; print('scipy.fft' in sys.modules)"
+    code = ("import sys, randbc.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+    blocked = block_scipy("import randbc.cli")
+    assert blocked.returncode == 0, blocked.stderr
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 31])
