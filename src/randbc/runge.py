@@ -156,16 +156,10 @@ class RungeResult:
     floored_modes: int
 
 
-def approximate(target: LocalTarget, dictionary: Dictionary,
-                lam: float) -> RungeResult:
-    """Tikhonov-regularized least squares of the target over the dictionary.
-
-    eps_achieved = ||sum c_k z_k - h||_{L2(D)} / ||h||_{H1(D)};
-    boundary_cost = (sum c_k^2 / sigma_k^2)^{1/2} / ||h||_{H1(D)}.
-    """
-    lam = float(lam)
-    if lam < 0.0 or not np.isfinite(lam):
-        raise ConfigError(f"regularization weight must be >= 0, got {lam}")
+def _normal_equations(target: LocalTarget, dictionary: Dictionary):
+    """Check that target and dictionary fit; gather the dictionary and target
+    values on the disk, Zd (K, m) and hv (m,), and form the Gram system
+    G = h^2 Zd Zd^T, b = h^2 Zd hv."""
     grid = dictionary.grid
     if target.disk.grid_n != grid.n:
         raise ConfigError("target and dictionary live on different grids")
@@ -173,8 +167,7 @@ def approximate(target: LocalTarget, dictionary: Dictionary,
         raise ConfigError(
             f"{target.kind} targets solve the constant-coefficient equation; "
             "the dictionary was built with different coefficients")
-    sigma = dictionary.model.sigma
-    if np.any(sigma <= 0.0):
+    if np.any(dictionary.model.sigma <= 0.0):
         raise ConfigError("approximation needs strictly positive weights sigma_k")
 
     idx = target.disk.indices
@@ -184,6 +177,15 @@ def approximate(target: LocalTarget, dictionary: Dictionary,
     G = h2 * (Zd @ Zd.T)
     G = 0.5 * (G + G.T)
     b = h2 * (Zd @ hv)
+    return Zd, hv, G, b
+
+
+def _tikhonov(target: LocalTarget, dictionary: Dictionary, system,
+              lam: float) -> RungeResult:
+    """approximate() at weight lam from the Gram system of _normal_equations."""
+    Zd, hv, G, b = system
+    sigma = dictionary.model.sigma
+    h2 = dictionary.grid.h * dictionary.grid.h
     M = G + lam * np.diag(1.0 / sigma ** 2)
 
     w, V = np.linalg.eigh(M)
@@ -203,8 +205,22 @@ def approximate(target: LocalTarget, dictionary: Dictionary,
                        floored_modes=floored)
 
 
+def approximate(target: LocalTarget, dictionary: Dictionary,
+                lam: float) -> RungeResult:
+    """Tikhonov-regularized least squares of the target over the dictionary.
+
+    eps_achieved = ||sum c_k z_k - h||_{L2(D)} / ||h||_{H1(D)};
+    boundary_cost = (sum c_k^2 / sigma_k^2)^{1/2} / ||h||_{H1(D)}.
+    """
+    lam = float(lam)
+    if lam < 0.0 or not np.isfinite(lam):
+        raise ConfigError(f"regularization weight must be >= 0, got {lam}")
+    return _tikhonov(target, dictionary, _normal_equations(target, dictionary), lam)
+
+
 def tradeoff_curve(target: LocalTarget, dictionary: Dictionary, lambdas):
-    """approximate() across a descending positive lambda sweep."""
+    """approximate() across a descending positive lambda sweep; the Gram
+    system is formed once and each lambda takes its own eigendecomposition."""
     lams = [float(x) for x in lambdas]
     if len(lams) == 0:
         return []
@@ -212,4 +228,5 @@ def tradeoff_curve(target: LocalTarget, dictionary: Dictionary, lambdas):
         raise ConfigError("lambda sweep values must be positive")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambda sweep must be strictly descending")
-    return [approximate(target, dictionary, lam) for lam in lams]
+    system = _normal_equations(target, dictionary)
+    return [_tikhonov(target, dictionary, system, lam) for lam in lams]

@@ -21,7 +21,17 @@ checked after every solve.  Three paths meet it:
   transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)).
   The solve is direct, S (S r / lambda) (2 / (n - 1))^2, whatever the sign
   of q, as long as no eigenvalue vanishes; S is built on numpy.fft, which
-  importing numpy already loads.
+  importing numpy already loads.  The Dirichlet part of r is -o g on the
+  rows and columns next to the ring and zero elsewhere, so its transform is
+  taken in closed form (Buzbee, Golub & Nielson 1970): with the sides
+  L, R, B, T = u[1:-1, 0], u[1:-1, -1], u[0, 1:-1], u[-1, 1:-1] of the
+  assembled u and s_1, s_m the first and last rows of S,
+
+      S r S = S(-o L) (x) s_1 + S(-o R) (x) s_m + s_1 (x) S(-o B) + s_m (x) S(-o T),
+
+  four 1-D transforms in one batch; only a forcing term takes a 2-D forward
+  transform.  The residual is checked on the lattice: the Stencil gives the
+  ring zero weight, so its product with the assembled u is A u_int.
 - Other operators certified positive definite take conjugate gradients
   (conjugate_gradients, the loop potential integration in randbc.inverse
   shares) preconditioned by a symmetric geometric-multigrid V-cycle whose
@@ -208,10 +218,15 @@ class DiscreteOperator:
     def apply(self, field: ScalarField) -> np.ndarray:
         """L_h applied to a full-grid field; returns (n-2, n-2) interior values."""
         n = self.grid.n
-        u_int = np.asarray(field)[1:-1, 1:-1].reshape(-1)
-        g = self.grid.boundary_values(field)
-        out = self.matrix @ u_int - self.boundary_coupling @ g
-        return out.reshape(n - 2, n - 2)
+        coupled = self.boundary_coupling @ self.grid.boundary_values(field)
+        return self.interior_product(field) - coupled.reshape(n - 2, n - 2)
+
+    def interior_product(self, field: ScalarField) -> np.ndarray:
+        """A u_int for a full-grid field u, as (n-2, n-2) values: the matrix
+        product on the lattice, where the ring has zero weight."""
+        n = self.grid.n
+        v = np.ascontiguousarray(field, dtype=float).reshape(-1)
+        return self.matrix.product(v, np.empty(n * n)).reshape(n, n)[1:-1, 1:-1]
 
     @cached_property
     def multigrid(self) -> "Multigrid":
@@ -224,6 +239,17 @@ class DiscreteOperator:
         d, o = self.stencil
         c = np.cos(np.pi * self.grid.h * np.arange(1, self.grid.n - 1))
         return d + 2.0 * o * (c[:, None] + c[None, :])
+
+    @cached_property
+    def edge_sines(self) -> np.ndarray:
+        """(2, n-2) rows s_1[p] = sin(pi p / (m + 1)) and s_m[p] = sin(pi p m / (m + 1)),
+        m = n - 2: the DST-I modes at the first and last interior rows."""
+        m = self.grid.n - 2
+        p = np.arange(1, m + 1)
+        # Angles folded into [0, pi/2], and s_m[p] = (-1)^(p+1) s_1[p]: taken at
+        # its large angle, sin(pi p m / (m + 1)) is off by up to about 1e-13.
+        s1 = np.sin(np.pi * np.minimum(p, m + 1 - p) / (m + 1))
+        return np.stack((s1, np.where(p % 2 == 1, s1, -s1)))
 
 
 # The neighbors that follow a node in row-major order; a symmetric stencil
@@ -272,7 +298,8 @@ class Stencil:
         return v[self.nodes]
 
     def product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = A v for a lattice field v that is zero off the mask; returns out."""
+        """out = A v for a lattice field v; returns out.  Values of v off the
+        mask meet zero weights, so finite ones change out by signs of zero."""
         np.multiply(self.center, v, out=out)
         size = v.size
         for k, w in self._shifts:
@@ -538,6 +565,17 @@ def _dst1_2d(x: np.ndarray) -> np.ndarray:
     return _dst1_rows(_dst1_rows(x).T).T
 
 
+def _boundary_transform(op: DiscreteOperator, u: ScalarField) -> np.ndarray:
+    """_dst1_2d of the (n-2, n-2) boundary_coupling @ g of a constant stencil,
+    in closed form from the four sides of u, which holds g on its ring."""
+    sides = np.stack((u[1:-1, 0], u[1:-1, -1], u[0, 1:-1], u[-1, 1:-1]))
+    sides *= -op.stencil[1]
+    left, right, bottom, top = _dst1_rows(sides)
+    s1, sm = op.edge_sines
+    # The four outer products as one product of rank 4.
+    return np.stack((left, right, s1, sm), axis=1) @ np.stack((s1, sm, bottom, top))
+
+
 def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
                         precond: Multigrid | None = None) -> tuple[np.ndarray, int, float]:
     """Solve matrix x = rhs for an SPD Stencil by (preconditioned) CG from x = 0.
@@ -583,26 +621,34 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     return matrix.gather(x), iterations, float(res)
 
 
-def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
-                    maxiter) -> tuple[np.ndarray, SolveInfo]:
+def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
+                    forcing: np.ndarray | None, rtol: float, maxiter) -> SolveInfo:
+    """Fill the interior of u, which holds the Dirichlet data on its ring, so
+    that A u_int = rhs, the coupled data plus the (n-2, n-2) forcing if any."""
     scale = np.abs(rhs).max() if rhs.size else 0.0
     if scale == 0.0:
-        return np.zeros_like(rhs), SolveInfo("trivial", 0, 0.0)
+        return SolveInfo("trivial", 0, 0.0)
     if maxiter is None:
         maxiter = 20 * op.grid.n
     target = rtol * scale
+    m = op.grid.n - 2
     if op.stencil is not None:
-        m = op.grid.n - 2
-        x = (_dst1_2d(_dst1_2d(rhs.reshape(m, m)) / op.eigenvalues)
-             * (2.0 / (m + 1)) ** 2).reshape(-1)
-        res = np.abs(op.matrix @ x - rhs).max()
+        transform = _boundary_transform(op, u)
+        if forcing is not None:
+            transform += _dst1_2d(forcing)
+        transform /= op.eigenvalues
+        u[1:-1, 1:-1] = _dst1_2d(transform) * (2.0 / (m + 1)) ** 2
+        r = op.interior_product(u)
+        r -= rhs.reshape(m, m)
+        res = np.abs(r, out=r).max()
         if not res <= target:
             raise SolverError(f"sine-transform solve residual {res:.3e} > target "
                               f"{target:.3e}", residual=res, iterations=0)
-        return x, SolveInfo("dst", 0, float(res))
+        return SolveInfo("dst", 0, float(res))
     if op.spd:
         x, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter, op.multigrid)
-        return x, SolveInfo("cg-multigrid", iters, res)
+        u[1:-1, 1:-1] = x.reshape(m, m)
+        return SolveInfo("cg-multigrid", iters, res)
     from scipy.sparse.linalg import splu   # the one path that needs scipy
 
     try:
@@ -620,7 +666,8 @@ def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
         raise SolverError(
             f"direct solve residual {res:.3e} > target {target:.3e} "
             f"after {refinements} refinement steps", residual=res, iterations=refinements)
-    return x, SolveInfo("lu", refinements, float(res))
+    u[1:-1, 1:-1] = x.reshape(m, m)
+    return SolveInfo("lu", refinements, float(res))
 
 
 def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
@@ -646,11 +693,11 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
             raise ConfigError(f"forcing must have shape {(grid.n, grid.n)}")
         if not np.all(np.isfinite(forcing)):
             raise DomainError("forcing must be finite")
-        rhs = rhs + forcing[1:-1, 1:-1].reshape(-1)
-    x, info = _solve_interior(op, rhs, rtol, maxiter)
+        forcing = forcing[1:-1, 1:-1]
+        rhs = rhs + forcing.reshape(-1)
     u = np.zeros((grid.n, grid.n))
-    u[1:-1, 1:-1] = x.reshape(grid.n - 2, grid.n - 2)
     u[grid.boundary_ix, grid.boundary_iy] = g
+    info = _solve_interior(op, u, rhs, forcing, rtol, maxiter)
     if want_info:
         return u, info
     return u

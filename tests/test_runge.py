@@ -119,3 +119,13 @@ def test_member_target_requires_a_dictionary_and_valid_index(grid65, disk65, dic
     with pytest.raises(ConfigError):
         make_target("dictionary_member", grid65, disk65,
                     dictionary=dict65, index=34)
+
+
+def test_tradeoff_curve_is_approximate_at_each_lambda(dict65, grid65, disk65):
+    t = make_target("dictionary_member", grid65, disk65, dictionary=dict65, index=3)
+    lams = [1e-2, 1e-5, 1e-8]
+    for r, lam in zip(tradeoff_curve(t, dict65, lams), lams):
+        one = approximate(t, dict65, lam)
+        np.testing.assert_array_equal(r.c, one.c)
+        assert (r.eps_achieved, r.boundary_cost, r.lam, r.floored_modes) == (
+            one.eps_achieved, one.boundary_cost, one.lam, one.floored_modes)

@@ -711,3 +711,104 @@ def test_sine_transform_matches_the_dense_sine_sum(m):
     i = np.arange(1, m + 1)
     S = np.sin(np.pi * np.outer(i, i) / (m + 1))
     np.testing.assert_allclose(randbc.solver._dst1_rows(x), x @ S, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 0.0), (1.0, 2.5), (1.0, -5.0), (0.1, 0.0)])
+@pytest.mark.parametrize("n", [8, 9, 17, 65, 193])
+def test_closed_form_boundary_transform_is_the_dense_transform(n, a, q):
+    g = build_grid(n)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    assert op.stencil is not None
+    m = n - 2
+    bc = np.random.default_rng(n).standard_normal(g.boundary_count)
+    dense = randbc.solver._dst1_2d((op.boundary_coupling @ bc).reshape(m, m))
+    u = np.zeros((n, n))
+    u[g.boundary_ix, g.boundary_iy] = bc
+    closed = randbc.solver._boundary_transform(op, u)
+    np.testing.assert_allclose(closed, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("n", [8, 9, 65, 193])
+def test_edge_sines_are_accurate_to_rounding(n):
+    # sin(pi p m / (m + 1)) taken at its large angle is off by up to about 1e-13
+    g = build_grid(n)
+    op = assemble(g, CoefficientField.isotropic(g))
+    m = n - 2
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    angles = np.outer((1, m), np.arange(1, m + 1)) % (2 * (m + 1))
+    reference = np.sin(pi * angles.astype(np.longdouble) / (m + 1)).astype(float)
+    np.testing.assert_allclose(op.edge_sines, reference, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["one", "scalar", "matrix"])
+@pytest.mark.parametrize("n", [8, 17, 33])
+def test_apply_on_the_lattice_is_the_product_over_the_unknowns(kind, n):
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    a11, a22 = 2.0 + rng.random((2, n, n))
+    if kind == "one":
+        coeff = CoefficientField.isotropic(g)
+    elif kind == "scalar":
+        coeff = CoefficientField.isotropic(g, a11, rng.standard_normal((n, n)))
+    else:
+        coeff = CoefficientField.anisotropic(g, a11, 0.3 * rng.random((n, n)), a22)
+    op = assemble(g, coeff)
+    u = rng.standard_normal((n, n))
+    u[0, 3] = -1.0   # a negative ring value meets zero weights: signs of zero only
+    expected = (op.matrix @ u[1:-1, 1:-1].reshape(-1)
+                - op.boundary_coupling @ g.boundary_values(u))
+    np.testing.assert_array_equal(op.apply(u), expected.reshape(n - 2, n - 2))
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 0.0), (0.1, -5.0)])
+@pytest.mark.parametrize("with_forcing", [False, True])
+def test_sine_transform_residual_is_the_residual_over_the_unknowns(a, q, with_forcing):
+    g = build_grid(65)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
+    forcing = 50.0 * np.sin(5.0 * g.X) * g.Y if with_forcing else None
+    rtol = 1e-10
+    u, info = solve_dirichlet(op, bc, rtol=rtol, forcing=forcing, want_info=True)
+    assert info.method == "dst"
+    rhs = op.boundary_coupling @ bc
+    if with_forcing:
+        rhs = rhs + forcing[1:-1, 1:-1].reshape(-1)
+    x = u[1:-1, 1:-1].reshape(-1)
+    assert info.residual_inf == np.abs(op.matrix @ x - rhs).max()
+    assert info.residual_inf <= rtol * np.abs(rhs).max()
+    np.testing.assert_array_equal(g.boundary_values(u), bc)
+
+
+def test_poisson_solve_with_forcing_meets_the_contract():
+    g = build_grid(65)
+    rhs = 6.0 * g.X * g.Y
+    bc = g.boundary_values(g.X ** 3 * g.Y)
+    u = solve_poisson(g, rhs, bc, rtol=1e-12)
+    op = randbc.solver.laplace_operator(g)
+    # L u = -rhs at the interior nodes, to the contract's tolerance
+    scale = np.abs(op.boundary_coupling @ bc - rhs[1:-1, 1:-1].reshape(-1)).max()
+    assert np.abs(op.apply(u) + rhs[1:-1, 1:-1]).max() <= 1e-12 * scale
+
+
+def test_sine_transform_solve_transforms_only_what_it_must(monkeypatch):
+    # The boundary data take one batched 1-D transform of the four sides and
+    # the inverse two; a forcing term adds its own 2-D transform.  The
+    # residual is checked on the lattice, with no scatter or gather.
+    calls = {"rfft": 0, "scatter": 0, "gather": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    monkeypatch.setattr(Stencil, "scatter", counted("scatter", Stencil.scatter))
+    monkeypatch.setattr(Stencil, "gather", counted("gather", Stencil.gather))
+    g = build_grid(33)
+    op = assemble(g, CoefficientField.isotropic(g, 1.0, 2.5))
+    bc = np.cos(3.0 * g.boundary_s)
+    solve_dirichlet(op, bc)
+    assert calls == {"rfft": 3, "scatter": 0, "gather": 0}
+    solve_poisson(g, g.X * g.Y, bc)
+    assert calls == {"rfft": 8, "scatter": 0, "gather": 0}
