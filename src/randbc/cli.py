@@ -13,8 +13,8 @@ configuration of the run that produced it.
 Every run writes its CSV artifacts plus manifest.json (resolved config and
 sha256 of each output) into --out.  Exit status: 0 success, 1 runtime/domain
 failure or exhausted memory, 2 configuration error.  RANDBC_THREADS sets the
-worker count when --threads/threads is 0 (auto); thread count never changes
-emitted numbers.
+worker count when --threads/threads is 0 (auto); at most one worker runs per
+CPU the process may use, and thread count never changes emitted numbers.
 """
 
 from __future__ import annotations

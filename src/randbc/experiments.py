@@ -31,6 +31,7 @@ concentration_check the M deviations of one N, 8 bytes per sample.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -199,6 +200,13 @@ class SuccessCurveResult:
         return self.rows[-1].successes
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
                   master_seed: int = 0, threads: int = 1) -> SuccessCurveResult:
     """Empirical success probability of min-max >= tau across N, coupled draws.
@@ -209,7 +217,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     empirical 5% quantile (floor(0.05 M)-th smallest) of min-max at the
     largest N.
 
-    Repetitions run in min(threads, M) contiguous blocks, one per worker.  A
+    Repetitions run in min(threads, M, usable CPUs) contiguous blocks, one per
+    worker (os.sched_getaffinity where the platform has it).  A
     worker allocates its (N_max, m) products once, evaluates the map in place
     in them, and merges the maxima of |zeta| over [N_{j-1}, N_j) into a
     running maximum.  Max is exact and each repetition uses only its own
@@ -249,7 +258,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
                 np.maximum(cur, rows[lo:hi].max(axis=0, out=blk), out=cur)
                 min_max[rep, j] = cur.min()
 
-    workers = max(1, min(threads, M))
+    workers = max(1, min(threads, M, _usable_cpus()))
     bounds = [M * w // workers for w in range(workers + 1)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -34,21 +34,25 @@ checked after every solve.  Three paths meet it:
   ring zero weight, so its product with the assembled u is A u_int.
 - Other operators certified positive definite take conjugate gradients
   (conjugate_gradients, the loop potential integration in randbc.inverse
-  shares) preconditioned by a symmetric geometric-multigrid V-cycle whose
-  transfers are slices and whose coarse operators are probed stencils.  CG stops
-  on the contract's own inf-norm, confirmed on the true residual, and raises
-  SolverError after maxiter iterations.  The certificate
-  is a closed-form spectral bound: every harmonic-mean face weight is at least
-  min(a)/h^2, so for scalar a
+  shares) preconditioned by the same sine transform between two diagonal
+  scalings (Concus & Golub 1973): M^-1 r = s S (S (s r) / lambda) (2 / (n - 1))^2
+  with s = (h^2 / 4 diag A)^(-1/2), so that s A s has the Laplacian's diagonal
+  4 / h^2, and lambda the eigenvalues of the stencil (4 / h^2 + max(0,
+  mean(q s^2)), -1 / h^2).  For a Lipschitz a the iteration count does not
+  grow with n; for a discontinuous a of high contrast it does.  CG stops on
+  the contract's own inf-norm, confirmed on the true residual, and raises
+  SolverError after maxiter iterations.  The certificate is a closed-form
+  spectral bound: every harmonic-mean face weight is at least min(a)/h^2, so
+  for scalar a
 
       lambda_min(A) >= min(a) * lambda_1 + min(q),
       lambda_1 = 8 sin^2(pi h / 2) / h^2,
 
   lambda_1 being the smallest eigenvalue of the five-point Dirichlet
   Laplacian.  Scalar a with min(q) >= -min(a) * lambda_1 / 2 is certified
-  (the factor 1/2 is a fixed margin against rounding and poor conditioning).
-  The multigrid hierarchy is built once per operator and shared by every
-  right-hand side solved with it.
+  (the factor 1/2 is a fixed margin against rounding and poor conditioning),
+  and it keeps diag A positive.  The preconditioner is built once per
+  operator and shared by every right-hand side solved with it.
 - Sparse LU with iterative refinement (scipy's splu) serves the rest:
   matrix a, and q below the certificate with a variable stencil.
 
@@ -57,6 +61,7 @@ Only CG reads maxiter; the sine-transform and LU solves are direct.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -229,16 +234,26 @@ class DiscreteOperator:
         return self.matrix.product(v, np.empty(n * n)).reshape(n, n)[1:-1, 1:-1]
 
     @cached_property
-    def multigrid(self) -> "Multigrid":
-        """The V-cycle preconditioner of an SPD operator, built on first use."""
-        return Multigrid(self.matrix)
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The CG path's M^-1 of a certified operator on lattice fields (see the
+        module docstring), built on first use; every lambda is positive, so
+        M^-1 is symmetric positive definite."""
+        n, h2 = self.grid.n, self.grid.h * self.grid.h
+        scale = (0.25 * h2 * self.matrix.center.reshape(n, n)[1:-1, 1:-1]) ** -0.5
+        shift = max(0.0, float(np.mean(self.coeff.q[1:-1, 1:-1] * scale ** 2)))
+        eigenvalues = _stencil_eigenvalues(self.grid, 4.0 / h2 + shift, -1.0 / h2)
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            z = np.zeros((n, n))
+            transform = _dst1_2d(scale * r.reshape(n, n)[1:-1, 1:-1])
+            z[1:-1, 1:-1] = scale * _sine_solve(transform, eigenvalues)
+            return z.reshape(-1)
+        return apply
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """(n-2, n-2) eigenvalues of a constant stencil, indexed like the DST-I modes."""
-        d, o = self.stencil
-        c = np.cos(np.pi * self.grid.h * np.arange(1, self.grid.n - 1))
-        return d + 2.0 * o * (c[:, None] + c[None, :])
+        return _stencil_eigenvalues(self.grid, *self.stencil)
 
     @cached_property
     def edge_sines(self) -> np.ndarray:
@@ -311,20 +326,6 @@ class Stencil:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.gather(self.product(self.scatter(x), np.empty(self.mask.size)))
 
-    def diagonal(self) -> np.ndarray:
-        return self.center[self.nodes]
-
-    def toarray(self) -> np.ndarray:
-        """The dense matrix."""
-        index = np.zeros(self.mask.size, dtype=np.intp)
-        index[self.nodes] = np.arange(self.nodes.size)
-        dense = np.diag(self.diagonal())
-        for k, w in self._shifts:
-            at = np.flatnonzero(w)
-            dense[index[at], index[at + k]] = w[at]
-            dense[index[at + k], index[at]] = w[at]
-        return dense
-
     def tocsr(self):
         """The CSR matrix, built by lattice_operator (this imports scipy)."""
         bands = {(0, 0): self.center.reshape(self.mask.shape)}
@@ -335,116 +336,6 @@ class Stencil:
 
     def tocsc(self):
         return self.tocsr().tocsc()
-
-
-_SMOOTHING_WEIGHT = 0.8   # damped Jacobi
-_COARSEST_SIDE = 8        # solve densely at <= 64 unknowns
-
-
-class Multigrid:
-    """Symmetric V-cycle for an SPD Stencil on the interior of a square lattice.
-
-    Coarse node J of a level is node 2J of the finer lattice (rings included).
-    Prolongation P interpolates linearly along each axis with zero Dirichlet
-    values on the ring, and restriction applies P^T; both work by slicing
-    lattice fields.  Coarse operators are the Galerkin products P^T A P,
-    nine-point stencils recovered by probing with nine colored coarse vectors
-    (Curtis, Powell & Reid 1974): the nodes of one color lie three apart along
-    both axes, so no coarse row sees two of them.  Each level smooths with one
-    damped Jacobi sweep before and one after its coarse correction; the
-    coarsest level is solved with a dense inverse.  With a symmetric smoother
-    on both sides the cycle is a symmetric positive definite map, so it can
-    precondition CG.
-    """
-
-    def __init__(self, matrix: Stencil):
-        self.matrix = matrix
-        self.levels = []   # (A, weighted inverse diagonal field) from fine to coarse
-        A = matrix
-        while A.mask.shape[0] - 2 > _COARSEST_SIDE:
-            self.levels.append((A, A.scatter(_SMOOTHING_WEIGHT / A.diagonal())))
-            A = _galerkin(A)
-        self.coarsest = A
-        inverse = np.linalg.inv(A.toarray())
-        self.inverse = 0.5 * (inverse + inverse.T)
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """The cycle applied to r over the operator's unknowns."""
-        return self.matrix.gather(self.cycle(self.matrix.scatter(r)))
-
-    def cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
-        """The cycle from `level` down applied to a lattice field r."""
-        if level == len(self.levels):
-            return self.coarsest.scatter(self.inverse @ self.coarsest.gather(r))
-        A, wdinv = self.levels[level]
-        side = A.mask.shape[0]
-        res = np.empty_like(r)
-        x = wdinv * r
-        np.subtract(r, A.product(x, res), out=res)
-        x += _prolong(self.cycle(_restrict(res, side), level + 1), side)
-        np.subtract(r, A.product(x, res), out=res)
-        res *= wdinv
-        x += res
-        return x
-
-
-def _interpolate(c: np.ndarray, f: np.ndarray) -> None:
-    """f[2J] = c[J], f[2J + 1] = (c[J] + c[J + 1]) / 2 along axis 0; the last
-    row of f is its ring and stays zero."""
-    side = f.shape[0]
-    f[0::2] = c[:(side + 1) // 2]
-    f[1::2] = 0.5 * (c[:side // 2] + c[1:side // 2 + 1])
-    f[-1] = 0.0
-
-
-def _coarsen(f: np.ndarray, c: np.ndarray) -> None:
-    """The transpose of _interpolate along axis 0, for f zero on its ring."""
-    nc = c.shape[0]
-    c[0] = c[-1] = 0.0
-    c[1:-1] = f[2:2 * nc - 2:2] + 0.5 * (f[1:2 * nc - 3:2] + f[3:2 * nc - 1:2])
-
-
-def _prolong(c: np.ndarray, side: int) -> np.ndarray:
-    """P c: the flat coarse field c on the fine lattice of side x side nodes."""
-    nc = side // 2 + 1
-    half = np.empty((side, nc))
-    _interpolate(c.reshape(nc, nc), half)
-    f = np.empty((side, side))
-    _interpolate(half.T, f.T)
-    return f.reshape(-1)
-
-
-def _restrict(f: np.ndarray, side: int) -> np.ndarray:
-    """P^T f for a flat fine field f that is zero on its ring."""
-    nc = side // 2 + 1
-    half = np.empty((nc, side))
-    _coarsen(f.reshape(side, side), half)
-    c = np.empty((nc, nc))
-    _coarsen(half.T, c.T)
-    return c.reshape(-1)
-
-
-def _galerkin(A: Stencil) -> Stencil:
-    """P^T A P on the next coarser lattice, probed with nine colored vectors."""
-    side = A.mask.shape[0]
-    nc = side // 2 + 1
-    interior = np.zeros((nc, nc), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    color = np.arange(nc) % 3
-    probed = np.empty((3, 3, nc, nc))
-    Ap = np.empty(side * side)
-    for cx in range(3):
-        for cy in range(3):
-            e = interior & (color[:, None] == cx) & (color[None, :] == cy)
-            probed[cx, cy] = _restrict(A.product(_prolong(e.reshape(-1).astype(float), side),
-                                                 Ap), side).reshape(nc, nc)
-    jx, jy = np.meshgrid(np.arange(nc), np.arange(nc), indexing="ij")
-
-    def band(dx, dy):
-        # The (dx, dy) neighbor is the one node of its color a coarse row sees.
-        return probed[(jx + dx) % 3, (jy + dy) % 3, jx, jy]
-
-    return Stencil(interior, band(0, 0), {offset: band(*offset) for offset in FORWARD})
 
 
 def _harm(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -576,13 +467,30 @@ def _boundary_transform(op: DiscreteOperator, u: ScalarField) -> np.ndarray:
     return np.stack((left, right, s1, sm), axis=1) @ np.stack((s1, sm, bottom, top))
 
 
+def _stencil_eigenvalues(grid: Grid2D, d: float, o: float) -> np.ndarray:
+    """(n-2, n-2) eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)) of the constant
+    five-point stencil (d, o), indexed like the DST-I modes."""
+    c = np.cos(np.pi * grid.h * np.arange(1, grid.n - 1))
+    return d + 2.0 * o * (c[:, None] + c[None, :])
+
+
+def _sine_solve(transform: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """S (transform / lambda) (2 / (m + 1))^2, the (m, m) x with A x = r for
+    transform = S r and lambda the eigenvalues of A; divides transform in place."""
+    transform /= eigenvalues
+    return _dst1_2d(transform) * (2.0 / (transform.shape[0] + 1)) ** 2
+
+
 def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
-                        precond: Multigrid | None = None) -> tuple[np.ndarray, int, float]:
+                        precond: Callable[[np.ndarray], np.ndarray] | None = None,
+                        ) -> tuple[np.ndarray, int, float]:
     """Solve matrix x = rhs for an SPD Stencil by (preconditioned) CG from x = 0.
 
     rhs and x are over the stencil's unknowns; the iteration runs on its
     lattice fields, so every product writes into one buffer and no vector is
-    copied per step.  Stops once the recurrence residual has
+    copied per step.  precond, if given, is a symmetric positive definite map
+    from a lattice field to a lattice field that is zero off the unknowns, such
+    as DiscreteOperator.preconditioner.  Stops once the recurrence residual has
     ||r||_inf <= target, then checks the true residual ||rhs - matrix x||_inf;
     if that misses the target it replaces the recurrence residual and the
     iteration goes on.  Returns (x, iterations, true residual); raises
@@ -592,7 +500,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     x = np.zeros_like(b)
     r = b.copy()
     Ap = np.empty_like(b)
-    z = r if precond is None else precond.cycle(r)
+    z = r if precond is None else precond(r)
     p = z.copy()
     rz = r @ z
     res = np.abs(r).max()
@@ -615,7 +523,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
             res = np.abs(r).max()
             if res <= target:
                 break
-        z = r if precond is None else precond.cycle(r)
+        z = r if precond is None else precond(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
     return matrix.gather(x), iterations, float(res)
@@ -636,8 +544,7 @@ def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
         transform = _boundary_transform(op, u)
         if forcing is not None:
             transform += _dst1_2d(forcing)
-        transform /= op.eigenvalues
-        u[1:-1, 1:-1] = _dst1_2d(transform) * (2.0 / (m + 1)) ** 2
+        u[1:-1, 1:-1] = _sine_solve(transform, op.eigenvalues)
         r = op.interior_product(u)
         r -= rhs.reshape(m, m)
         res = np.abs(r, out=r).max()
@@ -646,9 +553,10 @@ def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
                               f"{target:.3e}", residual=res, iterations=0)
         return SolveInfo("dst", 0, float(res))
     if op.spd:
-        x, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter, op.multigrid)
+        x, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter,
+                                            op.preconditioner)
         u[1:-1, 1:-1] = x.reshape(m, m)
-        return SolveInfo("cg-multigrid", iters, res)
+        return SolveInfo("cg-sine", iters, res)
     from scipy.sparse.linalg import splu   # the one path that needs scipy
 
     try:

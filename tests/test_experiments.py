@@ -137,6 +137,8 @@ def test_worker_count_does_not_change_results(threads, cfg17, monkeypatch):
 
     M = 53
     monkeypatch.setattr(randbc.experiments, "ThreadPoolExecutor", RecordingExecutor)
+    # more CPUs than repetitions, so every thread count here is taken as given
+    monkeypatch.setattr(randbc.experiments, "_usable_cpus", lambda: 64)
     r1 = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=1)
     assert pools == []
     rt = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=threads)
@@ -153,6 +155,38 @@ def test_worker_count_does_not_change_results(threads, cfg17, monkeypatch):
     assert starts[0] == 0 and stops[-1] == M
     assert list(starts[1:]) == list(stops[:-1])
     assert all(stop > start for start, stop in pool.blocks)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_worker_count_is_capped_at_the_usable_cpus(cpus, cfg17, monkeypatch):
+    pools = []
+
+    class InlineExecutor:
+        """Records max_workers and runs each task in the calling thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(randbc.experiments, "ThreadPoolExecutor", InlineExecutor)
+    if cpus is None:
+        cpus = randbc.experiments._usable_cpus()
+    else:
+        monkeypatch.setattr(randbc.experiments, "_usable_cpus", lambda: cpus)
+    assert cpus >= 1
+    M = 60
+    r1 = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=1)
+    rt = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=2000)
+    np.testing.assert_array_equal(r1.min_max, rt.min_max)
+    assert pools == ([min(cpus, M)] if cpus > 1 else [])
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
