@@ -4,14 +4,18 @@
            COMMAND [flags]
 
 Commands: solve, sample, constraint-experiment, variance-check, tail-check,
-runge, qpat, conductivity.  Configuration is a flat key = value registry:
-defaults, then per-command defaults, then the config file, then --set pairs,
-then named flags.  A config file is either `key = value` lines (# comments)
-or a previously written manifest.json, which replays the exact resolved
-configuration of the run that produced it.
+runge, qpat, conductivity.  The shared options may come before COMMAND, after
+it, or both: a value given after COMMAND wins, and --set pairs from both
+places are merged, those after COMMAND winning on the same key.
+Configuration is a flat key = value registry: defaults, then per-command
+defaults, then the config file, then --set pairs, then named flags.  A config
+file is either `key = value` lines (# comments) or a previously written
+manifest.json, which replays the exact resolved configuration of the run that
+produced it.
 
-Every run writes its CSV artifacts plus manifest.json (resolved config and
-sha256 of each output) into --out.  Exit status: 0 success, 1 runtime/domain
+Every run writes its CSV artifacts plus manifest.json (resolved config,
+sha256 of each output and, for constraint-experiment, the number of workers
+that ran) into --out.  Exit status: 0 success, 1 runtime/domain
 failure or exhausted memory, 2 configuration error.  RANDBC_THREADS sets the
 worker count when --threads/threads is 0 (auto); at most one worker runs per
 CPU the process may use, and thread count never changes emitted numbers.
@@ -242,18 +246,30 @@ def resolve_config(command, file_path, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _shared_options(after_command: bool) -> argparse.ArgumentParser:
+    """The options every position accepts.  After COMMAND they default to
+    SUPPRESS, since argparse copies a subcommand's values over those parsed
+    before it, and collect --set pairs under their own dest."""
+    default = argparse.SUPPRESS if after_command else None
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file or a manifest.json to replay")
-    common.add_argument("--seed", help="master seed (nonnegative integer)")
-    common.add_argument("--threads", help="worker threads; 0 = RANDBC_THREADS or 1")
-    common.add_argument("--out", default=None, help="output directory (default .)")
-    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+    common.add_argument("--config", default=default,
+                        help="key = value file or a manifest.json to replay")
+    common.add_argument("--seed", default=default, help="master seed (nonnegative integer)")
+    common.add_argument("--threads", default=default,
+                        help="worker threads; 0 = RANDBC_THREADS or 1")
+    common.add_argument("--out", default=default, help="output directory (default .)")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        dest="set_after" if after_command else "set",
+                        default=default if after_command else [],
                         help="override any config key")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _shared_options(after_command=True)
     parser = argparse.ArgumentParser(
         prog="randbc",
-        parents=[common],
+        parents=[_shared_options(after_command=False)],
         description="Elliptic PDE lab: random boundary data, constraint "
                     "non-vanishing, interior approximation, hybrid imaging.")
     sub = parser.add_subparsers(dest="command")
@@ -324,12 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DESTS = {"config", "seed", "threads", "out", "set", "command"}
+_GLOBAL_DESTS = {"config", "seed", "threads", "out", "set", "set_after", "command"}
 
 
 def _collect_overrides(args: argparse.Namespace) -> tuple[dict, str, str | None]:
     overrides = {}
-    for item in args.set:
+    for item in args.set + getattr(args, "set_after", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -367,6 +383,7 @@ class OutputWriter:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
+        self.workers: int | None = None     # recorded in the manifest if set
         try:
             os.makedirs(out_dir, exist_ok=True)
             if os.listdir(out_dir):
@@ -419,6 +436,8 @@ class OutputWriter:
         doc = {"command": cfg.command,
                "config": {k: cfg.raw[k] for k in sorted(cfg.raw)},
                "outputs": outputs}
+        if self.workers is not None:
+            doc["workers"] = self.workers
         with open(self.path("manifest.json"), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -523,6 +542,7 @@ def cmd_constraint_experiment(cfg: RunConfig, out: OutputWriter) -> None:
     trial = _trial_config(cfg, grid, max(N_list))
     result = success_curve(trial, N_list, cfg["M"], tau=cfg["tau"],
                            master_seed=cfg["seed"], threads=_threads(cfg))
+    out.workers = result.workers
     rows = [(r.N, r.successes, r.M, r.rate, r.lo95, r.hi95, r.tau)
             for r in result.rows]
     out.csv("success_curve.csv", ["N", "successes", "M", "rate", "lo95", "hi95", "tau"],

@@ -1,8 +1,12 @@
 """Monte-Carlo studies of constraint non-vanishing under random boundary data.
 
-Solutions for random boundary draws are synthesized from the solved basis
+Solutions for random boundary draws are synthesized from the basis
 dictionary by linearity (u = sum_k a_k z_k), so a whole experiment costs K
-PDE solves regardless of the number of draws.  Covered studies:
+PDE solves regardless of the number of draws.  A dictionary keeps no
+solution fields: each reader solves the K modes once and keeps only their
+values and gradients at its nodes (_restrict_parts), and the window's are
+kept on the TrialConfig, so success_curve and trial_fields share one pass.
+Covered studies:
 
   success_curve           P(min over window of max_l |zeta^l| >= tau) vs N,
                           with nested (coupled) draws across N and Wilson
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +65,8 @@ class TrialConfig:
     N: int
     mask: SubdomainMask | None = None
     dictionary: Dictionary | None = None
+    # (dictionary, mask, _Parts) of the last _window_parts
+    _window: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
@@ -77,7 +83,8 @@ class TrialConfig:
 
 
 def ensure_dictionary(cfg: TrialConfig) -> Dictionary:
-    """Build (once) and cache the solved basis on the config."""
+    """Build (once) and cache the basis dictionary on the config; sharing one
+    saves its assembly, while each reader solves the K modes once."""
     if cfg.dictionary is None:
         cfg.dictionary = build_dictionary(cfg.grid, cfg.coeff, cfg.model)
     if cfg.dictionary.K != cfg.model.K:
@@ -96,6 +103,7 @@ class _Parts:
 
 
 def _restrict_parts(dictionary: Dictionary, ix, iy) -> _Parts:
+    """Read each z[k] once and keep its values and gradients at (ix, iy)."""
     K = dictionary.K
     m = len(ix)
     vals = np.empty((K, m))
@@ -111,9 +119,12 @@ def _restrict_parts(dictionary: Dictionary, ix, iy) -> _Parts:
 
 
 def _window_parts(cfg: TrialConfig) -> _Parts:
+    """The dictionary's parts on the window, computed once per dictionary and
+    mask and kept on cfg."""
     d = ensure_dictionary(cfg)
-    ix, iy = cfg.mask.indices
-    return _restrict_parts(d, ix, iy)
+    if cfg._window is None or cfg._window[0] is not d or cfg._window[1] is not cfg.mask:
+        cfg._window = (d, cfg.mask, _restrict_parts(d, *cfg.mask.indices))
+    return cfg._window[2]
 
 
 def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
@@ -124,6 +135,15 @@ def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
     """
     return det([[coeffs[:, i, :] @ f for i in range(cmap.arity)]
                 for f in feature_rows(cmap, parts.vals, parts.gxs, parts.gys)])
+
+
+def _rows_into(feats: list, coeffs: np.ndarray, prods: list) -> np.ndarray:
+    """_constraint_rows from the map's feature rows, computed in prods, a d x
+    arity list of buffers of at least N rows: the products go into their
+    first N rows, and a d <= 2 determinant overwrites them (det in_place)."""
+    N = coeffs.shape[0]
+    return det([[np.matmul(coeffs[:, i, :], f, out=buf[:N]) for i, buf in enumerate(row)]
+                for f, row in zip(feats, prods)], in_place=True)
 
 
 def _spans(count: int, size: int):
@@ -192,6 +212,7 @@ class SuccessCurveResult:
     min_max: np.ndarray          # (M, len(N_values)) per-trial nested min-max
     N_values: list
     M: int
+    workers: int                 # threads the repetitions ran on
 
     @property
     def cover_complete_count(self) -> int:
@@ -218,12 +239,12 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     largest N.
 
     Repetitions run in min(threads, M, usable CPUs) contiguous blocks, one per
-    worker (os.sched_getaffinity where the platform has it).  A
-    worker allocates its (N_max, m) products once, evaluates the map in place
-    in them, and merges the maxima of |zeta| over [N_{j-1}, N_j) into a
-    running maximum.  Max is exact and each repetition uses only its own
-    stream derive_rng(master_seed, rep), so min_max is bitwise the same for
-    every thread count.
+    worker (os.sched_getaffinity where the platform has it); the result's
+    workers field records that count.  A worker allocates its (N_max, m)
+    products once, evaluates the map in place in them, and merges the maxima
+    of |zeta| over [N_{j-1}, N_j) into a running maximum.  Max is exact and
+    each repetition uses only its own stream derive_rng(master_seed, rep), so
+    min_max is bitwise the same for every thread count.
     """
     if not isinstance(M, (int, np.integer)) or M < 50:
         raise ConfigError(f"need at least 50 repetitions for the curve, got M={M!r}")
@@ -248,10 +269,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         for rep in range(start, stop):
             rng = derive_rng(master_seed, rep)
             coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
-            for f, row in zip(feats, prods):
-                for i, buf in enumerate(row):
-                    np.matmul(coeffs[:, i, :], f, out=buf)
-            rows = det(prods, in_place=True)
+            rows = _rows_into(feats, coeffs, prods)
             np.abs(rows, out=rows)
             cur.fill(0.0)                             # identity of max over |zeta|
             for j, (lo, hi) in enumerate(blocks):
@@ -285,7 +303,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         rows_out.append(SuccessRow(N=N, successes=successes, M=M,
                                    rate=successes / M, lo95=lo, hi95=hi, tau=tau_val))
     return SuccessCurveResult(rows=rows_out, tau=tau_val, min_max=min_max,
-                              N_values=Ns, M=M)
+                              N_values=Ns, M=M, workers=workers)
 
 
 DEFAULT_PROBE_FRACTIONS = (0.3125, 0.5, 0.6875)
@@ -324,7 +342,8 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     running sums, so each column adds its samples in order, as numpy's
     axis-0 reduction does; for two or more probes mc and z are bitwise
     sq.mean(0) and the value from sq.std(0, ddof=1) of the whole (M, probes)
-    array of squares sq.
+    array of squares sq.  A chunk's products are evaluated in buffers made
+    once per call.
     """
     if not isinstance(M, (int, np.integer)) or M < 2:
         raise ConfigError(f"need at least two samples, got M={M!r}")
@@ -343,10 +362,11 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     ixs = np.array(ixs)
     iys = np.array(iys)
     parts = _restrict_parts(dictionary, ixs, iys)
-    series = _second_moment_series(
-        feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
+    feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
+    series = _second_moment_series(feats, cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
     buf = np.empty((_CHUNK + 2, len(ixs)))      # running sums, then a span's rows
+    prods = [[np.empty((_CHUNK + 1, len(ixs))) for _ in range(arity)] for _ in feats]
 
     def column_sum(mc=None) -> np.ndarray:
         """Sum over the samples of zeta^2, or of (zeta^2 - mc)^2 given mc."""
@@ -355,8 +375,7 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
         for lo, hi in _spans(M, _CHUNK):
             coeffs = sample_coeffs(cfg.model, rng, arity * (hi - lo))
             sq = buf[1:hi - lo + 1]
-            np.square(_constraint_rows(cfg.cmap, parts,
-                                       coeffs.reshape(hi - lo, arity, K)), out=sq)
+            np.square(_rows_into(feats, coeffs.reshape(hi - lo, arity, K), prods), out=sq)
             if mc is not None:
                 np.square(np.subtract(sq, mc, out=sq), out=sq)
             buf[0] = np.add.reduce(buf[:hi - lo + 1], axis=0)

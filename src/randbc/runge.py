@@ -1,8 +1,12 @@
 """Quantitative interior approximation from global solutions.
 
-A dictionary holds the solutions z_k of L z_k = 0 whose boundary data are the
-basis elements e_k.  Given a local target h solving the same equation on a
-disk D, approximate() finds coefficients c minimizing
+A dictionary gives the solutions z_k of L z_k = 0 whose boundary data are the
+basis elements e_k.  build_dictionary() assembles the operator once and keeps
+no solution field: z[k] solves mode k when it is read, into temporaries the
+dictionary reuses, and returns a new field, so each reader reduces the K
+fields as it goes (the disk block of the normal equations, a target's one
+member) and memory does not grow with K n^2.  Given a local target h solving
+the same equation on a disk D, approximate() finds coefficients c minimizing
 
     || sum_k c_k z_k - h ||_{L2(D)}^2 + lambda * sum_k c_k^2 / sigma_k^2,
 
@@ -14,6 +18,7 @@ that exchange.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,33 +32,58 @@ from .solver import (CoefficientField, DiscreteOperator, assemble, laplacian,
 TARGET_KINDS = ("dictionary_member", "fundamental_solution", "harmonic_poly")
 
 
+class BasisSolutions(Sequence):
+    """The K basis solutions of one operator, solved on access: self[k] solves
+    the PDE with boundary data e_{k+1} and returns a new (n, n) field.
+
+    Nothing of size n^2 is kept per mode.  The solves share one set of
+    transform and product temporaries, kept here, so reading all K modes
+    allocates them once; a read is therefore not thread-safe.
+    """
+
+    def __init__(self, op: DiscreteOperator, data: np.ndarray, rtol: float):
+        self.operator = op
+        self.data = data            # (K, boundary_count) boundary values e_k
+        self.rtol = rtol
+        self._work: dict = {}
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, k) -> np.ndarray:
+        return solve_dirichlet(self.operator, self.data[k],
+                               rtol=self.rtol, work=self._work)
+
+
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Solved basis: z[k] solves the PDE with boundary data e_{k+1}."""
+    """Basis solutions: z[k] solves the PDE with boundary data e_{k+1}.
+
+    z is a BasisSolutions from build_dictionary, or any (K, n, n) array of
+    solved fields; every reader takes z[k] once per k.
+    """
 
     grid: Grid2D
     coeff: CoefficientField
     model: RandomBoundaryModel
-    z: np.ndarray               # (K, n, n)
+    z: Sequence                 # BasisSolutions, or a (K, n, n) array
     operator: DiscreteOperator
 
     @property
     def K(self) -> int:
-        return self.z.shape[0]
+        return len(self.z)
 
 
 def build_dictionary(grid: Grid2D, coeff: CoefficientField,
                      model: RandomBoundaryModel, K=None,
                      rtol: float = 1e-11) -> Dictionary:
-    """Solve the K basis problems (the only PDE solves experiments need)."""
+    """Assemble the operator of the K basis problems, which are solved when
+    read (the only PDE solves experiments need)."""
     if K is None:
         K = model.K
     model = model.truncate(int(K))
-    E = model.basis.evaluate(grid)
     op = assemble(grid, coeff)
-    z = np.empty((model.K, grid.n, grid.n))
-    for k in range(model.K):
-        z[k] = solve_dirichlet(op, E[k], rtol=rtol)
+    z = BasisSolutions(op, model.basis.evaluate(grid), rtol)
     return Dictionary(grid=grid, coeff=coeff, model=model, z=z, operator=op)
 
 
@@ -159,7 +189,7 @@ class RungeResult:
 def _normal_equations(target: LocalTarget, dictionary: Dictionary):
     """Check that target and dictionary fit; gather the dictionary and target
     values on the disk, Zd (K, m) and hv (m,), and form the Gram system
-    G = h^2 Zd Zd^T, b = h^2 Zd hv."""
+    G = h^2 Zd Zd^T, b = h^2 Zd hv.  Each z[k] is read once."""
     grid = dictionary.grid
     if target.disk.grid_n != grid.n:
         raise ConfigError("target and dictionary live on different grids")
@@ -171,7 +201,12 @@ def _normal_equations(target: LocalTarget, dictionary: Dictionary):
         raise ConfigError("approximation needs strictly positive weights sigma_k")
 
     idx = target.disk.indices
-    Zd = dictionary.z[:, idx[0], idx[1]]          # (K, m)
+    # Filled (m, K) and used transposed: the layout of a cube's z[:, ix, iy],
+    # which the Gram and residual products' rounding depends on.
+    Zd = np.empty((idx[0].size, dictionary.K))
+    for k in range(dictionary.K):
+        Zd[:, k] = dictionary.z[k][idx]
+    Zd = Zd.T                                     # (K, m)
     hv = target.h[idx]
     h2 = grid.h * grid.h
     G = h2 * (Zd @ Zd.T)

@@ -72,6 +72,8 @@ from .grid import Grid2D, SubdomainMask, build_grid
 
 ScalarField = np.ndarray  # (n, n) float array indexed [ix, iy]
 
+_DST_ROWS = 32      # rows per FFT batch of a sine transform
+
 
 def _as_field(grid: Grid2D, value, name: str) -> np.ndarray:
     out = np.asarray(value, dtype=float)
@@ -226,12 +228,15 @@ class DiscreteOperator:
         coupled = self.boundary_coupling @ self.grid.boundary_values(field)
         return self.interior_product(field) - coupled.reshape(n - 2, n - 2)
 
-    def interior_product(self, field: ScalarField) -> np.ndarray:
+    def interior_product(self, field: ScalarField, work: dict | None = None) -> np.ndarray:
         """A u_int for a full-grid field u, as (n-2, n-2) values: the matrix
-        product on the lattice, where the ring has zero weight."""
+        product on the lattice, where the ring has zero weight.  The values
+        live in work's buffers if work is given (see _scratch)."""
         n = self.grid.n
         v = np.ascontiguousarray(field, dtype=float).reshape(-1)
-        return self.matrix.product(v, np.empty(n * n)).reshape(n, n)[1:-1, 1:-1]
+        out = self.matrix.product(v, _scratch(work, "lattice", (n * n,)),
+                                  _scratch(work, "product", (n * n,)))
+        return out.reshape(n, n)[1:-1, 1:-1]
 
     @cached_property
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -290,13 +295,18 @@ class Stencil:
 
     def __init__(self, mask: np.ndarray, center: np.ndarray, forward: dict):
         self.mask = mask
-        self.nodes = np.flatnonzero(mask)
         self.center = np.where(mask, center, 0.0).reshape(-1)
         self.forward = {offset: np.where(mask & neighbor_field(mask, *offset), w, 0.0)
                         for offset, w in forward.items()}
         ny = mask.shape[1]
         self._shifts = [(dx * ny + dy, w.reshape(-1))
                         for (dx, dy), w in self.forward.items()]
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Flat lattice indices of the unknowns (made on first use: the
+        sine-transform path never needs them)."""
+        return np.flatnonzero(self.mask)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -312,15 +322,21 @@ class Stencil:
         """The node values of a lattice field."""
         return v[self.nodes]
 
-    def product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def product(self, v: np.ndarray, out: np.ndarray,
+                tmp: np.ndarray | None = None) -> np.ndarray:
         """out = A v for a lattice field v; returns out.  Values of v off the
-        mask meet zero weights, so finite ones change out by signs of zero."""
+        mask meet zero weights, so finite ones change out by signs of zero.
+        tmp, a lattice-sized buffer, holds each band's products (made here if
+        not given)."""
         np.multiply(self.center, v, out=out)
         size = v.size
+        if tmp is None:
+            tmp = _aligned_zeros((size,))
         for k, w in self._shifts:
             w = w[:size - k]
-            out[:size - k] += w * v[k:]
-            out[k:] += w * v[:size - k]
+            t = tmp[:size - k]
+            out[:size - k] += np.multiply(w, v[k:], out=t)
+            out[k:] += np.multiply(w, v[:size - k], out=t)
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -339,8 +355,12 @@ class Stencil:
 
 
 def _harm(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Commutative in floating point, so facing rows agree bit-for-bit.
-    return (2.0 * (p * r)) / (p + r)
+    # 2 p r / (p + r), commutative in floating point, so facing rows agree
+    # bit-for-bit; computed in place in one new array.
+    out = np.multiply(p, r)
+    out *= 2.0
+    out /= p + r
+    return out
 
 
 def laplacian_floor(grid: Grid2D) -> float:
@@ -402,12 +422,21 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     h2 = grid.h * grid.h
     a11, a22 = ((coeff.a, coeff.a) if coeff.is_scalar
                 else (coeff.a[..., 0, 0], coeff.a[..., 1, 1]))
-    east = _harm(a11, neighbor_field(a11, 1, 0)) / h2
-    north = _harm(a22, neighbor_field(a22, 0, 1)) / h2
+    # Temporaries are made in place and the face weights negated in place, so
+    # assembly holds a few lattice fields at a time.
+    east = _harm(a11, neighbor_field(a11, 1, 0))
+    east /= h2
+    north = _harm(a22, neighbor_field(a22, 0, 1))
+    north /= h2
     west = neighbor_field(east, -1, 0)     # the same faces seen from the other side
     south = neighbor_field(north, 0, -1)
-    center = west + east + south + north + coeff.q
-    bands = {(-1, 0): -west, (1, 0): -east, (0, -1): -south, (0, 1): -north,
+    center = west + east
+    center += south
+    center += north
+    center += coeff.q
+    for face in (west, east, south, north):
+        np.negative(face, out=face)
+    bands = {(-1, 0): west, (1, 0): east, (0, -1): south, (0, 1): north,
              (0, 0): center}
     if not coeff.is_scalar:
         a12 = coeff.a[..., 0, 1]
@@ -417,6 +446,7 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
         bands.update({(1, 1): ne, (-1, -1): neighbor_field(ne, -1, -1),
                       (1, -1): se, (-1, 1): neighbor_field(se, -1, 1)})
 
+    coupling = _walk_coupling(grid, bands)
     matrix = Stencil(grid.interior_mask, center,
                      {offset: bands[offset] for offset in FORWARD if offset in bands})
     spd = bool(coeff.is_scalar
@@ -425,13 +455,12 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     if coeff.is_scalar:
         # Compared on the assembled weights: _harm(a, a) need not round back to a.
         inner = np.s_[1:-1, 1:-1]
-        w, d = west[1, 1], center[1, 1]
-        if (all(np.all(f[inner] == w) for f in (west, east, south, north))
+        o, d = west[1, 1], center[1, 1]
+        if (all(np.all(f[inner] == o) for f in (west, east, south, north))
                 and np.all(center[inner] == d)):
-            stencil = (float(d), float(-w))
+            stencil = (float(d), float(o))
     return DiscreteOperator(grid=grid, coeff=coeff, matrix=matrix,
-                            boundary_coupling=_walk_coupling(grid, bands), spd=spd,
-                            stencil=stencil)
+                            boundary_coupling=coupling, spd=spd, stencil=stencil)
 
 
 @dataclass
@@ -441,44 +470,91 @@ class SolveInfo:
     residual_inf: float
 
 
-def _dst1_rows(x: np.ndarray) -> np.ndarray:
+def _scratch(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A temporary array, zero when made: the one work keeps under (name,
+    shape), made on first use, or a new one when work is None.  A caller that
+    passes the same work to a run of solves pays for its temporaries once."""
+    if work is None:
+        return np.zeros(shape, dtype)
+    buf = work.get((name, shape))
+    if buf is None:
+        buf = work[name, shape] = _aligned_zeros(shape, dtype)
+    return buf
+
+
+def _aligned_zeros(shape: tuple, dtype=float) -> np.ndarray:
+    """Zeros starting on a 64-byte boundary.  numpy's SIMD loops write such an
+    output about twice as fast as one on malloc's 16-byte alignment, which is
+    what a reused temporary would otherwise get."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.zeros(size + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(shape)
+
+
+def _dst1_rows(x: np.ndarray, work: dict | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized DST-I of each row, sum_i x_i sin(pi i k / (m + 1)), from the
-    FFT of the odd extension [0, x, 0, -reversed x]."""
+    FFT of the odd extension [0, x, 0, -reversed x], written into out if given.
+
+    Rows go _DST_ROWS at a time through one extension and one spectrum
+    buffer (kept in work); each row's FFT is the same whatever the batch.
+    out may be x itself, but not a transposed view of it.
+    """
     k, m = x.shape
-    ext = np.zeros((k, 2 * (m + 1)))
-    ext[:, 1:m + 1] = x
-    ext[:, m + 2:] = -x[:, ::-1]
-    return -0.5 * np.fft.rfft(ext).imag[:, 1:m + 1]
+    rows = min(k, _DST_ROWS)
+    ext = _scratch(work, "ext", (rows, 2 * (m + 1)))    # columns 0, m + 1 stay 0
+    spec = _scratch(work, "spec", (rows, m + 2), complex)
+    if out is None:
+        out = np.empty((k, m))
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        e, f = ext[:hi - lo], spec[:hi - lo]
+        e[:, 1:m + 1] = x[lo:hi]
+        np.negative(x[lo:hi, ::-1], out=e[:, m + 2:])
+        np.multiply(np.fft.rfft(e, out=f).imag[:, 1:m + 1], -0.5, out=out[lo:hi])
+    return out
 
 
-def _dst1_2d(x: np.ndarray) -> np.ndarray:
+def _dst1_2d(x: np.ndarray, work: dict | None = None) -> np.ndarray:
     """2-D DST-I of a square array; the transform is symmetric, so S x S."""
-    return _dst1_rows(_dst1_rows(x).T).T
+    return _dst1_rows(_dst1_rows(x, work).T, work).T
 
 
-def _boundary_transform(op: DiscreteOperator, u: ScalarField) -> np.ndarray:
+def _boundary_transform(op: DiscreteOperator, u: ScalarField, work: dict | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """_dst1_2d of the (n-2, n-2) boundary_coupling @ g of a constant stencil,
-    in closed form from the four sides of u, which holds g on its ring."""
+    in closed form from the four sides of u, which holds g on its ring;
+    written into out if given."""
     sides = np.stack((u[1:-1, 0], u[1:-1, -1], u[0, 1:-1], u[-1, 1:-1]))
     sides *= -op.stencil[1]
-    left, right, bottom, top = _dst1_rows(sides)
+    left, right, bottom, top = _dst1_rows(sides, work)
     s1, sm = op.edge_sines
     # The four outer products as one product of rank 4.
-    return np.stack((left, right, s1, sm), axis=1) @ np.stack((s1, sm, bottom, top))
+    return np.matmul(np.stack((left, right, s1, sm), axis=1),
+                     np.stack((s1, sm, bottom, top)), out=out)
 
 
 def _stencil_eigenvalues(grid: Grid2D, d: float, o: float) -> np.ndarray:
     """(n-2, n-2) eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)) of the constant
     five-point stencil (d, o), indexed like the DST-I modes."""
     c = np.cos(np.pi * grid.h * np.arange(1, grid.n - 1))
-    return d + 2.0 * o * (c[:, None] + c[None, :])
+    out = np.add.outer(c, c)
+    out *= 2.0 * o
+    out += d
+    return out
 
 
-def _sine_solve(transform: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+def _sine_solve(transform: np.ndarray, eigenvalues: np.ndarray, work: dict | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """S (transform / lambda) (2 / (m + 1))^2, the (m, m) x with A x = r for
-    transform = S r and lambda the eigenvalues of A; divides transform in place."""
+    transform = S r and lambda the eigenvalues of A; overwrites transform.
+    x is the transpose of a C-ordered (m, m) array, out if given (it must not
+    overlap transform), so every pass writes contiguous rows."""
     transform /= eigenvalues
-    return _dst1_2d(transform) * (2.0 / (transform.shape[0] + 1)) ** 2
+    x = _dst1_rows(_dst1_rows(transform, work, out=transform).T, work, out=out)
+    x *= (2.0 / (transform.shape[0] + 1)) ** 2
+    return x.T
 
 
 def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
@@ -500,6 +576,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     x = np.zeros_like(b)
     r = b.copy()
     Ap = np.empty_like(b)
+    tmp = _aligned_zeros(b.shape)
     z = r if precond is None else precond(r)
     p = z.copy()
     rz = r @ z
@@ -507,19 +584,19 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     iterations = 0
     while not res <= target:
         if iterations >= maxiter or not np.isfinite(rz):
-            res = np.abs(b - matrix.product(x, Ap)).max()
+            res = np.abs(b - matrix.product(x, Ap, tmp)).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "
                 f"residual {res:.3e} > target {target:.3e}",
                 residual=res, iterations=iterations)
-        matrix.product(p, Ap)
+        matrix.product(p, Ap, tmp)
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
         res = np.abs(r).max()
         if res <= target:
-            r = b - matrix.product(x, Ap)
+            r = b - matrix.product(x, Ap, tmp)
             res = np.abs(r).max()
             if res <= target:
                 break
@@ -530,10 +607,12 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
 
 
 def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
-                    forcing: np.ndarray | None, rtol: float, maxiter) -> SolveInfo:
+                    forcing: np.ndarray | None, rtol: float, maxiter,
+                    work: dict | None = None) -> SolveInfo:
     """Fill the interior of u, which holds the Dirichlet data on its ring, so
-    that A u_int = rhs, the coupled data plus the (n-2, n-2) forcing if any."""
-    scale = np.abs(rhs).max() if rhs.size else 0.0
+    that A u_int = rhs, the coupled data plus the (n-2, n-2) forcing if any.
+    The sine-transform path keeps its temporaries in work if given."""
+    scale = max(rhs.max(), -rhs.min()) if rhs.size else 0.0    # max |rhs|, no copy
     if scale == 0.0:
         return SolveInfo("trivial", 0, 0.0)
     if maxiter is None:
@@ -541,11 +620,15 @@ def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
     target = rtol * scale
     m = op.grid.n - 2
     if op.stencil is not None:
-        transform = _boundary_transform(op, u)
+        # The residual check's two lattice buffers hold the transforms until then.
+        n = op.grid.n
+        product, lattice = (_scratch(work, name, (n * n,))[:m * m].reshape(m, m)
+                            for name in ("product", "lattice"))
+        transform = _boundary_transform(op, u, work, out=product)
         if forcing is not None:
-            transform += _dst1_2d(forcing)
-        u[1:-1, 1:-1] = _sine_solve(transform, op.eigenvalues)
-        r = op.interior_product(u)
+            transform += _dst1_2d(forcing, work)
+        u[1:-1, 1:-1] = _sine_solve(transform, op.eigenvalues, work, out=lattice)
+        r = op.interior_product(u, work)
         r -= rhs.reshape(m, m)
         res = np.abs(r, out=r).max()
         if not res <= target:
@@ -579,11 +662,14 @@ def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
 
 
 def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
-                    forcing=None, want_info: bool = False):
+                    forcing=None, want_info: bool = False, work: dict | None = None):
     """Solve L u = forcing with Dirichlet trace g along the boundary walk.
 
     g has one value per boundary-walk node; forcing (optional) is a full-grid
-    field read at interior nodes.  Returns the full (n, n) solution field.
+    field read at interior nodes.  Returns a new full (n, n) solution field.
+    work (optional) is a dict in which the sine-transform path keeps its
+    transform and product temporaries, so that a run of solves sharing it
+    allocates them once; one work must not serve two solves at a time.
     """
     grid = op.grid
     g = np.asarray(g, dtype=float)
@@ -605,7 +691,7 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
         rhs = rhs + forcing.reshape(-1)
     u = np.zeros((grid.n, grid.n))
     u[grid.boundary_ix, grid.boundary_iy] = g
-    info = _solve_interior(op, u, rhs, forcing, rtol, maxiter)
+    info = _solve_interior(op, u, rhs, forcing, rtol, maxiter, work)
     if want_info:
         return u, info
     return u

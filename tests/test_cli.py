@@ -437,3 +437,66 @@ print(json.dumps(codes))
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(codes) == 8
     assert all(rc == 0 for _, rc in codes), (codes, proc.stderr)
+
+
+def test_each_shared_option_is_honored_before_the_command(tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("bc.K = 5\n")
+    sample = ["sample", "--set", "sample.count=2"]
+    cases = {
+        "config": (["--config", str(cfgfile)], ("bc.K", "5")),
+        "seed": (["--seed", "5"], ("seed", "5")),
+        "threads": (["--threads", "3"], ("threads", "3")),
+        "set": (["--set", "grid.n=17"], ("grid.n", "17")),
+    }
+    for name, (before, (key, value)) in cases.items():
+        out = tmp_path / name
+        assert run(before + sample + ["--out", str(out)]) == 0
+        assert manifest(out)["config"][key] == value
+    out = tmp_path / "out-before"
+    assert run(["--out", str(out)] + sample) == 0
+    assert (out / "samples.csv").exists()
+    assert os.listdir(cwd) == []
+    # a value before the command reaches the run, not just the manifest
+    seeded = tmp_path / "seeded"
+    assert run(["--seed", "5"] + sample + ["--out", str(seeded)]) == 0
+    assert (seeded / "samples.csv").read_bytes() == (tmp_path / "seed" / "samples.csv").read_bytes()
+    default = tmp_path / "default-seed"
+    assert run(sample + ["--out", str(default)]) == 0
+    assert (seeded / "samples.csv").read_bytes() != (default / "samples.csv").read_bytes()
+
+
+def test_options_on_both_sides_of_the_command_merge(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "both"
+    assert run(["--set", "grid.n=17", "--set", "bc.K=5", "--seed", "1", "--threads", "2",
+                "--out", str(tmp_path / "unused"),
+                "sample", "--set", "bc.K=7", "--set", "sample.count=2", "--seed", "2",
+                "--out", str(out)]) == 0
+    config = manifest(out)["config"]
+    # pairs from both places merge; after the command wins on the same key
+    assert (config["grid.n"], config["bc.K"], config["sample.count"]) == ("17", "7", "2")
+    assert (config["seed"], config["threads"]) == ("2", "2")
+    assert not (tmp_path / "unused").exists()
+
+
+def test_manifest_records_the_workers_that_ran(tmp_path, monkeypatch):
+    import randbc.experiments
+    monkeypatch.setattr(randbc.experiments, "_usable_cpus", lambda: 2)
+    args = ["constraint-experiment", "--threads", "8", "--set", "grid.n=17",
+            "--set", "bc.K=9", "--set", "M=50", "--set", "N_list=1,2"]
+    base = tmp_path / "base"
+    assert run(args + ["--out", str(base)]) == 0
+    doc = manifest(base)
+    assert doc["workers"] == 2
+    assert doc["config"]["threads"] == "8"       # what was asked for
+    replay = tmp_path / "replay"
+    assert run(["constraint-experiment", "--config", str(base / "manifest.json"),
+                "--out", str(replay)]) == 0
+    assert manifest(replay) == doc
+    solo = tmp_path / "solo"
+    assert run(["sample", "--out", str(solo)]) == 0
+    assert "workers" not in manifest(solo)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import randbc.experiments
+import randbc.runge
 from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
 from randbc.constraints import (ConstraintField, ConstraintMap, extract_cover,
                                 max_abs, zeta_eval)
 from randbc.errors import ConfigError
+from randbc.grid import default_window
+from randbc.runge import Dictionary
 from randbc.experiments import (_CHUNK, TrialConfig, _constraint_rows,
                                 _restrict_parts, _spans, _survival, _window_parts,
                                 concentration_check, default_probes,
@@ -141,7 +144,9 @@ def test_worker_count_does_not_change_results(threads, cfg17, monkeypatch):
     monkeypatch.setattr(randbc.experiments, "_usable_cpus", lambda: 64)
     r1 = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=1)
     assert pools == []
+    assert r1.workers == 1
     rt = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=threads)
+    assert rt.workers == min(threads, M)
     np.testing.assert_array_equal(r1.min_max, rt.min_max)
     assert r1.tau == rt.tau
     assert [r.successes for r in r1.rows] == [r.successes for r in rt.rows]
@@ -187,6 +192,38 @@ def test_worker_count_is_capped_at_the_usable_cpus(cpus, cfg17, monkeypatch):
     rt = success_curve(cfg17, [1, 4], M=M, tau="auto", master_seed=7, threads=2000)
     np.testing.assert_array_equal(r1.min_max, rt.min_max)
     assert pools == ([min(cpus, M)] if cpus > 1 else [])
+    assert rt.workers == min(cpus, M)
+
+
+def test_dense_and_on_demand_dictionaries_restrict_to_the_same_bits(cfg17, dict17):
+    dense = Dictionary(grid=dict17.grid, coeff=dict17.coeff, model=dict17.model,
+                       z=np.stack([dict17.z[k] for k in range(dict17.K)]),
+                       operator=dict17.operator)
+    ix, iy = cfg17.mask.indices
+    lazy, full = _restrict_parts(dict17, ix, iy), _restrict_parts(dense, ix, iy)
+    for name in ("vals", "gxs", "gys"):
+        np.testing.assert_array_equal(getattr(lazy, name), getattr(full, name))
+
+
+def test_a_config_solves_its_window_modes_once(grid17, ident17, model9, monkeypatch):
+    solved = []
+    solve = randbc.runge.solve_dirichlet
+
+    def counting(*args, **kwargs):
+        solved.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(randbc.runge, "solve_dirichlet", counting)
+    cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
+                      cmap=ConstraintMap("critical"), N=2)
+    parts = _window_parts(cfg)
+    success_curve(cfg, [1, 2], M=50)
+    trial_fields(cfg, 3)
+    assert _window_parts(cfg) is parts
+    assert len(solved) == model9.K
+    cfg.mask = default_window(grid17)       # a new window is restricted anew
+    assert _window_parts(cfg) is not parts
+    assert len(solved) == 2 * model9.K
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])

@@ -1,11 +1,16 @@
 """Dictionary-based local approximation with weighted Tikhonov control."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from randbc.boundary import RandomBoundaryModel
 from randbc.errors import ConfigError, DomainError
-from randbc.grid import disk_mask
-from randbc.runge import approximate, build_dictionary, make_target, tradeoff_curve
+from randbc.grid import build_grid, disk_mask
+from randbc.runge import (Dictionary, approximate, build_dictionary, make_target,
+                          tradeoff_curve)
+from randbc.solver import CoefficientField
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +19,7 @@ def disk65(grid65):
 
 
 def test_dictionary_shape_and_constant_member(dict65, grid65):
-    assert dict65.z.shape == (33, grid65.n, grid65.n)
+    assert (len(dict65.z), *dict65.z[0].shape) == (33, grid65.n, grid65.n)
     # the first basis mode is the constant 1/2, whose harmonic extension
     # is the same constant
     np.testing.assert_allclose(dict65.z[0], 0.5, rtol=0, atol=1e-10)
@@ -64,7 +69,7 @@ def test_solution_satisfies_the_normal_equations(dict65, grid65, disk65):
     lam = 1e-6
     r = approximate(t, dict65, lam=lam)
     sel = disk65.member
-    zmat = dict65.z[:, sel]
+    zmat = np.stack([dict65.z[k][sel] for k in range(dict65.K)])
     h2 = grid65.h ** 2
     gram = h2 * (zmat @ zmat.T) + lam * np.diag(dict65.model.sigma ** -2.0)
     rhs = h2 * (zmat @ t.h[sel])
@@ -129,3 +134,63 @@ def test_tradeoff_curve_is_approximate_at_each_lambda(dict65, grid65, disk65):
         np.testing.assert_array_equal(r.c, one.c)
         assert (r.eps_achieved, r.boundary_cost, r.lam, r.floored_modes) == (
             one.eps_achieved, one.boundary_cost, one.lam, one.floored_modes)
+
+
+def _dense(dictionary):
+    """The same dictionary with every member solved into a (K, n, n) array."""
+    return Dictionary(grid=dictionary.grid, coeff=dictionary.coeff, model=dictionary.model,
+                      z=np.stack([dictionary.z[k] for k in range(dictionary.K)]),
+                      operator=dictionary.operator)
+
+
+def test_members_are_solved_on_access_into_new_arrays(dict65):
+    first, again = dict65.z[4], dict65.z[4]
+    assert first is not again
+    np.testing.assert_array_equal(first, again)
+    first[:] = 0.0                      # a reader may keep and change what it got
+    assert np.any(dict65.z[4] != 0.0)
+    assert dict65.K == len(dict65.z) == 33
+    np.testing.assert_array_equal(dict65.z[-1], dict65.z[32])
+    with pytest.raises(IndexError):
+        dict65.z[33]
+
+
+@pytest.mark.parametrize("kind", ["dictionary_member", "fundamental_solution"])
+def test_dense_and_on_demand_dictionaries_agree_bitwise(kind, dict65, grid65, disk65):
+    dense = _dense(dict65)
+    lams = [1e-2, 1e-5, 1e-8]
+    curves = []
+    for d in (dict65, dense):
+        t = make_target(kind, grid65, disk65, dictionary=d, index=5)
+        curves.append((t, tradeoff_curve(t, d, lams)))
+    (t_lazy, lazy), (t_dense, full) = curves
+    np.testing.assert_array_equal(t_lazy.h, t_dense.h)
+    assert t_lazy.residual_rel == t_dense.residual_rel
+    for a, b in zip(lazy, full):
+        np.testing.assert_array_equal(a.c, b.c)
+        assert (a.eps_achieved, a.boundary_cost) == (b.eps_achieved, b.boundary_cost)
+
+
+def test_the_runge_path_never_holds_the_solved_cube():
+    grid = build_grid(129)
+    coeff = CoefficientField.isotropic(grid)
+    model = RandomBoundaryModel.power_law(K=33, c=1.0, s=1.5, family="gaussian")
+    disk = disk_mask(grid, (0.5, 0.5), 0.2)
+    cube = model.K * grid.n ** 2 * 8
+
+    def run(kind):
+        d = build_dictionary(grid, coeff, model)
+        t = make_target(kind, grid, disk, dictionary=d, index=5)
+        tradeoff_curve(t, d, [1e-2, 1e-6])
+
+    # Warm the process-wide caches (basis values, FFT plans, lazy imports)
+    # first: they are not the dictionary's.
+    run("dictionary_member")
+    for kind in ("fundamental_solution", "dictionary_member"):
+        tracemalloc.start()
+        try:
+            run(kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * cube, (kind, peak / cube)

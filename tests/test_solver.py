@@ -490,6 +490,8 @@ def test_dictionary_builds_one_hierarchy_for_all_its_solves(monkeypatch):
     model = RandomBoundaryModel.power_law(K=9, c=1.0, s=1.5, family="gaussian")
     dictionary = build_dictionary(g, CoefficientField.isotropic(g, np.exp(g.X)), model)
     assert dictionary.K == 9
+    for k in range(dictionary.K):      # the modes are solved when read
+        dictionary.z[k]
     assert len(built) == 1
     assert "preconditioner" in vars(dictionary.operator)   # cached on the operator
 
@@ -576,7 +578,8 @@ def test_field_csv_bytes_match_the_csv_module(tmp_path):
     g = build_grid(257)
     rng = np.random.default_rng(5)
     f = rng.standard_normal(g.X.shape) * 10.0 ** rng.integers(-300, 300, g.X.shape)
-    f.flat[:7] = [0.0, -0.0, 1e-5, 1e-4, 1e16, 1.0 / 3.0, -2.5e-300]
+    f.flat[:10] = [0.0, -0.0, 1e-5, 1e-4, 1e16, 1.0 / 3.0, -2.5e-300,
+                   np.nan, np.inf, -np.inf]
     ref = tmp_path / "reference.csv"
     with open(ref, "w", newline="") as fh:
         writer = csv.writer(fh)
