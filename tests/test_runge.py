@@ -8,8 +8,8 @@ import pytest
 from randbc.boundary import RandomBoundaryModel
 from randbc.errors import ConfigError, DomainError
 from randbc.grid import build_grid, disk_mask
-from randbc.runge import (Dictionary, approximate, build_dictionary, make_target,
-                          tradeoff_curve)
+from randbc.runge import (Dictionary, _normal_equations, approximate, build_dictionary,
+                          make_target, tradeoff_curve)
 from randbc.solver import CoefficientField
 
 
@@ -165,6 +165,12 @@ def test_dense_and_on_demand_dictionaries_agree_bitwise(kind, dict65, grid65, di
         curves.append((t, tradeoff_curve(t, d, lams)))
     (t_lazy, lazy), (t_dense, full) = curves
     np.testing.assert_array_equal(t_lazy.h, t_dense.h)
+    # the Gram system of the cube's disk block z[:, ix, iy], bit for bit
+    Zd = dense.z[:, disk65.indices[0], disk65.indices[1]]
+    gram = grid65.h ** 2 * (Zd @ Zd.T)
+    _, _, G, b = _normal_equations(t_lazy, dict65)
+    np.testing.assert_array_equal(G, 0.5 * (gram + gram.T))
+    np.testing.assert_array_equal(b, grid65.h ** 2 * (Zd @ t_lazy.h[disk65.indices]))
     assert t_lazy.residual_rel == t_dense.residual_rel
     for a, b in zip(lazy, full):
         np.testing.assert_array_equal(a.c, b.c)
