@@ -127,18 +127,14 @@ def sample_coeffs(model: RandomBoundaryModel, rng: np.random.Generator,
     if count < 0:
         raise ConfigError(f"sample count must be nonnegative, got {count}")
     K = model.K
-    # One float array per draw, scaled in place.
     if model.family == "gaussian":
         xi = rng.standard_normal((count, K))
     elif model.family == "rademacher":
-        xi = rng.integers(0, 2, size=(count, K)).astype(float)
-        xi *= 2.0
-        xi -= 1.0
+        xi = 2.0 * rng.integers(0, 2, size=(count, K)).astype(float) - 1.0
     else:
         root3 = np.sqrt(3.0)
         xi = rng.uniform(-root3, root3, size=(count, K))
-    xi *= model.sigma
-    return xi
+    return xi * model.sigma
 
 
 def sample(model: RandomBoundaryModel, rng: np.random.Generator) -> BoundaryFunction:

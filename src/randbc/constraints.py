@@ -88,13 +88,8 @@ def det(F, in_place: bool = False):
         a = np.multiply(F[0][0], F[1][1], out=a)
         return np.subtract(a, np.multiply(F[1][0], F[0][1], out=b), out=a)
 
-    s = np.empty((3,) + np.shape(F[0][0]))      # one sign group's monomials
-
     def group_sum(perms):
-        for t, (i, j, k) in enumerate(perms):
-            np.multiply(F[0][i], F[1][j], out=s[t])
-            s[t] *= F[2][k]
-        s.sort(axis=0)
+        s = np.sort([(F[0][i] * F[1][j]) * F[2][k] for i, j, k in perms], axis=0)
         return (s[0] + s[1]) + s[2]
 
     return (group_sum(((0, 1, 2), (1, 2, 0), (2, 0, 1)))

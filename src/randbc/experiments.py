@@ -137,15 +137,6 @@ def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
                 for f in feature_rows(cmap, parts.vals, parts.gxs, parts.gys)])
 
 
-def _rows_into(feats: list, coeffs: np.ndarray, prods: list) -> np.ndarray:
-    """_constraint_rows from the map's feature rows, computed in prods, a d x
-    arity list of buffers of at least N rows: the products go into their
-    first N rows, and a d <= 2 determinant overwrites them (det in_place)."""
-    N = coeffs.shape[0]
-    return det([[np.matmul(coeffs[:, i, :], f, out=buf[:N]) for i, buf in enumerate(row)]
-                for f, row in zip(feats, prods)], in_place=True)
-
-
 def _spans(count: int, size: int):
     """Consecutive [lo, hi) spans of `size` covering range(count).
 
@@ -269,7 +260,10 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         for rep in range(start, stop):
             rng = derive_rng(master_seed, rep)
             coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
-            rows = _rows_into(feats, coeffs, prods)
+            for f, row in zip(feats, prods):
+                for i, buf in enumerate(row):
+                    np.matmul(coeffs[:, i, :], f, out=buf)
+            rows = det(prods, in_place=True)
             np.abs(rows, out=rows)
             cur.fill(0.0)                             # identity of max over |zeta|
             for j, (lo, hi) in enumerate(blocks):
@@ -342,8 +336,7 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     running sums, so each column adds its samples in order, as numpy's
     axis-0 reduction does; for two or more probes mc and z are bitwise
     sq.mean(0) and the value from sq.std(0, ddof=1) of the whole (M, probes)
-    array of squares sq.  A chunk's products are evaluated in buffers made
-    once per call.
+    array of squares sq.
     """
     if not isinstance(M, (int, np.integer)) or M < 2:
         raise ConfigError(f"need at least two samples, got M={M!r}")
@@ -362,11 +355,10 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     ixs = np.array(ixs)
     iys = np.array(iys)
     parts = _restrict_parts(dictionary, ixs, iys)
-    feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
-    series = _second_moment_series(feats, cfg.model.sigma ** 2)
+    series = _second_moment_series(
+        feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
     buf = np.empty((_CHUNK + 2, len(ixs)))      # running sums, then a span's rows
-    prods = [[np.empty((_CHUNK + 1, len(ixs))) for _ in range(arity)] for _ in feats]
 
     def column_sum(mc=None) -> np.ndarray:
         """Sum over the samples of zeta^2, or of (zeta^2 - mc)^2 given mc."""
@@ -375,7 +367,8 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
         for lo, hi in _spans(M, _CHUNK):
             coeffs = sample_coeffs(cfg.model, rng, arity * (hi - lo))
             sq = buf[1:hi - lo + 1]
-            np.square(_rows_into(feats, coeffs.reshape(hi - lo, arity, K), prods), out=sq)
+            np.square(_constraint_rows(cfg.cmap, parts,
+                                       coeffs.reshape(hi - lo, arity, K)), out=sq)
             if mc is not None:
                 np.square(np.subtract(sq, mc, out=sq), out=sq)
             buf[0] = np.add.reduce(buf[:hi - lo + 1], axis=0)

@@ -18,6 +18,7 @@ that exchange.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,23 +37,25 @@ class BasisSolutions(Sequence):
     """The K basis solutions of one operator, solved on access: self[k] solves
     the PDE with boundary data e_{k+1} and returns a new (n, n) field.
 
-    Nothing of size n^2 is kept per mode.  The solves share one set of
-    transform and product temporaries, kept here, so reading all K modes
-    allocates them once; a read is therefore not thread-safe.
+    Nothing of size n^2 is kept per mode.  The solves of one thread share one
+    set of transform and product temporaries, kept here per thread, so
+    reading all K modes allocates them once and threads may read at once.
     """
 
     def __init__(self, op: DiscreteOperator, data: np.ndarray, rtol: float):
         self.operator = op
         self.data = data            # (K, boundary_count) boundary values e_k
         self.rtol = rtol
-        self._work: dict = {}
+        self._local = threading.local()     # .work: this thread's temporaries
 
     def __len__(self) -> int:
         return self.data.shape[0]
 
     def __getitem__(self, k) -> np.ndarray:
-        return solve_dirichlet(self.operator, self.data[k],
-                               rtol=self.rtol, work=self._work)
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = {}
+        return solve_dirichlet(self.operator, self.data[k], rtol=self.rtol, work=work)
 
 
 @dataclass(frozen=True, eq=False)

@@ -331,7 +331,7 @@ class Stencil:
         np.multiply(self.center, v, out=out)
         size = v.size
         if tmp is None:
-            tmp = _aligned_zeros((size,))
+            tmp = np.empty(size)
         for k, w in self._shifts:
             w = w[:size - k]
             t = tmp[:size - k]
@@ -478,18 +478,8 @@ def _scratch(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndar
         return np.zeros(shape, dtype)
     buf = work.get((name, shape))
     if buf is None:
-        buf = work[name, shape] = _aligned_zeros(shape, dtype)
+        buf = work[name, shape] = np.zeros(shape, dtype)
     return buf
-
-
-def _aligned_zeros(shape: tuple, dtype=float) -> np.ndarray:
-    """Zeros starting on a 64-byte boundary.  numpy's SIMD loops write such an
-    output about twice as fast as one on malloc's 16-byte alignment, which is
-    what a reused temporary would otherwise get."""
-    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    raw = np.zeros(size + 64, np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + size].view(dtype).reshape(shape)
 
 
 def _dst1_rows(x: np.ndarray, work: dict | None = None,
@@ -497,22 +487,21 @@ def _dst1_rows(x: np.ndarray, work: dict | None = None,
     """Unnormalized DST-I of each row, sum_i x_i sin(pi i k / (m + 1)), from the
     FFT of the odd extension [0, x, 0, -reversed x], written into out if given.
 
-    Rows go _DST_ROWS at a time through one extension and one spectrum
-    buffer (kept in work); each row's FFT is the same whatever the batch.
+    Rows go _DST_ROWS at a time through one extension buffer (kept in work);
+    each row's FFT is the same whatever the batch.
     out may be x itself, but not a transposed view of it.
     """
     k, m = x.shape
     rows = min(k, _DST_ROWS)
     ext = _scratch(work, "ext", (rows, 2 * (m + 1)))    # columns 0, m + 1 stay 0
-    spec = _scratch(work, "spec", (rows, m + 2), complex)
     if out is None:
         out = np.empty((k, m))
     for lo in range(0, k, rows):
         hi = min(lo + rows, k)
-        e, f = ext[:hi - lo], spec[:hi - lo]
+        e = ext[:hi - lo]
         e[:, 1:m + 1] = x[lo:hi]
         np.negative(x[lo:hi, ::-1], out=e[:, m + 2:])
-        np.multiply(np.fft.rfft(e, out=f).imag[:, 1:m + 1], -0.5, out=out[lo:hi])
+        np.multiply(np.fft.rfft(e).imag[:, 1:m + 1], -0.5, out=out[lo:hi])
     return out
 
 
@@ -576,7 +565,6 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     x = np.zeros_like(b)
     r = b.copy()
     Ap = np.empty_like(b)
-    tmp = _aligned_zeros(b.shape)
     z = r if precond is None else precond(r)
     p = z.copy()
     rz = r @ z
@@ -584,19 +572,19 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     iterations = 0
     while not res <= target:
         if iterations >= maxiter or not np.isfinite(rz):
-            res = np.abs(b - matrix.product(x, Ap, tmp)).max()
+            res = np.abs(b - matrix.product(x, Ap)).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "
                 f"residual {res:.3e} > target {target:.3e}",
                 residual=res, iterations=iterations)
-        matrix.product(p, Ap, tmp)
+        matrix.product(p, Ap)
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
         res = np.abs(r).max()
         if res <= target:
-            r = b - matrix.product(x, Ap, tmp)
+            r = b - matrix.product(x, Ap)
             res = np.abs(r).max()
             if res <= target:
                 break

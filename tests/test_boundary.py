@@ -85,20 +85,6 @@ def test_family_laws_of_sampled_coefficients():
         RandomBoundaryModel.power_law(K=5, family="cauchy")
 
 
-@pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
-def test_sampled_coefficients_are_the_scaled_generator_draws(family):
-    # the bits of xi * sigma with xi drawn straight from the stream
-    m = RandomBoundaryModel.power_law(K=9, family=family)
-    rng = derive_rng(5, 2)
-    if family == "gaussian":
-        xi = rng.standard_normal((300, 9))
-    elif family == "rademacher":
-        xi = 2.0 * rng.integers(0, 2, size=(300, 9)).astype(float) - 1.0
-    else:
-        xi = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(300, 9))
-    np.testing.assert_array_equal(sample_coeffs(m, derive_rng(5, 2), 300), xi * m.sigma)
-
-
 def test_sampling_is_reproducible_from_the_stream_key():
     m = RandomBoundaryModel.power_law(K=9)
     f1 = sample(m, derive_rng(11, 4))

@@ -1,6 +1,7 @@
 """Dictionary-based local approximation with weighted Tikhonov control."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,6 +154,14 @@ def test_members_are_solved_on_access_into_new_arrays(dict65):
     np.testing.assert_array_equal(dict65.z[-1], dict65.z[32])
     with pytest.raises(IndexError):
         dict65.z[33]
+
+
+def test_threads_reading_one_dictionary_get_the_serial_fields(dict65):
+    serial = [dict65.z[k] for k in range(dict65.K)]
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(3):
+            for k, field in enumerate(pool.map(dict65.z.__getitem__, range(dict65.K))):
+                np.testing.assert_array_equal(field, serial[k])
 
 
 @pytest.mark.parametrize("kind", ["dictionary_member", "fundamental_solution"])
