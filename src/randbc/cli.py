@@ -3,15 +3,18 @@
     randbc [--config FILE] [--seed S] [--threads T] [--out DIR] [--set k=v]...
            COMMAND [flags]
 
-Commands: solve, sample, constraint-experiment, variance-check, tail-check,
-runge, qpat, conductivity.  The shared options may come before COMMAND, after
-it, or both: a value given after COMMAND wins, and --set pairs from both
-places are merged, those after COMMAND winning on the same key.
-Configuration is a flat key = value registry: defaults, then per-command
-defaults, then the config file, then --set pairs, then named flags.  A config
-file is either `key = value` lines (# comments) or a previously written
-manifest.json, which replays the exact resolved configuration of the run that
-produced it.
+COMMANDS, the table after the command handlers, is the one list of commands:
+each row gives the handler, the help line, the named flags with the key each
+one sets, and the per-command defaults; the parser, the per-command defaults
+and the dispatch are all read from it.  The shared options may come before
+COMMAND, after it, or both: a value given after COMMAND wins, and --set pairs
+from both places are merged, those after COMMAND winning on the same key.
+Configuration is a flat key = value registry (REGISTRY), whose parsers also
+hold each key's range; resolve_config parses every key once, before any work.
+Precedence: defaults, then per-command defaults, then the config file, then
+--set pairs, then named flags.  A config file is either `key = value` lines
+(# comments) or a previously written manifest.json, which replays the exact
+resolved configuration of the run that produced it.
 
 Every run writes its CSV artifacts plus manifest.json (resolved config,
 sha256 of each output and, for constraint-experiment, the number of workers
@@ -32,8 +35,10 @@ import sys
 
 import numpy as np
 
-from .boundary import FAMILIES, RandomBoundaryModel, sample_coeffs
-from .constraints import ConstraintMap, extract_cover, save_cover_csv
+from .boundary import (FAMILIES, BoundaryFunction, RandomBoundaryModel, sample_coeffs,
+                       sigma_norm, surrogate_h12_norm)
+from .boundary import evaluate as eval_bf
+from .constraints import KIND_ARITY, ConstraintMap, extract_cover, save_cover_csv
 from .errors import ConfigError, DomainError
 from .experiments import (TrialConfig, success_curve, tail_check,
                           trial_fields, variance_identity_check)
@@ -45,42 +50,36 @@ from .runge import TARGET_KINDS, build_dictionary, make_target, tradeoff_curve
 from .solver import CoefficientField, assemble, save_field_csv, solve_dirichlet
 from .streams import derive_rng
 
-COMMANDS = ("solve", "sample", "constraint-experiment", "variance-check",
-            "tail-check", "runge", "qpat", "conductivity")
 
-ZETA_KINDS = ("nodal", "critical", "jacobian", "augmented")
-
-
-def _parse_int(s: str) -> int:
-    return int(s.strip())
-
-
-def _parse_float(s: str) -> float:
-    v = float(s.strip())
-    if not math.isfinite(v):
-        raise ValueError("expected a finite number")
-    return v
+def _number(cast, lo=None, hi=None):
+    """Parser of one finite number of type cast, within [lo, hi] where given."""
+    def parse(s: str):
+        v = cast(s.strip())
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError("expected a finite number")
+        if lo is not None and v < lo:
+            raise ValueError(f"must be >= {lo}")
+        if hi is not None and v > hi:
+            raise ValueError(f"must be <= {hi}")
+        return v
+    return parse
 
 
-def _parse_point(s: str):
-    parts = [p for p in s.split(",") if p.strip()]
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated numbers")
-    return (_parse_float(parts[0]), _parse_float(parts[1]))
+def _items(parse_one, count=None):
+    """Parser of a comma-separated tuple: exactly count items, or at least one."""
+    def parse(s: str):
+        parts = [p for p in s.split(",") if p.strip()]
+        if count is not None and len(parts) != count:
+            raise ValueError(f"expected {count} comma-separated numbers")
+        if not parts:
+            raise ValueError("expected at least one number")
+        return tuple(parse_one(p) for p in parts)
+    return parse
 
 
-def _parse_floatlist(s: str):
-    parts = [p for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected at least one number")
-    return [_parse_float(p) for p in parts]
-
-
-def _parse_intlist(s: str):
-    parts = [p for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected at least one integer")
-    return [int(p) for p in parts]
+_float = _number(float)
+_point = _items(_float, count=2)
+_draws = _number(int, 1, 1024)      # N and each N_list entry
 
 
 def _parse_str(s: str) -> str:
@@ -89,13 +88,13 @@ def _parse_str(s: str) -> str:
 
 def _parse_tau(s: str):
     v = s.strip()
-    return v if v == "auto" else _parse_float(v)
+    return v if v == "auto" else _float(v)
 
 
 def _parse_qpat_bc(s: str) -> str:
     v = s.strip()
     if v.startswith("const:"):
-        _parse_float(v.split(":", 1)[1])
+        _float(v.split(":", 1)[1])
     return v
 
 
@@ -118,66 +117,65 @@ def _parse_choice(options):
     return parse
 
 
-# key -> (parser, default string)
+# key -> (parser, default string).  The upper bounds on sizes turn values
+# that no machine can run into configuration errors before any allocation.
 REGISTRY = {
-    "seed": (_parse_int, "0"),
-    "threads": (_parse_int, "0"),
-    "grid.n": (_parse_int, "65"),
-    "omega_prime.lo": (_parse_point, "0.25,0.25"),
-    "omega_prime.hi": (_parse_point, "0.75,0.75"),
+    "seed": (_number(int), "0"),
+    "threads": (_number(int, 0), "0"),
+    "grid.n": (_number(int, hi=4097), "65"),
+    "omega_prime.lo": (_point, "0.25,0.25"),
+    "omega_prime.hi": (_point, "0.75,0.75"),
     "coeff.a": (_parse_str, "1"),
     "coeff.q": (_parse_str, "0"),
-    "solver.rtol": (_parse_float, "1e-10"),
-    "solver.maxiter": (_parse_int, "0"),
+    # the open interval (0, 1)
+    "solver.rtol": (_number(float, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)),
+                    "1e-10"),
+    "solver.maxiter": (_number(int, 0), "0"),
     "bc.family": (_parse_choice(FAMILIES), "gaussian"),
-    "bc.K": (_parse_int, "33"),
-    "bc.sigma.c": (_parse_float, "1"),
-    "bc.sigma.s": (_parse_float, "1.5"),
-    "zeta": (_parse_choice(ZETA_KINDS), "critical"),
-    "zeta.direction": (_parse_point, "1,0"),
-    "N": (_parse_int, "1"),
-    "N_list": (_parse_intlist, "1,2,4,8,16"),
-    "M": (_parse_int, "200"),
+    "bc.K": (_number(int, hi=1025), "33"),
+    "bc.sigma.c": (_float, "1"),
+    "bc.sigma.s": (_float, "1.5"),
+    "zeta": (_parse_choice(KIND_ARITY), "critical"),
+    "zeta.direction": (_point, "1,0"),
+    "N": (_draws, "1"),
+    "N_list": (_items(_draws), "1,2,4,8,16"),
+    "M": (_number(int, hi=10**7), "200"),
     "tau": (_parse_tau, "auto"),
     "solve.bc": (_parse_str, "x*x - y*y"),
-    "sample.count": (_parse_int, "8"),
+    "sample.count": (_number(int, 1, 10**6), "8"),
     "runge.target": (_parse_choice(TARGET_KINDS), "fundamental_solution"),
-    "runge.pole": (_parse_point, "0.9,0.9"),
-    "runge.disk.center": (_parse_point, "0.5,0.5"),
-    "runge.disk.radius": (_parse_float, "0.2"),
-    "runge.lambdas": (_parse_floatlist,
-                      "1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8,1e-9,1e-10"),
-    "runge.index": (_parse_int, "5"),
-    "runge.degree": (_parse_int, "2"),
+    "runge.pole": (_point, "0.9,0.9"),
+    "runge.disk.center": (_point, "0.5,0.5"),
+    "runge.disk.radius": (_float, "0.2"),
+    "runge.lambdas": (_items(_float), "1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8,1e-9,1e-10"),
+    "runge.index": (_number(int), "5"),
+    "runge.degree": (_number(int), "2"),
     "runge.part": (_parse_choice(("re", "im")), "re"),
     "qpat.mu": (_parse_str, "1"),
     "qpat.bc": (_parse_qpat_bc, "const:1"),
-    "qpat.tau": (_parse_float, "1e-8"),
+    "qpat.tau": (_float, "1e-8"),
     "cond.a": (_parse_str, "exp(x1)"),
     "cond.bc": (_parse_cond_bc, "x1,x2"),
-    "cond.tau": (_parse_float, "1e-6"),
-    "cond.anchor": (_parse_point, "0.5,0.5"),
-}
-
-COMMAND_DEFAULTS = {
-    "tail-check": {"M": "10000"},
-    "variance-check": {"M": "10000", "bc.K": "17", "grid.n": "33"},
+    "cond.tau": (_float, "1e-6"),
+    "cond.anchor": (_point, "0.5,0.5"),
 }
 
 
 class RunConfig:
-    """Resolved flat configuration: raw strings plus typed access."""
+    """Resolved flat configuration: raw strings and their values, parsed once."""
 
     def __init__(self, command: str, raw: dict):
         self.command = command
         self.raw = raw
+        self._values = {}
+        for key, text in raw.items():
+            try:
+                self._values[key] = REGISTRY[key][0](text)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
 
     def __getitem__(self, key: str):
-        parser, _ = REGISTRY[key]
-        try:
-            return parser(self.raw[key])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {self.raw[key]!r} ({exc})") from exc
+        return self._values[key]
 
 
 def _read_config_file(path: str):
@@ -237,13 +235,10 @@ def resolve_config(command, file_path, overrides: dict) -> RunConfig:
     _check_keys(file_pairs, file_path or "<config>")
     _check_keys(overrides, "command line")
     raw = {k: default for k, (_, default) in REGISTRY.items()}
-    raw.update(COMMAND_DEFAULTS.get(command, {}))
+    raw.update(COMMANDS[command][3])
     raw.update(file_pairs)
     raw.update(overrides)
-    cfg = RunConfig(command, raw)
-    for key in raw:
-        cfg[key]  # parse everything now so bad values fail before any work
-    return cfg
+    return RunConfig(command, raw)
 
 
 def _shared_options(after_command: bool) -> argparse.ArgumentParser:
@@ -273,74 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Elliptic PDE lab: random boundary data, constraint "
                     "non-vanishing, interior approximation, hybrid imaging.")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="solve one Dirichlet problem and dump the field")
-    p.add_argument("--n", dest="grid.n")
-    p.add_argument("--a", dest="coeff.a")
-    p.add_argument("--q", dest="coeff.q")
-    p.add_argument("--bc", dest="solve.bc")
-    p.add_argument("--rtol", dest="solver.rtol")
-
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw boundary functions and report their norms")
-    p.add_argument("--family", dest="bc.family")
-    p.add_argument("--K", dest="bc.K")
-    p.add_argument("--count", dest="sample.count")
-    p.add_argument("--c", dest="bc.sigma.c")
-    p.add_argument("--s", dest="bc.sigma.s")
-
-    p = sub.add_parser("constraint-experiment", parents=[common],
-                       help="success curve of the non-vanishing event vs N")
-    p.add_argument("--zeta", dest="zeta")
-    p.add_argument("--N-list", dest="N_list")
-    p.add_argument("--M", dest="M")
-    p.add_argument("--tau", dest="tau")
-    p.add_argument("--n", dest="grid.n")
-    p.add_argument("--family", dest="bc.family")
-
-    p = sub.add_parser("variance-check", parents=[common],
-                       help="Monte-Carlo second moment against the exact series")
-    p.add_argument("--zeta", dest="zeta")
-    p.add_argument("--M", dest="M")
-    p.add_argument("--K", dest="bc.K")
-    p.add_argument("--n", dest="grid.n")
-
-    p = sub.add_parser("tail-check", parents=[common],
-                       help="survival of the boundary norm vs a gaussian tail fit")
-    p.add_argument("--family", dest="bc.family")
-    p.add_argument("--M", dest="M")
-    p.add_argument("--K", dest="bc.K")
-
-    p = sub.add_parser("runge", parents=[common],
-                       help="interior approximation tradeoff curve")
-    p.add_argument("--target", dest="runge.target")
-    p.add_argument("--pole", dest="runge.pole")
-    p.add_argument("--disk", dest="_runge_disk", metavar="CX,CY,R")
-    p.add_argument("--K", dest="bc.K")
-    p.add_argument("--lambdas", dest="runge.lambdas")
-    p.add_argument("--index", dest="runge.index")
-    p.add_argument("--n", dest="grid.n")
-
-    p = sub.add_parser("qpat", parents=[common],
-                       help="photoacoustic absorption round trip")
-    p.add_argument("--mu", dest="qpat.mu")
-    p.add_argument("--bc", dest="qpat.bc")
-    p.add_argument("--N", dest="N")
-    p.add_argument("--tau", dest="qpat.tau")
-    p.add_argument("--n", dest="grid.n")
-
-    p = sub.add_parser("conductivity", parents=[common],
-                       help="scalar conductivity round trip")
-    p.add_argument("--a", dest="cond.a")
-    p.add_argument("--bc", dest="cond.bc")
-    p.add_argument("--tau", dest="cond.tau")
-    p.add_argument("--anchor", dest="cond.anchor")
-    p.add_argument("--n", dest="grid.n")
+    for name, (_, help_text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, key in flags.items():
+            p.add_argument(flag, dest=flag,
+                           metavar=key.upper() if isinstance(key, str) else "CX,CY,R")
     return parser
-
-
-_GLOBAL_DESTS = {"config", "seed", "threads", "out", "set", "set_after", "command"}
 
 
 def _collect_overrides(args: argparse.Namespace) -> tuple[dict, str, str | None]:
@@ -350,17 +283,19 @@ def _collect_overrides(args: argparse.Namespace) -> tuple[dict, str, str | None]
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    for dest, value in vars(args).items():
-        if dest in _GLOBAL_DESTS or value is None:
+    flags = COMMANDS[args.command][2] if args.command else {}
+    for flag, key in flags.items():
+        value = getattr(args, flag)
+        if value is None:
             continue
-        if dest == "_runge_disk":
-            parts = [p for p in value.split(",") if p.strip()]
-            if len(parts) != 3:
-                raise ConfigError(f"--disk expects CX,CY,R, got {value!r}")
-            overrides["runge.disk.center"] = f"{parts[0]},{parts[1]}"
-            overrides["runge.disk.radius"] = parts[2]
+        if isinstance(key, str):
+            overrides[key] = value
             continue
-        overrides[dest] = value
+        parts = [p for p in value.split(",") if p.strip()]
+        if len(parts) != 3:
+            raise ConfigError(f"{flag} expects CX,CY,R, got {value!r}")
+        overrides[key[0]] = f"{parts[0]},{parts[1]}"
+        overrides[key[1]] = parts[2]
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.threads is not None:
@@ -445,8 +380,6 @@ class OutputWriter:
 
 def _threads(cfg: RunConfig) -> int:
     t = cfg["threads"]
-    if t < 0:
-        raise ConfigError(f"threads must be >= 0, got {t}")
     if t == 0:
         env = os.environ.get("RANDBC_THREADS", "").strip()
         if env:
@@ -488,13 +421,8 @@ def _model(cfg: RunConfig) -> RandomBoundaryModel:
 
 
 def _solver_opts(cfg: RunConfig):
-    rtol = cfg["solver.rtol"]
     maxiter = cfg["solver.maxiter"]
-    if not (0.0 < rtol < 1.0):
-        raise ConfigError(f"solver.rtol must lie in (0, 1), got {rtol}")
-    if maxiter < 0:
-        raise ConfigError(f"solver.maxiter must be >= 0 (0: auto), got {maxiter}")
-    return rtol, (None if maxiter == 0 else maxiter)
+    return cfg["solver.rtol"], (None if maxiter == 0 else maxiter)
 
 
 def _boundary_expr(cfg_value: str, grid, key: str) -> np.ndarray:
@@ -520,11 +448,8 @@ def cmd_solve(cfg: RunConfig, out: OutputWriter) -> None:
 
 
 def cmd_sample(cfg: RunConfig, out: OutputWriter) -> None:
-    from .boundary import BoundaryFunction, sigma_norm, surrogate_h12_norm
     model = _model(cfg)
     count = cfg["sample.count"]
-    if count < 1:
-        raise ConfigError(f"sample.count must be >= 1, got {count}")
     coeffs = sample_coeffs(model, derive_rng(cfg["seed"], 0), count)
     rows = [(i, k + 1, coeffs[i, k])
             for i in range(count) for k in range(model.K)]
@@ -596,15 +521,11 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     mu = _field_expr(cfg["qpat.mu"], "qpat.mu", grid.X, grid.Y)
     rtol, maxiter = _solver_opts(cfg)
     N = cfg["N"]
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
     bc_spec = cfg["qpat.bc"]
     if bc_spec.startswith("const:"):
         value = float(bc_spec.split(":", 1)[1])
         bcs = [np.full(grid.boundary_count, value) for _ in range(N)]
     elif bc_spec == "random":
-        from .boundary import evaluate as eval_bf
-        from .boundary import BoundaryFunction
         model = _model(cfg)
         coeffs = sample_coeffs(model, derive_rng(cfg["seed"], 0), N)
         bcs = [eval_bf(BoundaryFunction(coeffs=coeffs[i]), grid) for i in range(N)]
@@ -650,15 +571,36 @@ def cmd_conductivity(cfg: RunConfig, out: OutputWriter) -> None:
              ("rel_l2_log_error", rel), ("tau", cfg["cond.tau"])])
 
 
-DISPATCH = {
-    "solve": cmd_solve,
-    "sample": cmd_sample,
-    "constraint-experiment": cmd_constraint_experiment,
-    "variance-check": cmd_variance_check,
-    "tail-check": cmd_tail_check,
-    "runge": cmd_runge,
-    "qpat": cmd_qpat,
-    "conductivity": cmd_conductivity,
+# name -> (handler, help, {named flag: the key it sets}, per-command defaults).
+# --disk CX,CY,R is the one flag that sets two keys.
+COMMANDS = {
+    "solve": (cmd_solve, "solve one Dirichlet problem and dump the field",
+              {"--n": "grid.n", "--a": "coeff.a", "--q": "coeff.q", "--bc": "solve.bc",
+               "--rtol": "solver.rtol"}, {}),
+    "sample": (cmd_sample, "draw boundary functions and report their norms",
+               {"--family": "bc.family", "--K": "bc.K", "--count": "sample.count",
+                "--c": "bc.sigma.c", "--s": "bc.sigma.s"}, {}),
+    "constraint-experiment": (
+        cmd_constraint_experiment, "success curve of the non-vanishing event vs N",
+        {"--zeta": "zeta", "--N-list": "N_list", "--M": "M", "--tau": "tau",
+         "--n": "grid.n", "--family": "bc.family"}, {}),
+    "variance-check": (cmd_variance_check,
+                       "Monte-Carlo second moment against the exact series",
+                       {"--zeta": "zeta", "--M": "M", "--K": "bc.K", "--n": "grid.n"},
+                       {"M": "10000", "bc.K": "17", "grid.n": "33"}),
+    "tail-check": (cmd_tail_check, "survival of the boundary norm vs a gaussian tail fit",
+                   {"--family": "bc.family", "--M": "M", "--K": "bc.K"}, {"M": "10000"}),
+    "runge": (cmd_runge, "interior approximation tradeoff curve",
+              {"--target": "runge.target", "--pole": "runge.pole",
+               "--disk": ("runge.disk.center", "runge.disk.radius"), "--K": "bc.K",
+               "--lambdas": "runge.lambdas", "--index": "runge.index", "--n": "grid.n"},
+              {}),
+    "qpat": (cmd_qpat, "photoacoustic absorption round trip",
+             {"--mu": "qpat.mu", "--bc": "qpat.bc", "--N": "N", "--tau": "qpat.tau",
+              "--n": "grid.n"}, {}),
+    "conductivity": (cmd_conductivity, "scalar conductivity round trip",
+                     {"--a": "cond.a", "--bc": "cond.bc", "--tau": "cond.tau",
+                      "--anchor": "cond.anchor", "--n": "grid.n"}, {}),
 }
 
 
@@ -670,7 +612,7 @@ def run(argv=None) -> int:
         cfg = resolve_config(args.command, config_path, overrides)
         out = OutputWriter(out_dir)
         try:
-            DISPATCH[cfg.command](cfg, out)
+            COMMANDS[cfg.command][0](cfg, out)
         except BaseException:
             out.cleanup()
             raise

@@ -141,8 +141,7 @@ def _common_mask(cfields) -> SubdomainMask:
 
 def max_abs(cfields) -> tuple[np.ndarray, float]:
     """Pointwise max_l |zeta^l| over the mask and its minimum over nodes."""
-    mask = _common_mask(cfields)
-    del mask
+    _common_mask(cfields)
     stacked = np.abs(np.stack([cf.values for cf in cfields]))
     pointwise = stacked.max(axis=0)
     return pointwise, float(pointwise.min())
@@ -178,8 +177,8 @@ def save_cover_csv(grid: Grid2D, cfields, labeling: CoverLabeling, path) -> None
     value is the decision quantity max_l |zeta^l| at the node; label is the
     1-based index of the measurement realizing it, as stored in labeling.
     """
-    mask = _common_mask(cfields)
     pointwise, _ = max_abs(cfields)
+    mask = cfields[0].mask
     if labeling.label.shape != pointwise.shape:
         raise ConfigError(
             f"labeling covers {labeling.label.shape} nodes, fields {pointwise.shape}")

@@ -53,9 +53,12 @@ def evaluate_field_expression(expr: str, X, Y) -> np.ndarray:
                 raise ConfigError(
                     f"expression {expr!r} may not contain the {type(node).__name__} "
                     f"{ast.unparse(node)!r}")
-        value = eval(compile(tree, "<config>", "eval"),  # noqa: S307 - checked tree
-                     {"__builtins__": {}}, names)
-        out = np.asarray(value, dtype=float)
+        # Floating-point faults stay silent: every caller checks that the
+        # field it reads is finite, and a guarded where() evaluates both arms.
+        with np.errstate(all="ignore"):
+            value = eval(compile(tree, "<config>", "eval"),  # noqa: S307 - checked tree
+                         {"__builtins__": {}}, names)
+            out = np.asarray(value, dtype=float)
     except ConfigError:
         raise
     except Exception as exc:

@@ -1,17 +1,21 @@
 """Command line interface: config resolution, outputs, manifests, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import randbc
-from randbc.cli import REGISTRY, OutputWriter, _fmt, resolve_config, run
+from randbc.cli import (REGISTRY, OutputWriter, _build_parser, _collect_overrides, _fmt,
+                        resolve_config, run)
 from randbc.solver import CoefficientField, assemble, load_field_csv
 
 
@@ -151,6 +155,14 @@ BAD_VALUES = [
     ("cond.bc", "conductivity", "x1"),
     ("cond.tau", "conductivity", "nan"),
     ("cond.anchor", "conductivity", "0.5,inf"),
+    # out of range under a command that does not read the key
+    ("solver.rtol", "runge", "2"),
+    ("solver.rtol", "runge", "0"),
+    ("solver.maxiter", "variance-check", "-1"),
+    ("threads", "sample", "-1"),
+    ("N", "tail-check", "0"),
+    ("N_list", "sample", "0,1"),
+    ("sample.count", "solve", "0"),
 ]
 
 
@@ -164,6 +176,58 @@ def test_a_bad_value_for_every_registry_key_exits_with_the_config_code(tmp_path,
         err = capsys.readouterr().err
         assert rc == 2, (key, value, err)
         assert "configuration error" in err, (key, value, err)
+        assert key in err, (key, value, err)
+
+
+# (key, command, upper bound): every size key, under each command that reads it.
+SIZE_BOUNDS = [
+    ("grid.n", "solve", 4097),
+    ("bc.K", "sample", 1025),
+    ("bc.K", "tail-check", 1025),
+    ("M", "constraint-experiment", 10**7),
+    ("M", "variance-check", 10**7),
+    ("M", "tail-check", 10**7),
+    ("N", "qpat", 1024),
+    ("N_list", "constraint-experiment", 1024),
+    ("sample.count", "sample", 10**6),
+]
+
+
+@pytest.mark.parametrize("key, command, bound", SIZE_BOUNDS)
+@pytest.mark.parametrize("excess", ["30-digits", "bound+1"])
+def test_a_size_past_its_bound_exits_with_the_config_code_at_once(key, command, bound,
+                                                                  excess, tmp_path, capsys):
+    # Unbounded, these ran into numpy's size limits with a traceback, or, for
+    # qpat's N, kept solving.  An exception escaping run() would print one.
+    value = "9" * 30 if excess == "30-digits" else str(bound + 1)
+    if key == "N_list":
+        value = "1,2," + value
+    start = time.perf_counter()
+    rc = run([command, "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "configuration error" in err and f"must be <= {bound}" in err
+    assert elapsed < 0.5
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pair, code", [
+    ("coeff.a=x/0", 2),
+    ("solve.bc=where(x>0, 1/x, 0)", 0),
+], ids=["nan-coefficient", "guarded-division"])
+def test_field_expressions_print_no_floating_point_warnings(pair, code, tmp_path):
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "randbc", "solve", "--out",
+                           str(tmp_path / "o"), "--set", "grid.n=17", "--set", pair],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr
+    if code == 2:
+        assert proc.stderr == "randbc: configuration error: coefficients must be finite\n"
+    else:
+        assert proc.stderr == ""
 
 
 def test_qpat_without_any_valid_node_exits_with_the_runtime_code(tmp_path, capsys):
@@ -500,3 +564,62 @@ def test_manifest_records_the_workers_that_ran(tmp_path, monkeypatch):
     solo = tmp_path / "solo"
     assert run(["sample", "--out", str(solo)]) == 0
     assert "workers" not in manifest(solo)
+
+
+# command -> ({named flag: the key it sets}, per-command defaults, help string)
+SURFACE = {
+    "solve": ({"--n": "grid.n", "--a": "coeff.a", "--q": "coeff.q",
+               "--bc": "solve.bc", "--rtol": "solver.rtol"},
+              {}, "solve one Dirichlet problem and dump the field"),
+    "sample": ({"--family": "bc.family", "--K": "bc.K", "--count": "sample.count",
+                "--c": "bc.sigma.c", "--s": "bc.sigma.s"},
+               {}, "draw boundary functions and report their norms"),
+    "constraint-experiment": ({"--zeta": "zeta", "--N-list": "N_list", "--M": "M",
+                               "--tau": "tau", "--n": "grid.n", "--family": "bc.family"},
+                              {}, "success curve of the non-vanishing event vs N"),
+    "variance-check": ({"--zeta": "zeta", "--M": "M", "--K": "bc.K", "--n": "grid.n"},
+                       {"M": "10000", "bc.K": "17", "grid.n": "33"},
+                       "Monte-Carlo second moment against the exact series"),
+    "tail-check": ({"--family": "bc.family", "--M": "M", "--K": "bc.K"},
+                   {"M": "10000"}, "survival of the boundary norm vs a gaussian tail fit"),
+    "runge": ({"--target": "runge.target", "--pole": "runge.pole",
+               "--disk": ("runge.disk.center", "runge.disk.radius"), "--K": "bc.K",
+               "--lambdas": "runge.lambdas", "--index": "runge.index", "--n": "grid.n"},
+              {}, "interior approximation tradeoff curve"),
+    "qpat": ({"--mu": "qpat.mu", "--bc": "qpat.bc", "--N": "N", "--tau": "qpat.tau",
+              "--n": "grid.n"}, {}, "photoacoustic absorption round trip"),
+    "conductivity": ({"--a": "cond.a", "--bc": "cond.bc", "--tau": "cond.tau",
+                      "--anchor": "cond.anchor", "--n": "grid.n"},
+                     {}, "scalar conductivity round trip"),
+}
+
+
+def test_command_flags_defaults_and_help_are_the_documented_surface(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(SURFACE)
+    shared = {"-h", "--help", "--config", "--seed", "--threads", "--out", "--set"}
+    listing = parser.format_help()
+    defaults = {key: default for key, (_, default) in REGISTRY.items()}
+    for command, (flags, command_defaults, help_text) in SURFACE.items():
+        named = {opt for action in subparsers.choices[command]._actions
+                 for opt in action.option_strings} - shared
+        assert named == set(flags), command
+        # Each flag goes to the command's own parser, as argparse passes it on:
+        # the top-level parser would reject sample's --s as an ambiguous
+        # abbreviation of --seed and --set before the command saw it.
+        for flag, key in flags.items():
+            args = parser.parse_args([command])
+            if isinstance(key, tuple):
+                value, expected = "0.4,0.6,0.1", {key[0]: "0.4,0.6", key[1]: "0.1"}
+            else:
+                value, expected = "7", {key: "7"}
+            subparsers.choices[command].parse_args([flag, value], namespace=args)
+            assert _collect_overrides(args) == (expected, ".", None), (command, flag)
+        raw = resolve_config(command, None, {}).raw
+        assert {k: v for k, v in raw.items() if defaults[k] != v} == command_defaults
+        assert set(raw) == set(REGISTRY)
+        assert re.search(rf"^\s+{re.escape(command)}\s+{re.escape(help_text)}$",
+                         listing, re.MULTILINE), command
