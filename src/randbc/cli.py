@@ -262,8 +262,8 @@ def _shared_options(after_command: bool) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _shared_options(after_command=True)
-    parser = argparse.ArgumentParser(
-        prog="randbc",
+    parser = argparse.ArgumentParser(   # no abbreviations: it reads the whole line
+        prog="randbc", allow_abbrev=False,
         parents=[_shared_options(after_command=False)],
         description="Elliptic PDE lab: random boundary data, constraint "
                     "non-vanishing, interior approximation, hybrid imaging.")

@@ -4,7 +4,7 @@ scalar conductivity from interior data.
 Photoacoustic: u solves -Delta u + mu u = 0 with known illumination, the
 measured interior energy is H = mu u; since Delta u = H, one Poisson solve
 recovers u and then mu = H / u wherever |u| clears a threshold.  With several
-illuminations each node uses the one with the largest recovered |u|.
+illuminations (one field, H, each) every node keeps the largest |u| so far.
 
 Conductivity: for fields u_i of -div(a grad u_i) = 0, the log-gradient
 g = grad log a solves the 2x2 system  [grad u_i] . g = -Delta u_i  nodewise;
@@ -14,7 +14,8 @@ integration over the valid-node graph: its normal equations are the graph
 Laplacian with the anchor node's unknown fixed (the gauge), a masked
 five-point stencil that is SPD and is solved by conjugate gradients.  The
 graph's components come from numpy labelling (min-label propagation with
-pointer jumping).
+pointer jumping).  The log-gradient is formed in the gradients it consumes and
+the integration on the component's bounding box, to bound memory.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
 from .solver import (CoefficientField, ScalarField, SolveInfo, Stencil, assemble,
-                     conjugate_gradients, gradient, laplacian, neighbor_field,
-                     solve_dirichlet, solve_poisson)
+                     conjugate_gradients, gradient, laplace_operator, laplacian,
+                     neighbor_field, solve_dirichlet, solve_poisson)
 
 
 @dataclass(eq=False)
@@ -38,7 +39,6 @@ class QpatData:
     grid: Grid2D
     H: ScalarField
     boundary_u: np.ndarray
-    mu_true: ScalarField | None = None
 
 
 def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
@@ -56,9 +56,8 @@ def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
     out = []
     for bc in bcs:
         u = solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter)
-        out.append(QpatData(grid=grid, H=mu * u,
-                            boundary_u=np.asarray(bc, dtype=float).copy(),
-                            mu_true=mu.copy()))
+        np.multiply(mu, u, out=u)      # H = mu u, in the solve's own field
+        out.append(QpatData(grid=grid, H=u, boundary_u=np.asarray(bc, dtype=float).copy()))
     return out
 
 
@@ -72,34 +71,37 @@ class QpatMultiResult:
 
 def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = None,
                            rtol: float = 1e-10, maxiter=None) -> QpatMultiResult:
-    """Multi-illumination absorption: each node uses its largest |u| measurement
-    (DomainError when no node's |u| clears tau)."""
+    """Multi-illumination absorption: each node uses its largest |u| measurement,
+    the first of equal ones (DomainError when no node's |u| clears tau)."""
     datasets = list(datasets)
     if len(datasets) == 0:
         raise ConfigError("need at least one measurement")
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
     grid = datasets[0].grid
-    for d in datasets[1:]:
-        if d.grid.n != grid.n:
-            raise ConfigError("measurements live on different grids")
+    if any(d.grid.n != grid.n for d in datasets):
+        raise ConfigError("measurements live on different grids")
     if window is None:
         window = default_window(grid)
     if window.grid_n != grid.n:
         raise ConfigError("window grid size does not match the data grid")
-    u_recs = np.stack([solve_poisson(grid, d.H, d.boundary_u, rtol=rtol, maxiter=maxiter)
-                       for d in datasets])
-    Hs = np.stack([d.H for d in datasets])
-    pick = np.abs(u_recs).argmax(axis=0)
-    u_best = np.take_along_axis(u_recs, pick[None], axis=0)[0]
-    H_best = np.take_along_axis(Hs, pick[None], axis=0)[0]
-    valid = np.abs(u_best) >= tau
+    shape, op = (grid.n, grid.n), laplace_operator(grid)
+    # At each node the best |u| so far (any |u| beats -1), its mu = H / u and label.
+    best, mu_hat, labels = np.full(shape, -1.0), np.empty(shape), np.empty(shape, np.intp)
+    for label, d in enumerate(datasets, start=1):
+        u = solve_poisson(grid, d.H, d.boundary_u, rtol=rtol, maxiter=maxiter, op=op)
+        better = np.abs(u) > best          # strict: a tie keeps the first, as argmax does
+        np.maximum(best, np.abs(u), out=best)
+        with np.errstate(all="ignore"):    # where |u| misses tau, mu is dropped below
+            np.divide(d.H, u, out=mu_hat, where=better)
+        labels[better] = label
+        del u, better                      # before the next solve
+    valid = best >= tau
     if not valid.any():
         raise DomainError(f"recovered |u| clears tau={tau} at no node")
-    mu_hat = np.full((grid.n, grid.n), np.nan)
-    mu_hat[valid] = H_best[valid] / u_best[valid]
+    mu_hat[~valid] = np.nan
     complete = bool(valid[window.indices].all())
-    return QpatMultiResult(mu_hat=mu_hat, mask_valid=valid, labels=pick + 1,
+    return QpatMultiResult(mu_hat=mu_hat, mask_valid=valid, labels=labels,
                            complete=complete)
 
 
@@ -144,11 +146,11 @@ class ConductivityResult:
     integration: SolveInfo       # the potential integration's CG solve
 
 
-def _edge_bands(mask: np.ndarray) -> dict:
-    """The four 4-neighbor bands of the graph on mask's nodes: 1.0 where a
-    node and its (dx, dy) neighbor both lie in mask."""
+def _edge_bands(mask: np.ndarray, offsets=((1, 0), (-1, 0), (0, 1), (0, -1))) -> dict:
+    """The 4-neighbor bands (dx, dy) in offsets of the graph on mask's nodes:
+    1.0 where a node and its (dx, dy) neighbor both lie in mask."""
     return {(dx, dy): (mask & neighbor_field(mask, dx, dy)).astype(float)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+            for dx, dy in offsets}
 
 
 def _components(mask: np.ndarray) -> tuple[int, np.ndarray]:
@@ -176,11 +178,30 @@ def _components(mask: np.ndarray) -> tuple[int, np.ndarray]:
         label = new
 
 
-def _padded_box(mask: np.ndarray):
-    """Slices of mask's bounding box grown by one node on every side."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    return np.s_[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2]
+def _normal_equations(part: np.ndarray, anchor, log_gradient, h: float):
+    """(L, A^T b) of the least-squares integration of log_gradient over part's graph:
+    with incidence A (row e is x_j - x_i), L = A^T A with the anchor's unknown fixed
+    at 0, on part's padded bounding box, whose row-major order is part's nodes'."""
+    rows, cols = (np.flatnonzero(part.any(axis=axis)) for axis in (1, 0))
+    box = np.s_[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2]
+    inside = part[box]
+    gx, gy = (np.where(inside, g[box], 0.0) for g in log_gradient)
+    anchor = (anchor[0] - box[0].start, anchor[1] - box[1].start)
+    edges = _edge_bands(inside)
+    free = inside.copy()
+    free[anchor] = False
+    center = sum(edges.values())
+    center[anchor] = 1.0
+    lap = Stencil(inside, center, {offset: -w for offset, w
+                                   in _edge_bands(free, ((1, 0), (0, 1))).items()})
+    # A^T b: the midpoint-rule integrals of the log-gradient along the edges
+    # into each node, less those along the edges out of it.
+    half_h = 0.5 * h
+    out_x = np.where(edges[1, 0], half_h * (gx + neighbor_field(gx, 1, 0)), 0.0)
+    out_y = np.where(edges[0, 1], half_h * (gy + neighbor_field(gy, 0, 1)), 0.0)
+    atb = (neighbor_field(out_x, -1, 0) + neighbor_field(out_y, 0, -1)) - (out_x + out_y)
+    atb[anchor] = 0.0
+    return lap, atb[inside]
 
 
 def conductivity_reconstruct(data: ConductivityData, tau: float,
@@ -210,7 +231,8 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     u1, u2 = data.u[0], data.u[1]
     g1x, g1y = gradient(grid, u1)
     g2x, g2y = gradient(grid, u2)
-    jac = g1x * g2y - g1y * g2x
+    jac = g1x * g2y
+    jac -= g1y * g2x
     region = window.member & grid.interior_mask & (np.abs(jac) >= tau)
     coverage = float(region.sum()) / window.count
     if coverage < 0.99:
@@ -224,11 +246,18 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     if not region[aix, aiy]:
         raise DomainError(f"anchor {anchor!r} lies outside the reconstructed region")
 
-    lap1 = laplacian(grid, u1)
-    lap2 = laplacian(grid, u2)
+    # The log-gradient in the gradients it consumes: (lap2 g1y - lap1 g2y) / jac and
+    # (lap1 g2x - lap2 g1x) / jac, where b - a is -a + b bit for bit.
     with np.errstate(divide="ignore", invalid="ignore"):
-        gx_log = np.where(region, (-lap1 * g2y + lap2 * g1y) / jac, 0.0)
-        gy_log = np.where(region, (lap1 * g2x - lap2 * g1x) / jac, 0.0)
+        lap = laplacian(grid, u1)
+        g2x *= lap
+        g2y *= lap
+        lap = laplacian(grid, u2)
+        gx_log = np.subtract(np.multiply(g1y, lap, out=g1y), g2y, out=g1y)
+        gy_log = np.subtract(g2x, np.multiply(g1x, lap, out=g1x), out=g2x)
+        gx_log /= jac
+        gy_log /= jac
+    del g1x, g1y, g2x, g2y, lap
 
     components, label = _components(region)
     part, reconstructed = region, coverage
@@ -242,39 +271,14 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     if part.sum() == 1:
         raise DomainError("the anchor's component of the region has no edges")
 
-    # Least-squares potential integration over the component's graph: with
-    # incidence A (row e is x_j - x_i), A^T A is the graph Laplacian.  Fixing
-    # the anchor's unknown at 0 turns its row and column into the identity.
-    # The Laplacian lives on the component's padded bounding box, whose
-    # row-major order is the order of part's nodes.
-    edges = _edge_bands(part)
-    free = part.copy()
-    free[aix, aiy] = False
-    center = sum(edges.values())
-    center[aix, aiy] = 1.0
-    box = _padded_box(part)
-    free_edges = _edge_bands(free)
-    lap = Stencil(part[box], center[box],
-                  {offset: -free_edges[offset][box] for offset in ((1, 0), (0, 1))})
-    # A^T b: the midpoint-rule integrals of the log-gradient along the edges
-    # into each node, less those along the edges out of it.
-    half_h = 0.5 * grid.h
-    out_x = np.where(edges[1, 0], half_h * (gx_log + neighbor_field(gx_log, 1, 0)), 0.0)
-    out_y = np.where(edges[0, 1], half_h * (gy_log + neighbor_field(gy_log, 0, 1)), 0.0)
-    atb = ((neighbor_field(out_x, -1, 0) + neighbor_field(out_y, 0, -1))
-           - (out_x + out_y))
-    atb[aix, aiy] = 0.0
-    rhs = atb[part]
+    lap, rhs = _normal_equations(part, (aix, aiy), (gx_log, gy_log), grid.h)
     if maxiter is None:
         maxiter = 20 * grid.n
     x, iterations, residual = conjugate_gradients(lap, rhs, rtol * np.abs(rhs).max(),
                                                   maxiter)
 
     if anchor_value is None:
-        if data.a_true is not None:
-            anchor_value = float(np.log(data.a_true[aix, aiy]))
-        else:
-            anchor_value = 0.0
+        anchor_value = 0.0 if data.a_true is None else float(np.log(data.a_true[aix, aiy]))
     log_a_hat = np.full((grid.n, grid.n), np.nan)
     log_a_hat[part] = x + anchor_value
     return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,

@@ -52,7 +52,7 @@ checked after every solve.  Three paths meet it:
   Laplacian.  Scalar a with min(q) >= -min(a) * lambda_1 / 2 is certified
   (the factor 1/2 is a fixed margin against rounding and poor conditioning),
   and it keeps diag A positive.  The preconditioner is built once per
-  operator and shared by every right-hand side solved with it.
+  operator and shared by every solve, each of which holds its own buffers.
 - Sparse LU with iterative refinement (scipy's splu) serves the rest:
   matrix a, and q below the certificate with a variable stencil.
 
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -239,19 +239,22 @@ class DiscreteOperator:
         return out.reshape(n, n)[1:-1, 1:-1]
 
     @cached_property
-    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The CG path's M^-1 of a certified operator on lattice fields (see the
-        module docstring), built on first use; every lambda is positive, so
-        M^-1 is symmetric positive definite."""
+    def preconditioner(self) -> Callable[..., np.ndarray]:
+        """The CG path's M^-1 of a certified operator on lattice fields (see the module
+        docstring), built on first use, SPD as every lambda is positive.  apply(r,
+        out=None, work=None) writes M^-1 r into out, its transform into work's buffer."""
         n, h2 = self.grid.n, self.grid.h * self.grid.h
         scale = (0.25 * h2 * self.matrix.center.reshape(n, n)[1:-1, 1:-1]) ** -0.5
         shift = max(0.0, float(np.mean(self.coeff.q[1:-1, 1:-1] * scale ** 2)))
         eigenvalues = _stencil_eigenvalues(self.grid, 4.0 / h2 + shift, -1.0 / h2)
 
-        def apply(r: np.ndarray) -> np.ndarray:
-            z = np.zeros((n, n))
-            transform = _dst1_2d(scale * r.reshape(n, n)[1:-1, 1:-1])
-            z[1:-1, 1:-1] = scale * _sine_solve(transform, eigenvalues)
+        def apply(r: np.ndarray, out=None, work: dict | None = None) -> np.ndarray:
+            z = (np.empty(n * n) if out is None else out).reshape(n, n)
+            z[[0, -1]] = z[:, [0, -1]] = 0.0
+            inner, buf = z[1:-1, 1:-1], _scratch(work, "transform", scale.shape)
+            np.multiply(scale, r.reshape(n, n)[1:-1, 1:-1], out=inner)
+            sxs = _dst1_rows(_dst1_rows(inner, work, out=buf).T, work, out=inner).T  # S x S
+            np.multiply(scale, _sine_solve(sxs, eigenvalues, work, out=buf), out=inner)
             return z.reshape(-1)
         return apply
 
@@ -322,16 +325,12 @@ class Stencil:
         """The node values of a lattice field."""
         return v[self.nodes]
 
-    def product(self, v: np.ndarray, out: np.ndarray,
-                tmp: np.ndarray | None = None) -> np.ndarray:
+    def product(self, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """out = A v for a lattice field v; returns out.  Values of v off the
         mask meet zero weights, so finite ones change out by signs of zero.
-        tmp, a lattice-sized buffer, holds each band's products (made here if
-        not given)."""
+        tmp, a lattice-sized buffer, holds each band's products."""
         np.multiply(self.center, v, out=out)
         size = v.size
-        if tmp is None:
-            tmp = np.empty(size)
         for k, w in self._shifts:
             w = w[:size - k]
             t = tmp[:size - k]
@@ -340,7 +339,8 @@ class Stencil:
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.gather(self.product(self.scatter(x), np.empty(self.mask.size)))
+        v = self.scatter(x)
+        return self.gather(self.product(v, np.empty_like(v), np.empty_like(v)))
 
     def tocsr(self):
         """The CSR matrix, built by lattice_operator (this imports scipy)."""
@@ -547,51 +547,52 @@ def _sine_solve(transform: np.ndarray, eigenvalues: np.ndarray, work: dict | Non
 
 
 def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
-                        precond: Callable[[np.ndarray], np.ndarray] | None = None,
+                        precond: Callable[..., np.ndarray] | None = None,
                         ) -> tuple[np.ndarray, int, float]:
     """Solve matrix x = rhs for an SPD Stencil by (preconditioned) CG from x = 0.
 
-    rhs and x are over the stencil's unknowns; the iteration runs on its
-    lattice fields, so every product writes into one buffer and no vector is
-    copied per step.  precond, if given, is a symmetric positive definite map
-    from a lattice field to a lattice field that is zero off the unknowns, such
-    as DiscreteOperator.preconditioner.  Stops once the recurrence residual has
+    rhs and x are over the stencil's unknowns; the iteration runs in place on
+    five lattice fields: x, r, p, A p and a spare for z, alpha p and scratch.
+    precond, if given, is an SPD map of lattice fields, zero off the unknowns,
+    that precond(r, out, work) writes into out (DiscreteOperator.preconditioner
+    is one).  Stops once the recurrence residual has
     ||r||_inf <= target, then checks the true residual ||rhs - matrix x||_inf;
     if that misses the target it replaces the recurrence residual and the
     iteration goes on.  Returns (x, iterations, true residual); raises
     SolverError at maxiter or when r.z is not finite.
     """
-    b = matrix.scatter(rhs)
-    x = np.zeros_like(b)
-    r = b.copy()
-    Ap = np.empty_like(b)
-    z = r if precond is None else precond(r)
+    r = matrix.scatter(rhs)
+    x, Ap, spare, work = np.zeros_like(r), np.empty_like(r), np.empty_like(r), {}
+    res = np.abs(r, out=spare).max()
+    z = r if precond is None else precond(r, spare, work)
     p = z.copy()
     rz = r @ z
-    res = np.abs(r).max()
     iterations = 0
     while not res <= target:
         if iterations >= maxiter or not np.isfinite(rz):
-            res = np.abs(b - matrix.product(x, Ap)).max()
+            res = np.abs(matrix.scatter(rhs) - matrix.product(x, Ap, spare)).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "
                 f"residual {res:.3e} > target {target:.3e}",
                 residual=res, iterations=iterations)
-        matrix.product(p, Ap)
+        matrix.product(p, Ap, spare)
         alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=spare)
+        r -= np.multiply(Ap, alpha, out=Ap)
         iterations += 1
-        res = np.abs(r).max()
-        if res <= target:
-            r = b - matrix.product(x, Ap)
-            res = np.abs(r).max()
+        res = np.abs(r, out=spare).max()
+        if res <= target:                # r = rhs - matrix x, keeping no copy of rhs
+            r.fill(0.0)
+            r[matrix.nodes] = rhs
+            r -= matrix.product(x, Ap, spare)
+            res = np.abs(r, out=spare).max()
             if res <= target:
                 break
-        z = r if precond is None else precond(r)
+        z = r if precond is None else precond(r, spare, work)
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return matrix.gather(x), iterations, float(res)
+        p *= rz / rz_old                 # then p + z: bitwise z + beta p
+        p += z
+    return np.take(x, matrix.nodes, out=spare[:rhs.size]), iterations, float(res)
 
 
 def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
@@ -685,26 +686,21 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
     return u
 
 
-@lru_cache(maxsize=8)
-def _laplace_operator_cached(n: int) -> DiscreteOperator:
-    grid = build_grid(n)
+def laplace_operator(grid: Grid2D) -> DiscreteOperator:
+    """The (-Laplace) operator on this grid, assembled on each call."""
     return assemble(grid, CoefficientField.isotropic(grid))
 
 
-def laplace_operator(grid: Grid2D) -> DiscreteOperator:
-    """The (-Laplace) operator on this grid size, cached across calls."""
-    return _laplace_operator_cached(grid.n)
-
-
-def solve_poisson(grid: Grid2D, rhs, g, rtol: float = 1e-10, maxiter=None) -> ScalarField:
-    """Solve  Delta u = rhs  with Dirichlet trace g (note the sign: Delta, not -Delta)."""
+def solve_poisson(grid: Grid2D, rhs, g, rtol: float = 1e-10, maxiter=None,
+                  op: DiscreteOperator | None = None) -> ScalarField:
+    """Solve  Delta u = rhs  (not -Delta) with trace g, on op or laplace_operator(grid)."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n, grid.n):
         raise ConfigError(f"rhs must have shape {(grid.n, grid.n)}, got {rhs.shape}")
     if not np.all(np.isfinite(rhs)):
         raise DomainError("Poisson right-hand side must be finite")
-    op = laplace_operator(grid)
-    return solve_dirichlet(op, g, rtol=rtol, maxiter=maxiter, forcing=-rhs)
+    return solve_dirichlet(op or laplace_operator(grid), g, rtol=rtol, maxiter=maxiter,
+                           forcing=-rhs)
 
 
 def gradient(grid: Grid2D, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -759,8 +755,8 @@ def save_field_csv(grid: Grid2D, field: ScalarField, path) -> None:
     # The bytes csv.writer would emit: unquoted fields, "\r\n" line ends.
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value\r\n")
-        for x, row in zip(coords, f.tolist()):
-            fh.write("".join([f"{x},{y},{v!r}\r\n" for y, v in zip(coords, row)]))
+        for x, row in zip(coords, f):     # one row's Python floats at a time
+            fh.write("".join([f"{x},{y},{v!r}\r\n" for y, v in zip(coords, row.tolist())]))
 
 
 def load_field_csv(path) -> tuple[Grid2D, ScalarField]:

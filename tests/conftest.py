@@ -7,6 +7,7 @@ so dictionaries are built once per session and shared read-only.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,26 @@ def block_scipy():
         return subprocess.run([sys.executable, "-c", SCIPY_BLOCKER + code],
                               capture_output=True, text=True, env=env, timeout=timeout)
     return run
+
+
+@pytest.fixture
+def traced_memory():
+    """Runs fn under tracemalloc and returns (peak, held) in bytes: the most it
+    had allocated at once, and what it still holds once its result is dropped.
+
+    warm (default: fn) runs first, untraced, so that process-wide caches (lazy
+    imports, basis values, the FFT's plans) are filled and not counted.
+    """
+    def traced(fn, warm=None) -> tuple[int, int]:
+        (fn if warm is None else warm)()
+        tracemalloc.start()
+        try:
+            fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, held
+    return traced
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import randbc
-from randbc.cli import (REGISTRY, OutputWriter, _build_parser, _collect_overrides, _fmt,
-                        resolve_config, run)
+from randbc.cli import (COMMANDS, REGISTRY, OutputWriter, _build_parser, _collect_overrides,
+                        _fmt, resolve_config, run)
 from randbc.solver import CoefficientField, assemble, load_field_csv
 
 
@@ -607,19 +607,33 @@ def test_command_flags_defaults_and_help_are_the_documented_surface(monkeypatch)
         named = {opt for action in subparsers.choices[command]._actions
                  for opt in action.option_strings} - shared
         assert named == set(flags), command
-        # Each flag goes to the command's own parser, as argparse passes it on:
-        # the top-level parser would reject sample's --s as an ambiguous
-        # abbreviation of --seed and --set before the command saw it.
-        for flag, key in flags.items():
-            args = parser.parse_args([command])
-            if isinstance(key, tuple):
-                value, expected = "0.4,0.6,0.1", {key[0]: "0.4,0.6", key[1]: "0.1"}
-            else:
-                value, expected = "7", {key: "7"}
-            subparsers.choices[command].parse_args([flag, value], namespace=args)
-            assert _collect_overrides(args) == (expected, ".", None), (command, flag)
         raw = resolve_config(command, None, {}).raw
         assert {k: v for k, v in raw.items() if defaults[k] != v} == command_defaults
         assert set(raw) == set(REGISTRY)
         assert re.search(rf"^\s+{re.escape(command)}\s+{re.escape(help_text)}$",
                          listing, re.MULTILINE), command
+
+
+def test_every_named_flag_spelled_out_in_full_sets_its_key():
+    # Through the top-level parser, which sees the whole command line: it must
+    # not read sample's --s as an abbreviation of --seed or --set.
+    parser = _build_parser()
+    for command, (_, _, flags, _) in COMMANDS.items():
+        for flag, key in flags.items():
+            if isinstance(key, tuple):
+                value, expected = "0.4,0.6,0.1", {key[0]: "0.4,0.6", key[1]: "0.1"}
+            else:
+                value, expected = "7", {key: "7"}
+            args = parser.parse_args([command, flag, value])
+            assert _collect_overrides(args) == (expected, ".", None), (command, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--s", "2"],
+    ["sample", "--s=2"],
+    ["--seed", "3", "sample", "--s", "2"],
+], ids=["separate", "equals", "after-seed"])
+def test_sample_smoothness_flag_reaches_the_run(argv, tmp_path):
+    out = tmp_path / "out"
+    assert run(argv + ["--set", "sample.count=2", "--out", str(out)]) == 0
+    assert manifest(out)["config"]["bc.sigma.s"] == "2"

@@ -1,6 +1,5 @@
 """Monte Carlo studies over the random boundary model."""
 
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -443,35 +442,32 @@ def test_streamed_variance_reductions_equal_the_one_shot_ones(kind, family, grid
     np.testing.assert_array_equal([r.z for r in rows], z)
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _peak_growth(check) -> int:
+def _peak_growth(traced_memory, check) -> int:
     small, large = 3 * _CHUNK + 17, 30 * _CHUNK + 17
-    return _traced_peak(lambda: check(large)) - _traced_peak(lambda: check(small))
+
+    def peak(M):
+        return traced_memory(lambda: check(M), warm=lambda: check(small))[0]
+    return peak(large) - peak(small)
 
 
 @pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
 def test_variance_check_memory_does_not_grow_with_M(kind, grid17, ident17, model9,
-                                                    dict17):
+                                                    dict17, traced_memory):
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
                       cmap=ConstraintMap(kind), N=1, dictionary=dict17)
-    assert _peak_growth(lambda M: variance_identity_check(cfg, M=M)) <= 64 * 1024
+    assert _peak_growth(traced_memory,
+                        lambda M: variance_identity_check(cfg, M=M)) <= 64 * 1024
 
 
-def test_tail_and_concentration_memory_grow_by_at_most_8_bytes_per_sample(cfg17):
+def test_tail_and_concentration_memory_grow_by_at_most_8_bytes_per_sample(cfg17,
+                                                                         traced_memory):
     cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
                       cmap=ConstraintMap("critical"), N=1,
                       dictionary=cfg17.dictionary)
     bound = 8 * 27 * _CHUNK + 64 * 1024
-    assert _peak_growth(lambda M: tail_check(cfg.model, M)) <= bound
-    assert _peak_growth(lambda M: concentration_check(cfg, [4, 16], M)) <= bound
+    assert _peak_growth(traced_memory, lambda M: tail_check(cfg.model, M)) <= bound
+    assert _peak_growth(traced_memory,
+                        lambda M: concentration_check(cfg, [4, 16], M)) <= bound
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])

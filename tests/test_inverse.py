@@ -110,6 +110,52 @@ def test_multi_illumination_stitches_a_complete_cover(grid, mu_bump):
     assert full.complete
 
 
+@pytest.mark.parametrize("case", ["tie", "later", "mixed"])
+def test_streamed_choice_is_bitwise_the_stacked_argmax(case, grid, mu_bump):
+    s = grid.boundary_s
+    ones = np.ones(s.shape[0])
+    bcs = {"tie": [ones, ones],
+           "later": [ones, 2.0 * ones],
+           "mixed": [np.clip(np.sin(np.pi * s / 2.0), 0.0, None),
+                     np.clip(-np.sin(np.pi * s / 2.0), 0.0, None), 0.3 * ones]}[case]
+    datasets = qpat_forward(grid, mu_bump, bcs)
+    got = qpat_reconstruct_multi(datasets, tau=0.2)
+    # the reference stacks every recovered u and takes argmax's first-index choice
+    u = np.stack([solve_poisson(grid, d.H, d.boundary_u) for d in datasets])
+    pick = np.abs(u).argmax(axis=0)[None]
+    u_best = np.take_along_axis(u, pick, axis=0)[0]
+    H_best = np.take_along_axis(np.stack([d.H for d in datasets]), pick, axis=0)[0]
+    valid = np.abs(u_best) >= 0.2
+    mu_hat = np.full((grid.n, grid.n), np.nan)
+    mu_hat[valid] = H_best[valid] / u_best[valid]
+    assert got.mu_hat.tobytes() == mu_hat.tobytes()
+    np.testing.assert_array_equal(got.mask_valid, valid)
+    assert got.labels.dtype == pick.dtype
+    np.testing.assert_array_equal(got.labels, pick[0] + 1)
+    assert set(np.unique(got.labels)) == {"tie": {1}, "later": {2}, "mixed": {1, 2, 3}}[case]
+
+
+def test_qpat_reconstruction_memory_does_not_grow_with_the_illuminations(
+        grid, mu_bump, traced_memory):
+    s = grid.boundary_s
+    datasets = qpat_forward(grid, mu_bump, [1.5 + np.cos(k * s) for k in range(8)])
+
+    def peak(count):
+        return traced_memory(lambda: qpat_reconstruct_multi(datasets[:count], tau=0.1))[0]
+    assert peak(8) - peak(1) < grid.n ** 2 * 8
+
+
+def test_no_lattice_field_outlives_a_qpat_round_trip(traced_memory):
+    def round_trip(n):
+        g = build_grid(n)
+        bc = np.ones(g.boundary_count)
+        qpat_reconstruct_multi(qpat_forward(g, 1.0 + g.X, [bc]), tau=0.1)
+
+    # Warmed on another size, so nothing kept for this one is counted as a cache.
+    _, held = traced_memory(lambda: round_trip(77), warm=lambda: round_trip(33))
+    assert held < 77 ** 2 * 8
+
+
 def test_qpat_forward_assembles_one_operator_for_all_traces(grid, mu_bump, monkeypatch):
     calls = []
     assemble = randbc.inverse.assemble
@@ -224,6 +270,12 @@ def test_conductivity_rejects_an_unconverged_potential_integration(grid):
         conductivity_reconstruct(data, tau=1e-3, rtol=1e-20, maxiter=1)
     assert caught.value.iterations == 1
     assert caught.value.residual > 0.0
+
+
+def test_conductivity_reconstruction_peaks_under_twelve_fields(grid, traced_memory):
+    data = conductivity_forward(grid, np.exp(grid.X))
+    peak, _ = traced_memory(lambda: conductivity_reconstruct(data, tau=1e-3))
+    assert peak < 12 * grid.n ** 2 * 8
 
 
 def split_region_data(grid):

@@ -1,6 +1,5 @@
 """Dictionary-based local approximation with weighted Tikhonov control."""
 
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -186,7 +185,7 @@ def test_dense_and_on_demand_dictionaries_agree_bitwise(kind, dict65, grid65, di
         assert (a.eps_achieved, a.boundary_cost) == (b.eps_achieved, b.boundary_cost)
 
 
-def test_the_runge_path_never_holds_the_solved_cube():
+def test_the_runge_path_never_holds_the_solved_cube(traced_memory):
     grid = build_grid(129)
     coeff = CoefficientField.isotropic(grid)
     model = RandomBoundaryModel.power_law(K=33, c=1.0, s=1.5, family="gaussian")
@@ -198,14 +197,6 @@ def test_the_runge_path_never_holds_the_solved_cube():
         t = make_target(kind, grid, disk, dictionary=d, index=5)
         tradeoff_curve(t, d, [1e-2, 1e-6])
 
-    # Warm the process-wide caches (basis values, FFT plans, lazy imports)
-    # first: they are not the dictionary's.
-    run("dictionary_member")
     for kind in ("fundamental_solution", "dictionary_member"):
-        tracemalloc.start()
-        try:
-            run(kind)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_memory(lambda: run(kind))
         assert peak < 0.5 * cube, (kind, peak / cube)

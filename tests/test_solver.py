@@ -395,6 +395,92 @@ def test_cg_loop_meets_the_inf_norm_target_no_later_than_scipy_cg(n, coeff):
     assert 0 < iterations <= reference_iterations
 
 
+def reference_cg(matrix, rhs, target, maxiter, precond=None):
+    """The same iteration written with a new array for every vector it forms;
+    the solver's in-place loop must match it bit for bit."""
+    b = matrix.scatter(rhs)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = r @ z
+    res = np.abs(r).max()
+    iterations = 0
+    while not res <= target:
+        assert iterations < maxiter
+        Ap = matrix.product(p, np.empty_like(b), np.empty_like(b))
+        alpha = rz / (p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        iterations += 1
+        res = np.abs(r).max()
+        if res <= target:
+            r = b - matrix.product(x, np.empty_like(b), np.empty_like(b))
+            res = np.abs(r).max()
+            if res <= target:
+                break
+        z = r if precond is None else precond(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return matrix.gather(x), iterations, float(res)
+
+
+def holed_stencil(n):
+    """A diagonally dominant five-point Stencil on the interior less a disk."""
+    g = build_grid(n)
+    mask = g.interior_mask & ((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2 > 0.05)
+    ones = np.ones((n, n))
+    return Stencil(mask, 4.25 * ones, {(1, 0): -ones, (0, 1): -ones})
+
+
+@pytest.mark.parametrize("coeff, precond",
+                         [(c, p) for c in sorted(SPD_COEFFICIENTS) for p in (False, True)]
+                         + [("holed", False)])
+@pytest.mark.parametrize("n", [17, 65])
+def test_cg_loop_is_bitwise_the_allocating_iteration(n, coeff, precond):
+    if coeff == "holed":
+        matrix, target = holed_stencil(n), 1e-10
+        rhs = np.cos(np.arange(matrix.shape[0], dtype=float))
+        apply = None
+    else:
+        g = build_grid(n)
+        a, q = SPD_COEFFICIENTS[coeff](g)
+        op = assemble(g, CoefficientField.isotropic(g, a, q))
+        matrix, apply = op.matrix, (op.preconditioner if precond else None)
+        bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
+        rhs = op.boundary_coupling @ bc
+        target = 1e-10 * np.abs(rhs).max()
+    x, iterations, res = conjugate_gradients(matrix, rhs, target, 20 * n, apply)
+    x_ref, iterations_ref, res_ref = reference_cg(matrix, rhs, target, 20 * n, apply)
+    assert x.tobytes() == x_ref.tobytes()
+    assert (iterations, res) == (iterations_ref, res_ref)
+
+
+@pytest.mark.parametrize("n", [9, 33])
+def test_preconditioner_into_a_reused_buffer_is_bitwise_the_fresh_one(n):
+    g = build_grid(n)
+    a, q = SPD_COEFFICIENTS["negq"](g)
+    op = assemble(g, CoefficientField.isotropic(g, a, q))
+    rng = np.random.default_rng(n)
+    work = {}
+    out = np.full(n * n, np.nan)     # a buffer whose ring holds stale values
+    for _ in range(3):
+        r = op.matrix.scatter(rng.standard_normal(op.matrix.shape[0]))
+        z = op.preconditioner(r, out, work)
+        assert np.shares_memory(z, out)
+        assert z.tobytes() == op.preconditioner(r).tobytes()
+
+
+def test_sine_preconditioned_cg_holds_under_eight_lattice_fields(traced_memory):
+    g = build_grid(129)
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
+    rhs = op.boundary_coupling @ np.cos(3.0 * g.boundary_s)
+    target = 1e-10 * np.abs(rhs).max()
+    peak, _ = traced_memory(
+        lambda: conjugate_gradients(op.matrix, rhs, target, 200, op.preconditioner))
+    assert peak < 8 * g.n ** 2 * 8
+
+
 def test_cg_loop_reports_the_iteration_cap():
     g = build_grid(33)
     op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
