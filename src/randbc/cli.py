@@ -35,9 +35,8 @@ import sys
 
 import numpy as np
 
-from .boundary import (FAMILIES, BoundaryFunction, RandomBoundaryModel, sample_coeffs,
-                       sigma_norm, surrogate_h12_norm)
-from .boundary import evaluate as eval_bf
+from .boundary import (FAMILIES, BoundaryFunction, RandomBoundaryModel, SampledTraces,
+                       sample_coeffs, sigma_norm, surrogate_h12_norm)
 from .constraints import KIND_ARITY, ConstraintMap, extract_cover, save_cover_csv
 from .errors import ConfigError, DomainError
 from .experiments import (TrialConfig, success_curve, tail_check,
@@ -522,15 +521,13 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     rtol, maxiter = _solver_opts(cfg)
     N = cfg["N"]
     bc_spec = cfg["qpat.bc"]
-    if bc_spec.startswith("const:"):
-        value = float(bc_spec.split(":", 1)[1])
-        bcs = [np.full(grid.boundary_count, value) for _ in range(N)]
-    elif bc_spec == "random":
-        model = _model(cfg)
-        coeffs = sample_coeffs(model, derive_rng(cfg["seed"], 0), N)
-        bcs = [eval_bf(BoundaryFunction(coeffs=coeffs[i]), grid) for i in range(N)]
+    # N traces that keep one boundary walk's values, or none for random ones.
+    if bc_spec == "random":
+        bcs = SampledTraces(sample_coeffs(_model(cfg), derive_rng(cfg["seed"], 0), N), grid)
     else:
-        bcs = [_boundary_expr(bc_spec, grid, "qpat.bc") for _ in range(N)]
+        trace = (float(bc_spec.split(":", 1)[1]) if bc_spec.startswith("const:")
+                 else _boundary_expr(bc_spec, grid, "qpat.bc"))
+        bcs = np.broadcast_to(trace, (N, grid.boundary_count))
     datasets = qpat_forward(grid, mu, bcs, rtol=rtol, maxiter=maxiter)
     tau = cfg["qpat.tau"]
     recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol,

@@ -200,8 +200,8 @@ def witness_fields(cmap: ConstraintMap, grid: Grid2D):
         d0, d1 = cmap.direction
         return (d0 * grid.X + d1 * grid.Y,)
     if cmap.kind == "jacobian":
-        return (grid.X.copy(), grid.Y.copy())
-    return (ones, grid.X.copy(), grid.Y.copy())
+        return (grid.X, grid.Y)
+    return (ones, grid.X, grid.Y)
 
 
 def witness_check(cmap: ConstraintMap, grid: Grid2D, mask: SubdomainMask) -> float:

@@ -41,7 +41,8 @@ def _allowed(node, names) -> bool:
 
 
 def evaluate_field_expression(expr: str, X, Y) -> np.ndarray:
-    """Evaluate expr on coordinate arrays; always returns an array of X's shape."""
+    """Evaluate expr on coordinate arrays; always returns an array of X's shape,
+    read-only if expr is a constant."""
     if not isinstance(expr, str) or not expr.strip():
         raise ConfigError(f"expected a coordinate expression, got {expr!r}")
     names = dict(_FUNCTIONS)
@@ -63,8 +64,8 @@ def evaluate_field_expression(expr: str, X, Y) -> np.ndarray:
         raise
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    if out.ndim == 0:
-        out = np.full(np.shape(X), float(out))
+    if out.ndim == 0:     # a constant: a read-only view of one value
+        out = np.broadcast_to(out, np.shape(X))
     if out.shape != np.shape(X):
         raise ConfigError(
             f"expression {expr!r} produced shape {out.shape}, expected {np.shape(X)}")

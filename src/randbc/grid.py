@@ -29,11 +29,20 @@ class Grid2D:
     n: int
     h: float
     xs: np.ndarray          # (n,) node coordinates along either axis
-    X: np.ndarray           # (n, n), X[ix, iy] = ix/(n-1)
-    Y: np.ndarray           # (n, n), Y[ix, iy] = iy/(n-1)
     boundary_ix: np.ndarray  # (4(n-1),) walk indices, counterclockwise from (0, 0)
     boundary_iy: np.ndarray
     boundary_s: np.ndarray   # (4(n-1),) arclength of each walk node
+
+    @property
+    def X(self) -> np.ndarray:
+        """(n, n) coordinates X[ix, iy] = xs[ix], made anew on each access, so
+        the lattice keeps no field."""
+        return np.repeat(self.xs[:, None], self.n, axis=1)
+
+    @property
+    def Y(self) -> np.ndarray:
+        """(n, n) coordinates Y[ix, iy] = xs[iy], made anew on each access."""
+        return np.repeat(self.xs[None, :], self.n, axis=0)
 
     @property
     def boundary_count(self) -> int:
@@ -70,14 +79,13 @@ def build_grid(n: int) -> Grid2D:
     denom = n - 1
     # Coordinates by division (i/denom, not i*h) so the far corner is exactly 1.0.
     xs = np.arange(n, dtype=float) / denom
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
     k = np.arange(n - 1)
     edge = np.full(n - 1, n - 1)
     zero = np.zeros(n - 1, dtype=int)
     bix = np.concatenate([k, edge, edge - k, zero])
     biy = np.concatenate([zero, k, edge, edge - k])
     s = np.arange(4 * (n - 1), dtype=float) / denom
-    return Grid2D(n=n, h=1.0 / denom, xs=xs, X=X, Y=Y,
+    return Grid2D(n=n, h=1.0 / denom, xs=xs,
                   boundary_ix=bix, boundary_iy=biy, boundary_s=s)
 
 
@@ -107,8 +115,9 @@ def rect_mask(grid: Grid2D, lo: Point, hi: Point) -> SubdomainMask:
         if not (0.0 < lo[c] < hi[c] < 1.0):
             raise ConfigError(
                 f"rectangle must satisfy 0 < lo < hi < 1 per axis, got lo={lo}, hi={hi}")
-    member = ((grid.X >= lo[0]) & (grid.X <= hi[0])
-              & (grid.Y >= lo[1]) & (grid.Y <= hi[1]))
+    xs = grid.xs
+    member = (((xs >= lo[0]) & (xs <= hi[0]))[:, None]
+              & ((xs >= lo[1]) & (xs <= hi[1]))[None, :])
     return SubdomainMask(member=member, kind="rectangle",
                          params={"lo": lo, "hi": hi}, grid_n=grid.n)
 
@@ -124,7 +133,8 @@ def disk_mask(grid: Grid2D, center: Point, radius: float) -> SubdomainMask:
             and cy - radius > 0.0 and cy + radius < 1.0):
         raise ConfigError(
             f"disk(center=({cx}, {cy}), radius={radius}) is not strictly inside the unit square")
-    member = (grid.X - cx) ** 2 + (grid.Y - cy) ** 2 <= radius ** 2
+    member = ((grid.xs[:, None] - cx) ** 2 + (grid.xs[None, :] - cy) ** 2
+              <= radius ** 2)
     return SubdomainMask(member=member, kind="disk",
                          params={"center": (cx, cy), "radius": radius}, grid_n=grid.n)
 

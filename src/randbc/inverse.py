@@ -4,7 +4,8 @@ scalar conductivity from interior data.
 Photoacoustic: u solves -Delta u + mu u = 0 with known illumination, the
 measured interior energy is H = mu u; since Delta u = H, one Poisson solve
 recovers u and then mu = H / u wherever |u| clears a threshold.  With several
-illuminations (one field, H, each) every node keeps the largest |u| so far.
+illuminations every node keeps the largest |u| so far; each illumination's H
+is solved when it is read, so one H is held at a time.
 
 Conductivity: for fields u_i of -div(a grad u_i) = 0, the log-gradient
 g = grad log a solves the 2x2 system  [grad u_i] . g = -Delta u_i  nodewise;
@@ -21,14 +22,15 @@ the integration on the component's bounding box, to bound memory.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
-from .solver import (CoefficientField, ScalarField, SolveInfo, Stencil, assemble,
-                     conjugate_gradients, gradient, laplace_operator, laplacian,
+from .solver import (CoefficientField, DiscreteOperator, ScalarField, SolveInfo, Stencil,
+                     assemble, conjugate_gradients, gradient, laplace_operator, laplacian,
                      neighbor_field, solve_dirichlet, solve_poisson)
 
 
@@ -41,10 +43,48 @@ class QpatData:
     boundary_u: np.ndarray
 
 
+class QpatMeasurements(Sequence):
+    """The photoacoustic measurements of one absorption, solved on access:
+    self[i] solves illumination i on the one forward operator and returns a
+    new QpatData, whose H is the solve's own field.
+
+    Nothing of size n^2 is kept per illumination, and traces are read when
+    their measurement is.  Slices are measurements too, and iterating keeps
+    no reference to a measurement once it is handed out, so a reader that
+    drops each one holds one H at a time.
+    """
+
+    def __init__(self, op: DiscreteOperator, mu: np.ndarray, traces, rtol: float, maxiter,
+                 indices: range | None = None):
+        self.operator = op
+        self.mu = mu
+        self.traces = traces        # sequence of boundary traces
+        self.rtol = rtol
+        self.maxiter = maxiter
+        self._indices = range(len(traces)) if indices is None else indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return QpatMeasurements(self.operator, self.mu, self.traces, self.rtol,
+                                    self.maxiter, self._indices[i])
+        bc = np.array(self.traces[self._indices[i]], dtype=float)
+        u = solve_dirichlet(self.operator, bc, rtol=self.rtol, maxiter=self.maxiter)
+        np.multiply(self.mu, u, out=u)      # H = mu u, in the solve's own field
+        return QpatData(grid=self.operator.grid, H=u, boundary_u=bc)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
 def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
-                 maxiter=None) -> list[QpatData]:
+                 maxiter=None) -> QpatMeasurements:
     """Forward photoacoustic measurements for absorption mu, one per illumination
-    trace in bcs; the operator is assembled once for all of them."""
+    trace in the sequence bcs, each solved when it is read; the operator is
+    assembled once for all of them."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (grid.n, grid.n):
         raise ConfigError(f"mu must have shape {(grid.n, grid.n)}, got {mu.shape}")
@@ -53,12 +93,7 @@ def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
     if np.any(mu < 0.0):
         raise ConfigError("absorption must be nonnegative")
     op = assemble(grid, CoefficientField.isotropic(grid, a=1.0, q=mu))
-    out = []
-    for bc in bcs:
-        u = solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter)
-        np.multiply(mu, u, out=u)      # H = mu u, in the solve's own field
-        out.append(QpatData(grid=grid, H=u, boundary_u=np.asarray(bc, dtype=float).copy()))
-    return out
+    return QpatMeasurements(op, mu, bcs, rtol, maxiter)
 
 
 @dataclass(eq=False)
@@ -71,16 +106,18 @@ class QpatMultiResult:
 
 def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = None,
                            rtol: float = 1e-10, maxiter=None) -> QpatMultiResult:
-    """Multi-illumination absorption: each node uses its largest |u| measurement,
-    the first of equal ones (DomainError when no node's |u| clears tau)."""
-    datasets = list(datasets)
+    """Multi-illumination absorption from a sequence of QpatData, such as
+    qpat_forward's: each node uses its largest |u| measurement, the first of
+    equal ones (DomainError when no node's |u| clears tau).  The measurements
+    are read once, in order, and each is dropped before the next is read, so
+    a QpatMeasurements is solved one illumination at a time."""
     if len(datasets) == 0:
         raise ConfigError("need at least one measurement")
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
-    grid = datasets[0].grid
-    if any(d.grid.n != grid.n for d in datasets):
-        raise ConfigError("measurements live on different grids")
+    # A QpatMeasurements' grid, read without solving its first measurement.
+    grid = (datasets.operator if isinstance(datasets, QpatMeasurements)
+            else datasets[0]).grid
     if window is None:
         window = default_window(grid)
     if window.grid_n != grid.n:
@@ -88,14 +125,18 @@ def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = 
     shape, op = (grid.n, grid.n), laplace_operator(grid)
     # At each node the best |u| so far (any |u| beats -1), its mu = H / u and label.
     best, mu_hat, labels = np.full(shape, -1.0), np.empty(shape), np.empty(shape, np.intp)
-    for label, d in enumerate(datasets, start=1):
+    label = 0
+    for d in datasets:
+        label += 1
+        if d.grid.n != grid.n:
+            raise ConfigError("measurements live on different grids")
         u = solve_poisson(grid, d.H, d.boundary_u, rtol=rtol, maxiter=maxiter, op=op)
         better = np.abs(u) > best          # strict: a tie keeps the first, as argmax does
         np.maximum(best, np.abs(u), out=best)
         with np.errstate(all="ignore"):    # where |u| misses tau, mu is dropped below
             np.divide(d.H, u, out=mu_hat, where=better)
         labels[better] = label
-        del u, better                      # before the next solve
+        del d, u, better                   # before the next measurement is read
     valid = best >= tau
     if not valid.any():
         raise DomainError(f"recovered |u| clears tau={tau} at no node")
@@ -111,7 +152,7 @@ class ConductivityData:
 
     grid: Grid2D
     u: np.ndarray                # (2, n, n)
-    a_true: ScalarField | None = None
+    a_true: ScalarField | None = None   # the conductivity as given, not copied
 
 
 def conductivity_forward(grid: Grid2D, a, bcs=None, rtol: float = 1e-10,
@@ -125,14 +166,14 @@ def conductivity_forward(grid: Grid2D, a, bcs=None, rtol: float = 1e-10,
     if np.any(a <= 0.0):
         raise ConfigError("conductivity must be strictly positive")
     if bcs is None:
-        bcs = (grid.boundary_values(grid.X), grid.boundary_values(grid.Y))
+        bcs = (grid.xs[grid.boundary_ix], grid.xs[grid.boundary_iy])
     if len(bcs) != 2:
         raise ConfigError("exactly two boundary traces are required")
     op = assemble(grid, CoefficientField.isotropic(grid, a=a, q=0.0))
-    u = np.stack([solve_dirichlet(op, np.asarray(bc, dtype=float), rtol=rtol,
-                                  maxiter=maxiter)
-                  for bc in bcs])
-    return ConductivityData(grid=grid, u=u, a_true=a.copy())
+    u = np.empty((2, grid.n, grid.n))
+    for field, bc in zip(u, bcs):
+        solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter, out=field)
+    return ConductivityData(grid=grid, u=u, a_true=a)
 
 
 @dataclass(eq=False)

@@ -7,9 +7,11 @@ construction: face and corner weights are written with commutative
 expressions, and the interior matrix is a Stencil that stores each coupling
 once, so A equals its transpose bit-for-bit.  A Stencil keeps the per-node
 weight bands over the flattened lattice, and its product is a sum of shifted
-1-D slices; the boundary coupling is a scatter over the boundary walk.
-Everything here runs on numpy alone except LU, which imports scipy inside
-its branch and builds CSR there through lattice_operator.
+1-D slices; the boundary coupling is a scatter over the boundary walk, read
+off the ring in O(n).  A weight that overflows (harmonic means of a above
+about 1.3e154) is a ConfigError.  Everything here runs on numpy alone except
+LU, which imports scipy inside its branch and builds CSR there through
+lattice_operator.
 
 Dirichlet data is a vector over the boundary walk of the grid.  The solve
 contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf,
@@ -17,8 +19,11 @@ checked after every solve.  Three paths meet it:
 
 - A constant five-point stencil (scalar a and q whose assembled diagonal and
   off-diagonal weights are each one value, compared bitwise, since
-  harm(a, a) need not round back to a) is diagonalized by the 2-D sine
-  transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)).
+  harm(a, a) need not round back to a; a that is one value off the corners
+  and q one value inside are decided from a 3 x 3 patch, and such an
+  operator keeps its two weights and no band) is diagonalized by the 2-D
+  sine transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)),
+  formed a block of rows at a time.
   The solve is direct, S (S r / lambda) (2 / (n - 1))^2, whatever the sign
   of q, as long as no eigenvalue vanishes; S is built on numpy.fft, which
   importing numpy already loads.  The Dirichlet part of r is -o g on the
@@ -30,8 +35,10 @@ checked after every solve.  Three paths meet it:
       S r S = S(-o L) (x) s_1 + S(-o R) (x) s_m + s_1 (x) S(-o B) + s_m (x) S(-o T),
 
   four 1-D transforms in one batch; only a forcing term takes a 2-D forward
-  transform.  The residual is checked on the lattice: the Stencil gives the
-  ring zero weight, so its product with the assembled u is A u_int.
+  transform, read in place.  No (n-2, n-2) right-hand side is formed: the
+  coupled data live on the border of the block of unknowns, so the target's
+  scale and the residual A u_int - r are taken there and from the forcing,
+  the residual adding the Stencil's terms in its order, bitwise its product.
 - Other operators certified positive definite take conjugate gradients
   (conjugate_gradients, the loop potential integration in randbc.inverse
   shares) preconditioned by the same sine transform between two diagonal
@@ -76,9 +83,10 @@ _DST_ROWS = 32      # rows per FFT batch of a sine transform
 
 
 def _as_field(grid: Grid2D, value, name: str) -> np.ndarray:
+    """value as an (n, n) field; a scalar becomes a read-only broadcast view."""
     out = np.asarray(value, dtype=float)
     if out.ndim == 0:
-        out = np.full((grid.n, grid.n), float(out))
+        out = np.broadcast_to(out, (grid.n, grid.n))
     if out.shape != (grid.n, grid.n):
         raise ConfigError(f"{name} must be scalar or shape {(grid.n, grid.n)}, got {out.shape}")
     return out
@@ -213,14 +221,30 @@ class DiscreteOperator:
     matrix is a symmetric Stencil whose unknowns are the interior nodes in
     row-major (ix, iy) order; boundary_coupling @ g is the right-hand-side
     contribution of Dirichlet data g given along the grid's boundary walk.
+    assemble() builds both for a variable stencil.  A constant stencil keeps
+    only its weights (d, o), all its sine-transform solve reads: its matrix
+    is assembled on first use, and its boundary coupling is read off o
+    along the ring.
     """
 
     grid: Grid2D
     coeff: CoefficientField
-    matrix: "Stencil"
-    boundary_coupling: BoundaryCoupling
     spd: bool
     stencil: tuple[float, float] | None   # (diagonal, off-diagonal) if constant
+
+    @cached_property
+    def matrix(self) -> "Stencil":
+        return Stencil(self.grid.interior_mask,
+                       *_weights(self.grid.h, self.coeff.a, self.coeff.q))
+
+    @cached_property
+    def boundary_coupling(self) -> BoundaryCoupling:
+        if self.stencil is None:
+            forward = _weights(self.grid.h, self.coeff.a, self.coeff.q)[1]
+        else:
+            o = np.broadcast_to(self.stencil[1], (self.grid.n, self.grid.n))
+            forward = {(0, 1): o, (1, 0): o}
+        return _walk_coupling(self.grid, forward)
 
     def apply(self, field: ScalarField) -> np.ndarray:
         """L_h applied to a full-grid field; returns (n-2, n-2) interior values."""
@@ -246,22 +270,29 @@ class DiscreteOperator:
         n, h2 = self.grid.n, self.grid.h * self.grid.h
         scale = (0.25 * h2 * self.matrix.center.reshape(n, n)[1:-1, 1:-1]) ** -0.5
         shift = max(0.0, float(np.mean(self.coeff.q[1:-1, 1:-1] * scale ** 2)))
-        eigenvalues = _stencil_eigenvalues(self.grid, 4.0 / h2 + shift, -1.0 / h2)
+        eigenvalues = _stencil_eigenvalues(_cosines(self.grid), 4.0 / h2 + shift,
+                                           -1.0 / h2)
 
         def apply(r: np.ndarray, out=None, work: dict | None = None) -> np.ndarray:
             z = (np.empty(n * n) if out is None else out).reshape(n, n)
             z[[0, -1]] = z[:, [0, -1]] = 0.0
             inner, buf = z[1:-1, 1:-1], _scratch(work, "transform", scale.shape)
             np.multiply(scale, r.reshape(n, n)[1:-1, 1:-1], out=inner)
-            sxs = _dst1_rows(_dst1_rows(inner, work, out=buf).T, work, out=inner).T  # S x S
-            np.multiply(scale, _sine_solve(sxs, eigenvalues, work, out=buf), out=inner)
+            sxs = _dst1_2d(inner, work, buf, out=inner)
+            sxs /= eigenvalues
+            np.multiply(scale, _sine_solve(sxs, work, out=buf), out=inner)
             return z.reshape(-1)
         return apply
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """(n-2, n-2) eigenvalues of a constant stencil, indexed like the DST-I modes."""
-        return _stencil_eigenvalues(self.grid, *self.stencil)
+        """(n-2, n-2) eigenvalues of a constant stencil, indexed like the DST-I
+        modes (its solve forms them a block of rows at a time)."""
+        return _stencil_eigenvalues(self.cosines, *self.stencil)
+
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        return _cosines(self.grid)
 
     @cached_property
     def edge_sines(self) -> np.ndarray:
@@ -307,23 +338,27 @@ class Stencil:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """Flat lattice indices of the unknowns (made on first use: the
-        sine-transform path never needs them)."""
+        """Flat lattice indices of the unknowns, for CSR (made on first use:
+        scatter and gather read the mask)."""
         return np.flatnonzero(self.mask)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.nodes.size, self.nodes.size)
+        count = int(np.count_nonzero(self.mask))
+        return (count, count)
 
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        """The lattice field holding x at the nodes."""
-        v = np.zeros(self.mask.size)
-        v[self.nodes] = x
-        return v
+    def scatter(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The lattice field holding x at the nodes, written into out if given."""
+        if out is None:
+            out = np.zeros(self.mask.size)
+        else:
+            out.fill(0.0)
+        out[self.mask.reshape(-1)] = x
+        return out
 
     def gather(self, v: np.ndarray) -> np.ndarray:
         """The node values of a lattice field."""
-        return v[self.nodes]
+        return v[self.mask.reshape(-1)]
 
     def product(self, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """out = A v for a lattice field v; returns out.  Values of v off the
@@ -396,71 +431,106 @@ def lattice_operator(bands: dict):
     return sparse.diags(diagonals, offsets, shape=(size, size), format="csr")
 
 
-def _walk_coupling(grid: Grid2D, bands: dict) -> BoundaryCoupling:
-    """The boundary coupling of the lattice weights bands[dx, dy]."""
+def _walk_coupling(grid: Grid2D, forward: dict) -> BoundaryCoupling:
+    """The boundary coupling of the forward weights of a Stencil (before its
+    mask is applied), read along the ring: interior node q meets ring node p
+    through forward[p - q] at q, or through forward[q - p] at p."""
     n = grid.n
-    walk = np.zeros((n, n), dtype=np.intp)   # 1 + walk position on the boundary
-    walk[grid.boundary_ix, grid.boundary_iy] = np.arange(1, grid.boundary_count + 1)
-    row = np.zeros((n, n), dtype=np.intp)
-    row[1:-1, 1:-1] = np.arange((n - 2) ** 2).reshape(n - 2, n - 2)
+    ring = (grid.boundary_ix, grid.boundary_iy)
+    walk = np.arange(grid.boundary_count)
     rows, cols, weights = [], [], []
-    for (dx, dy), w in bands.items():
-        col = neighbor_field(walk, dx, dy) - 1
-        hit = grid.interior_mask & (col >= 0) & (w != 0.0)
-        rows.append(row[hit])
-        cols.append(col[hit])
-        weights.append(-w[hit])
+    for (dx, dy), w in forward.items():
+        for sign in (1, -1):
+            ix, iy = ring[0] - sign * dx, ring[1] - sign * dy    # q = p - sign (dx, dy)
+            hit = (ix >= 1) & (ix <= n - 2) & (iy >= 1) & (iy <= n - 2)
+            ix, iy = ix[hit], iy[hit]
+            wt = w[ix, iy] if sign == 1 else w[ring[0][hit], ring[1][hit]]
+            keep = wt != 0.0
+            rows.append(((ix - 1) * (n - 2) + iy - 1)[keep])
+            cols.append(walk[hit][keep])
+            weights.append(-wt[keep])
     rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
     order = np.lexsort((cols, rows))
     return BoundaryCoupling(rows=rows[order], cols=cols[order], weights=weights[order],
                             shape=((n - 2) ** 2, grid.boundary_count))
 
 
-def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
-    """Assemble the interior system and the boundary-coupling map."""
-    coeff.validate(grid)
-    h2 = grid.h * grid.h
-    a11, a22 = ((coeff.a, coeff.a) if coeff.is_scalar
-                else (coeff.a[..., 0, 0], coeff.a[..., 1, 1]))
-    # Temporaries are made in place and the face weights negated in place, so
-    # assembly holds a few lattice fields at a time.
-    east = _harm(a11, neighbor_field(a11, 1, 0))
-    east /= h2
-    north = _harm(a22, neighbor_field(a22, 0, 1))
-    north /= h2
-    west = neighbor_field(east, -1, 0)     # the same faces seen from the other side
-    south = neighbor_field(north, 0, -1)
-    center = west + east
-    center += south
-    center += north
-    center += coeff.q
-    for face in (west, east, south, north):
-        np.negative(face, out=face)
-    bands = {(-1, 0): west, (1, 0): east, (0, -1): south, (0, 1): north,
-             (0, 0): center}
-    if not coeff.is_scalar:
-        a12 = coeff.a[..., 0, 1]
-        quarter = 0.25 / h2
-        ne = -(neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, 1)) * quarter
-        se = (neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, -1)) * quarter
-        bands.update({(1, 1): ne, (-1, -1): neighbor_field(ne, -1, -1),
-                      (1, -1): se, (-1, 1): neighbor_field(se, -1, 1)})
+def _weights(h: float, a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The weights of L_h on the lattice for scalar (n, n) or matrix (n, n, 2, 2)
+    a: each node's diagonal weight, and forward[dx, dy], (dx, dy) in FORWARD, its
+    coupling to its (dx, dy) neighbor.  ConfigError if a weight is not finite
+    (harmonic means overflow for a above about 1.3e154)."""
+    h2 = h * h
+    a11, a22 = (a, a) if a.ndim == 2 else (a[..., 0, 0], a[..., 1, 1])
+    # Temporaries are made in place, and a node's west and south faces are read
+    # off its neighbors' east and north ones, so a few lattice fields are held.
+    with np.errstate(over="ignore", invalid="ignore"):
+        east = _harm(a11, neighbor_field(a11, 1, 0))
+        east /= h2
+        north = _harm(a22, neighbor_field(a22, 0, 1))
+        north /= h2
+        center = east.copy()
+        center[1:] += east[:-1]               # + west
+        center[:, 1:] += north[:, :-1]        # + south
+        center += north
+        center += q
+        forward = {(0, 1): np.negative(north, out=north),
+                   (1, 0): np.negative(east, out=east)}
+        if a.ndim == 4:
+            a12, quarter = a[..., 0, 1], 0.25 / h2
+            east12 = neighbor_field(a12, 1, 0)
+            forward[1, 1] = -(east12 + neighbor_field(a12, 0, 1)) * quarter
+            forward[1, -1] = (east12 + neighbor_field(a12, 0, -1)) * quarter
+    if not all(np.isfinite(w).all() for w in forward.values()):
+        raise ConfigError("diffusion coefficient a is too large to assemble: a stencil "
+                          f"weight overflows (max |a| = {np.abs(a).max():.6g})")
+    if not np.isfinite(center).all():
+        raise ConfigError("potential q is too large to assemble: a diagonal stencil "
+                          f"weight overflows (max |q| = {np.abs(q).max():.6g})")
+    return center, {offset: forward[offset] for offset in FORWARD if offset in forward}
 
-    coupling = _walk_coupling(grid, bands)
-    matrix = Stencil(grid.interior_mask, center,
-                     {offset: bands[offset] for offset in FORWARD if offset in bands})
+
+def _constant_weights(center: np.ndarray, forward: dict) -> tuple[float, float] | None:
+    """(d, o) if the five-point weights of _weights are one diagonal d and one
+    off-diagonal o at every interior node (faces to the ring included), else None.
+    Compared bitwise on the weights: _harm(a, a) need not round back to a."""
+    east, north = forward[1, 0], forward[0, 1]
+    o, d = east[0, 1], center[1, 1]
+    if (np.all(east[:-1, 1:-1] == o) and np.all(north[1:-1, :-1] == o)
+            and np.all(center[1:-1, 1:-1] == d)):
+        return float(d), float(o)
+    return None
+
+
+def _uniform_weights(h: float, coeff: CoefficientField) -> tuple[float, float] | None:
+    """_constant_weights of scalar coefficients with one a at every node but the
+    four corners (which no interior face reads) and one q at the interior nodes,
+    from the same arithmetic on a 3 x 3 patch; None for any other coefficients."""
+    a, q = coeff.a, coeff.q
+    alpha, beta = a[0, 1], q[1, 1]
+    for part, value in ((a[1:-1], alpha), (a[0, 1:-1], alpha), (a[-1, 1:-1], alpha),
+                        (q[1:-1, 1:-1], beta)):
+        if not part.min() == value == part.max():
+            return None
+    return _constant_weights(*_weights(h, np.full((3, 3), alpha), np.full((3, 3), beta)))
+
+
+def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
+    """Assemble the interior system and the boundary-coupling map; a constant
+    stencil keeps its two weights only (see DiscreteOperator)."""
+    coeff.validate(grid)
+    stencil = _uniform_weights(grid.h, coeff) if coeff.is_scalar else None
+    if stencil is None:
+        center, forward = _weights(grid.h, coeff.a, coeff.q)
+        stencil = _constant_weights(center, forward) if coeff.is_scalar else None
+    # Certified after the weights' overflow check, which a too large for it fails.
     spd = bool(coeff.is_scalar
                and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
-    stencil = None
-    if coeff.is_scalar:
-        # Compared on the assembled weights: _harm(a, a) need not round back to a.
-        inner = np.s_[1:-1, 1:-1]
-        o, d = west[1, 1], center[1, 1]
-        if (all(np.all(f[inner] == o) for f in (west, east, south, north))
-                and np.all(center[inner] == d)):
-            stencil = (float(d), float(o))
-    return DiscreteOperator(grid=grid, coeff=coeff, matrix=matrix,
-                            boundary_coupling=coupling, spd=spd, stencil=stencil)
+    op = DiscreteOperator(grid=grid, coeff=coeff, spd=spd, stencil=stencil)
+    if stencil is None:     # the cached properties, from the weights at hand
+        op.__dict__.update(matrix=Stencil(grid.interior_mask, center, forward),
+                           boundary_coupling=_walk_coupling(grid, forward))
+    return op
 
 
 @dataclass
@@ -483,9 +553,10 @@ def _scratch(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndar
 
 
 def _dst1_rows(x: np.ndarray, work: dict | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None, negate: bool = False) -> np.ndarray:
     """Unnormalized DST-I of each row, sum_i x_i sin(pi i k / (m + 1)), from the
-    FFT of the odd extension [0, x, 0, -reversed x], written into out if given.
+    FFT of the odd extension [0, x, 0, -reversed x], written into out if given;
+    of -x if negate, bitwise the transform of a negated copy.
 
     Rows go _DST_ROWS at a time through one extension buffer (kept in work);
     each row's FFT is the same whatever the batch.
@@ -499,15 +570,22 @@ def _dst1_rows(x: np.ndarray, work: dict | None = None,
     for lo in range(0, k, rows):
         hi = min(lo + rows, k)
         e = ext[:hi - lo]
-        e[:, 1:m + 1] = x[lo:hi]
-        np.negative(x[lo:hi, ::-1], out=e[:, m + 2:])
+        if negate:
+            np.negative(x[lo:hi], out=e[:, 1:m + 1])
+            e[:, m + 2:] = x[lo:hi, ::-1]
+        else:
+            e[:, 1:m + 1] = x[lo:hi]
+            np.negative(x[lo:hi, ::-1], out=e[:, m + 2:])
         np.multiply(np.fft.rfft(e).imag[:, 1:m + 1], -0.5, out=out[lo:hi])
     return out
 
 
-def _dst1_2d(x: np.ndarray, work: dict | None = None) -> np.ndarray:
-    """2-D DST-I of a square array; the transform is symmetric, so S x S."""
-    return _dst1_rows(_dst1_rows(x, work).T, work).T
+def _dst1_2d(x: np.ndarray, work: dict | None = None, buf: np.ndarray | None = None,
+             out: np.ndarray | None = None, negate: bool = False) -> np.ndarray:
+    """2-D DST-I of a square array (of -x if negate); the transform is
+    symmetric, so S x S.  The rows' pass goes into buf and the columns' into
+    out, if given, which holds the result's transpose; out may be x."""
+    return _dst1_rows(_dst1_rows(x, work, out=buf, negate=negate).T, work, out=out).T
 
 
 def _boundary_transform(op: DiscreteOperator, u: ScalarField, work: dict | None = None,
@@ -524,23 +602,28 @@ def _boundary_transform(op: DiscreteOperator, u: ScalarField, work: dict | None 
                      np.stack((s1, sm, bottom, top)), out=out)
 
 
-def _stencil_eigenvalues(grid: Grid2D, d: float, o: float) -> np.ndarray:
-    """(n-2, n-2) eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)) of the constant
-    five-point stencil (d, o), indexed like the DST-I modes."""
-    c = np.cos(np.pi * grid.h * np.arange(1, grid.n - 1))
-    out = np.add.outer(c, c)
+def _cosines(grid: Grid2D) -> np.ndarray:
+    """cos(j pi h), j = 1 .. n-2: the DST-I modes' part of a stencil's eigenvalues."""
+    return np.cos(np.pi * grid.h * np.arange(1, grid.n - 1))
+
+
+def _stencil_eigenvalues(c: np.ndarray, d: float, o: float, rows=slice(None),
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues d + 2 o (c_j + c_k) of the constant five-point stencil (d, o)
+    for c = _cosines(grid), indexed like the DST-I modes: the (n-2, n-2) table,
+    or its rows j in the slice rows, written into out if given."""
+    out = np.add.outer(c[rows], c, out=out)
     out *= 2.0 * o
     out += d
     return out
 
 
-def _sine_solve(transform: np.ndarray, eigenvalues: np.ndarray, work: dict | None = None,
+def _sine_solve(transform: np.ndarray, work: dict | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """S (transform / lambda) (2 / (m + 1))^2, the (m, m) x with A x = r for
-    transform = S r and lambda the eigenvalues of A; overwrites transform.
+    """S transform (2 / (m + 1))^2, the (m, m) x with A x = r for transform =
+    S r / lambda, lambda the eigenvalues of A; overwrites transform.
     x is the transpose of a C-ordered (m, m) array, out if given (it must not
     overlap transform), so every pass writes contiguous rows."""
-    transform /= eigenvalues
     x = _dst1_rows(_dst1_rows(transform, work, out=transform).T, work, out=out)
     x *= (2.0 / (transform.shape[0] + 1)) ** 2
     return x.T
@@ -582,8 +665,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
         iterations += 1
         res = np.abs(r, out=spare).max()
         if res <= target:                # r = rhs - matrix x, keeping no copy of rhs
-            r.fill(0.0)
-            r[matrix.nodes] = rhs
+            r = matrix.scatter(rhs, out=r)
             r -= matrix.product(x, Ap, spare)
             res = np.abs(r, out=spare).max()
             if res <= target:
@@ -592,43 +674,88 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
         rz, rz_old = r @ z, rz
         p *= rz / rz_old                 # then p + z: bitwise z + beta p
         p += z
-    return np.take(x, matrix.nodes, out=spare[:rhs.size]), iterations, float(res)
+    del r, z, p, Ap, spare, work         # before the unknowns are gathered
+    return matrix.gather(x), iterations, float(res)
 
 
-def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
-                    forcing: np.ndarray | None, rtol: float, maxiter,
-                    work: dict | None = None) -> SolveInfo:
-    """Fill the interior of u, which holds the Dirichlet data on its ring, so
-    that A u_int = rhs, the coupled data plus the (n-2, n-2) forcing if any.
-    The sine-transform path keeps its temporaries in work if given."""
-    scale = max(rhs.max(), -rhs.min()) if rhs.size else 0.0    # max |rhs|, no copy
+def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | None,
+                         negate: bool, rtol: float, work: dict | None) -> SolveInfo:
+    """_solve_interior for a constant stencil, by the sine transform, with no
+    (n-2, n-2) right-hand side: the coupled data b are nonzero only on the
+    border of the block of unknowns, so the target's scale and the residual
+    A u_int - b - f are taken there and from the forcing f itself (-f if
+    negate).  The residual adds the Stencil's terms in its order (c u, then
+    the neighbors at +y, -y, +x, -x), so it is bitwise the Stencil's."""
+    n = op.grid.n
+    d, o = op.stencil
+    c = -o                                  # the ring's coupling weight
+    # b on the block's rows 0 and m-1 (corners: both ring neighbors) and on
+    # columns 0 and m-1 between them, plus f there.
+    rows = np.multiply(u[[0, -1], 1:-1], c)
+    rows[:, 0] += c * u[[1, -2], 0]
+    rows[:, -1] += c * u[[1, -2], -1]
+    cols = np.multiply(u[2:-2][:, [0, -1]].T, c)
+    add, sub = (np.subtract, np.add) if negate else (np.add, np.subtract)   # of f
+    parts = [rows, cols]
+    if forcing is not None:
+        add(rows, forcing[[0, -1]], out=rows)
+        add(cols, forcing[1:-1, [0, -1]].T, out=cols)
+        parts.append(forcing[1:-1, 1:-1])
+    scale = np.max([max(p.max(), -p.min()) for p in parts])     # max |b + f|, no copy
     if scale == 0.0:
         return SolveInfo("trivial", 0, 0.0)
+    target = rtol * scale
+    m = n - 2
+    product, lattice = (_scratch(work, name, (n * n,))[:m * m].reshape(m, m)
+                        for name in ("product", "lattice"))
+    if forcing is None:
+        transform, spare = _boundary_transform(op, u, work, out=product), lattice
+    else:
+        sfs = _dst1_2d(forcing, work, lattice, out=product, negate=negate)
+        transform, spare = _boundary_transform(op, u, work, out=lattice), product
+        transform += sfs
+    block = _scratch(work, "eigenvalues", (min(m, _DST_ROWS), m))
+    for lo in range(0, m, _DST_ROWS):       # the eigenvalues, a block of rows at a time
+        hi = min(lo + _DST_ROWS, m)
+        transform[lo:hi] /= _stencil_eigenvalues(op.cosines, d, o, np.s_[lo:hi],
+                                                 out=block[:hi - lo])
+    u[1:-1, 1:-1] = _sine_solve(transform, work, out=spare)
+    inner, tmp = u[1:-1, 1:-1], lattice
+    r = np.multiply(inner, d, out=product)
+    # Each neighbor term on the whole block, zero where it would be the ring's
+    # (the Stencil's zero weight), so the sums run over contiguous arrays.
+    for to, of, edge in ((np.s_[:, :-1], np.s_[:, 1:], np.s_[:, -1]),
+                         (np.s_[:, 1:], np.s_[:, :-1], np.s_[:, 0]),
+                         (np.s_[:-1], np.s_[1:], np.s_[-1]),
+                         (np.s_[1:], np.s_[:-1], np.s_[0])):
+        np.multiply(inner[of], o, out=tmp[to])
+        tmp[edge] = 0.0
+        r += tmp
+    if forcing is not None:
+        sub(r[1:-1, 1:-1], forcing[1:-1, 1:-1], out=r[1:-1, 1:-1])
+    r[[0, -1]] -= rows
+    r[1:-1, [0, -1]] -= cols.T
+    res = np.abs(r, out=r).max()
+    if not res <= target:
+        raise SolverError(f"sine-transform solve residual {res:.3e} > target "
+                          f"{target:.3e}", residual=res, iterations=0)
+    return SolveInfo("dst", 0, float(res))
+
+
+def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
+                    maxiter) -> tuple[np.ndarray | None, SolveInfo]:
+    """The unknowns x with A x = rhs, by conjugate gradients or sparse LU
+    (None when rhs is zero)."""
+    scale = max(rhs.max(), -rhs.min()) if rhs.size else 0.0    # max |rhs|, no copy
+    if scale == 0.0:
+        return None, SolveInfo("trivial", 0, 0.0)
     if maxiter is None:
         maxiter = 20 * op.grid.n
     target = rtol * scale
-    m = op.grid.n - 2
-    if op.stencil is not None:
-        # The residual check's two lattice buffers hold the transforms until then.
-        n = op.grid.n
-        product, lattice = (_scratch(work, name, (n * n,))[:m * m].reshape(m, m)
-                            for name in ("product", "lattice"))
-        transform = _boundary_transform(op, u, work, out=product)
-        if forcing is not None:
-            transform += _dst1_2d(forcing, work)
-        u[1:-1, 1:-1] = _sine_solve(transform, op.eigenvalues, work, out=lattice)
-        r = op.interior_product(u, work)
-        r -= rhs.reshape(m, m)
-        res = np.abs(r, out=r).max()
-        if not res <= target:
-            raise SolverError(f"sine-transform solve residual {res:.3e} > target "
-                              f"{target:.3e}", residual=res, iterations=0)
-        return SolveInfo("dst", 0, float(res))
     if op.spd:
         x, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter,
                                             op.preconditioner)
-        u[1:-1, 1:-1] = x.reshape(m, m)
-        return SolveInfo("cg-sine", iters, res)
+        return x, SolveInfo("cg-sine", iters, res)
     from scipy.sparse.linalg import splu   # the one path that needs scipy
 
     try:
@@ -646,20 +773,13 @@ def _solve_interior(op: DiscreteOperator, u: ScalarField, rhs: np.ndarray,
         raise SolverError(
             f"direct solve residual {res:.3e} > target {target:.3e} "
             f"after {refinements} refinement steps", residual=res, iterations=refinements)
-    u[1:-1, 1:-1] = x.reshape(m, m)
-    return SolveInfo("lu", refinements, float(res))
+    return x, SolveInfo("lu", refinements, float(res))
 
 
-def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
-                    forcing=None, want_info: bool = False, work: dict | None = None):
-    """Solve L u = forcing with Dirichlet trace g along the boundary walk.
-
-    g has one value per boundary-walk node; forcing (optional) is a full-grid
-    field read at interior nodes.  Returns a new full (n, n) solution field.
-    work (optional) is a dict in which the sine-transform path keeps its
-    transform and product temporaries, so that a run of solves sharing it
-    allocates them once; one work must not serve two solves at a time.
-    """
+def _solve(op: DiscreteOperator, g, forcing: np.ndarray | None, negate: bool, rtol: float,
+           maxiter, want_info: bool, work: dict | None, out: np.ndarray | None):
+    """solve_dirichlet with forcing the checked (n-2, n-2) interior block of the
+    forcing, or of minus the forcing if negate; it is read, never copied."""
     grid = op.grid
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.boundary_count,):
@@ -669,7 +789,40 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
         raise DomainError("boundary data must be finite")
     if not (0.0 < rtol < 1.0):
         raise ConfigError(f"rtol must lie in (0, 1), got {rtol}")
-    rhs = op.boundary_coupling @ g
+    x = None
+    if op.stencil is None:      # solved before u is made, which it does not read
+        rhs = op.boundary_coupling @ g
+        if forcing is not None:
+            block = rhs.reshape(grid.n - 2, grid.n - 2)
+            (np.subtract if negate else np.add)(block, forcing, out=block)
+        x, info = _solve_interior(op, rhs, rtol, maxiter)
+        del rhs
+    if out is None:
+        u = np.zeros((grid.n, grid.n))
+    else:
+        u = out
+        u.fill(0.0)
+    u[grid.boundary_ix, grid.boundary_iy] = g
+    if op.stencil is not None:
+        info = _sine_solve_interior(op, u, forcing, negate, rtol, work)
+    elif x is not None:
+        u[1:-1, 1:-1] = x.reshape(grid.n - 2, grid.n - 2)
+    return (u, info) if want_info else u
+
+
+def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
+                    forcing=None, want_info: bool = False, work: dict | None = None,
+                    out: np.ndarray | None = None):
+    """Solve L u = forcing with Dirichlet trace g along the boundary walk.
+
+    g has one value per boundary-walk node; forcing (optional) is a full-grid
+    field read at interior nodes.  Returns the (n, n) solution field: out if
+    given, else a new one.  work (optional) is a dict in which the
+    sine-transform path keeps its transform and product temporaries, so that
+    a run of solves sharing it allocates them once; one work must not serve
+    two solves at a time.
+    """
+    grid = op.grid
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
         if forcing.shape != (grid.n, grid.n):
@@ -677,13 +830,7 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
         if not np.all(np.isfinite(forcing)):
             raise DomainError("forcing must be finite")
         forcing = forcing[1:-1, 1:-1]
-        rhs = rhs + forcing.reshape(-1)
-    u = np.zeros((grid.n, grid.n))
-    u[grid.boundary_ix, grid.boundary_iy] = g
-    info = _solve_interior(op, u, rhs, forcing, rtol, maxiter, work)
-    if want_info:
-        return u, info
-    return u
+    return _solve(op, g, forcing, False, rtol, maxiter, want_info, work, out)
 
 
 def laplace_operator(grid: Grid2D) -> DiscreteOperator:
@@ -699,8 +846,8 @@ def solve_poisson(grid: Grid2D, rhs, g, rtol: float = 1e-10, maxiter=None,
         raise ConfigError(f"rhs must have shape {(grid.n, grid.n)}, got {rhs.shape}")
     if not np.all(np.isfinite(rhs)):
         raise DomainError("Poisson right-hand side must be finite")
-    return solve_dirichlet(op or laplace_operator(grid), g, rtol=rtol, maxiter=maxiter,
-                           forcing=-rhs)
+    return _solve(op or laplace_operator(grid), g, rhs[1:-1, 1:-1], True, rtol, maxiter,
+                  False, None, None)
 
 
 def gradient(grid: Grid2D, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:

@@ -230,6 +230,63 @@ def test_field_expressions_print_no_floating_point_warnings(pair, code, tmp_path
         assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("value", ["1e160", "1e200", "1e308"])
+@pytest.mark.parametrize("key, command", [("coeff.a", "solve"), ("cond.a", "conductivity")])
+def test_overflowing_coefficients_exit_with_the_config_code_and_no_warning(key, command,
+                                                                           value, tmp_path):
+    # harmonic-mean face weights overflow for a above about 1.3e154
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "randbc", command, "--out",
+                           str(tmp_path / "o"), "--set", "grid.n=17",
+                           "--set", f"{key}={value}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("randbc: configuration error: diffusion coefficient a ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+BENCH_QPAT = ["--set", "qpat.bc=random",
+              "--set", "qpat.mu=1+0.5*exp(-20*((x-0.4)**2+(y-0.6)**2))"]
+
+
+def traced_run_peak(argv, tmp_path, traced_memory, warm_argv=None) -> int:
+    """The tracemalloc peak of one in-process run of argv, after an untraced
+    run of warm_argv (default: argv) filled the process-wide caches."""
+    outs = iter(str(tmp_path / f"o{i}") for i in range(2))
+
+    def runner(a):
+        def run_once():
+            assert run(a + ["--out", next(outs)]) == 0
+        return run_once
+    return traced_memory(runner(argv), warm=runner(warm_argv or argv))[0]
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["solve"], 10),
+    (["qpat", "--set", "N=4"] + BENCH_QPAT, 20),
+    (["conductivity"], 18),
+], ids=["solve", "qpat", "conductivity"])
+def test_commands_peak_within_their_field_budgets(argv, budget, tmp_path, traced_memory):
+    n = 129
+    peak = traced_run_peak(argv + ["--set", f"grid.n={n}"], tmp_path, traced_memory)
+    assert peak <= budget * n ** 2 * 8, peak / (n ** 2 * 8)
+
+
+def test_qpat_command_memory_does_not_grow_with_the_illuminations(tmp_path, traced_memory):
+    # At n=129 a field (133 KB) is well above the peak's run-to-run jitter and
+    # the N x K coefficient rows (8.4 KB at N=32).
+    n = 129
+
+    def peak(N):
+        argv = ["qpat", "--set", f"grid.n={n}", "--set", f"N={N}"] + BENCH_QPAT
+        return traced_run_peak(argv, tmp_path / str(N), traced_memory,
+                               warm_argv=["qpat", "--set", f"grid.n={n}"] + BENCH_QPAT)
+    assert peak(32) - peak(1) < n ** 2 * 8
+
+
 def test_qpat_without_any_valid_node_exits_with_the_runtime_code(tmp_path, capsys):
     out = tmp_path / "qpat"
     rc = run(["qpat", "--out", str(out), "--set", "grid.n=17",

@@ -173,11 +173,51 @@ def test_qpat_forward_assembles_one_operator_for_all_traces(grid, mu_bump, monke
         np.testing.assert_array_equal(d.boundary_u, bc)
 
 
+def test_measurements_are_solved_when_read_and_bitwise_alike(grid, mu_bump, monkeypatch):
+    solves = []
+    solve = randbc.inverse.solve_dirichlet
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(randbc.inverse, "solve_dirichlet", counting)
+    s = grid.boundary_s
+    bcs = [1.5 + np.cos(k * s) for k in range(4)]
+    datasets = qpat_forward(grid, mu_bump, bcs)
+    assert len(datasets) == 4 and not solves
+    first = [d.H.tobytes() for d in datasets]
+    assert len(solves) == 4
+    assert [d.H.tobytes() for d in datasets] == first            # a second iteration
+    assert [datasets[i].H.tobytes() for i in range(-4, 4)] == first + first
+    for part in (np.s_[1:], np.s_[::-2], np.s_[2:0:-1], np.s_[5:]):
+        view = datasets[part]
+        assert len(view) == len(first[part])
+        assert [d.H.tobytes() for d in view] == first[part]
+        assert [d.boundary_u.tobytes() for d in view] == [b.tobytes() for b in bcs[part]]
+    assert datasets[2].H is not datasets[2].H                     # a new field per read
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            datasets[i]
+    lazy = qpat_reconstruct_multi(datasets[2:3], tau=0.1)
+    listed = qpat_reconstruct_multi([datasets[2]], tau=0.1)
+    assert lazy.mu_hat.tobytes() == listed.mu_hat.tobytes()
+
+
+def test_conductivity_forward_keeps_no_copy(grid, traced_memory):
+    g = build_grid(129)
+    a = np.exp(g.X)
+    kept = []
+    peak, _ = traced_memory(lambda: kept.append(conductivity_forward(g, a)))
+    assert peak < 16.5 * g.n ** 2 * 8
+    assert kept[-1].a_true is a and kept[-1].u.shape == (2, g.n, g.n)
+
+
 def test_every_solve_honors_maxiter(grid, mu_bump):
     bc = np.ones(grid.boundary_s.shape[0])
     strict = dict(rtol=1e-14, maxiter=1)
-    with pytest.raises(SolverError):
-        qpat_forward(grid, mu_bump, [bc], **strict)
+    with pytest.raises(SolverError):    # a measurement is solved when it is read
+        qpat_forward(grid, mu_bump, [bc], **strict)[0]
     [data] = qpat_forward(grid, mu_bump, [bc])
     # The Poisson step is a direct sine-transform solve: no iteration count to
     # cap, but an unattainable residual target still raises.

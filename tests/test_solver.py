@@ -747,6 +747,130 @@ def test_variable_or_matrix_coefficients_are_not_constant_stencils(make):
     assert info.method == ("cg-sine" if op.spd else "lu")
 
 
+def band_assembly(g, coeff):
+    """Assembly as it was when every operator kept its lattice bands: the bands
+    {(dx, dy): (n, n) weights} and the constant stencil (d, o), compared
+    bitwise on the assembled weights, or None."""
+    h2 = g.h * g.h
+    a11, a22 = ((coeff.a, coeff.a) if coeff.is_scalar
+                else (coeff.a[..., 0, 0], coeff.a[..., 1, 1]))
+    east = randbc.solver._harm(a11, neighbor_field(a11, 1, 0)) / h2
+    north = randbc.solver._harm(a22, neighbor_field(a22, 0, 1)) / h2
+    west = neighbor_field(east, -1, 0)
+    south = neighbor_field(north, 0, -1)
+    center = west + east
+    center += south
+    center += north
+    center += coeff.q
+    for face in (west, east, south, north):
+        np.negative(face, out=face)
+    bands = {(-1, 0): west, (1, 0): east, (0, -1): south, (0, 1): north, (0, 0): center}
+    if not coeff.is_scalar:
+        a12 = coeff.a[..., 0, 1]
+        ne = -(neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, 1)) * (0.25 / h2)
+        se = (neighbor_field(a12, 1, 0) + neighbor_field(a12, 0, -1)) * (0.25 / h2)
+        bands.update({(1, 1): ne, (-1, -1): neighbor_field(ne, -1, -1),
+                      (1, -1): se, (-1, 1): neighbor_field(se, -1, 1)})
+    stencil = None
+    inner = np.s_[1:-1, 1:-1]
+    o, d = west[1, 1], center[1, 1]
+    if (coeff.is_scalar and all(np.all(f[inner] == o) for f in (west, east, south, north))
+            and np.all(center[inner] == d)):
+        stencil = (float(d), float(o))
+    return bands, stencil
+
+
+def band_walk_coupling(g, bands):
+    """(rows, cols, weights) of the boundary coupling, read off the bands over
+    the whole lattice and sorted by row, then walk position."""
+    n = g.n
+    walk = np.zeros((n, n), dtype=np.intp)   # 1 + walk position on the boundary
+    walk[g.boundary_ix, g.boundary_iy] = np.arange(1, g.boundary_count + 1)
+    row = np.zeros((n, n), dtype=np.intp)
+    row[1:-1, 1:-1] = np.arange((n - 2) ** 2).reshape(n - 2, n - 2)
+    rows, cols, weights = [], [], []
+    for (dx, dy), w in bands.items():
+        col = neighbor_field(walk, dx, dy) - 1
+        hit = g.interior_mask & (col >= 0) & (w != 0.0)
+        rows.append(row[hit])
+        cols.append(col[hit])
+        weights.append(-w[hit])
+    rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], weights[order]
+
+
+def corner_a(g):
+    """One value at every node but the four corners, which no interior face reads."""
+    a = np.full((g.n, g.n), 0.7)
+    a[[0, 0, -1, -1], [0, -1, 0, -1]] = (3.0, 0.1, 9.0, 2.0)
+    return a
+
+
+def ring_q(g):
+    """Zero inside, varying on the boundary ring, which no interior weight reads."""
+    q = np.zeros((g.n, g.n))
+    q[g.boundary_mask] = np.cos(g.boundary_s)
+    return q
+
+
+def one_ulp_a(g):
+    a = np.ones((g.n, g.n))
+    a[3, 4] = np.nextafter(1.0, 2.0)
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: CoefficientField.isotropic(g),
+    lambda g: CoefficientField.isotropic(g, 0.1, 2.5),
+    lambda g: CoefficientField.isotropic(g, 3.0, -30.0),
+    lambda g: CoefficientField.isotropic(g, corner_a(g), 0.3),
+    lambda g: CoefficientField.isotropic(g, 1.0, ring_q(g)),
+    lambda g: CoefficientField.isotropic(g, one_ulp_a(g)),
+    lambda g: CoefficientField.isotropic(g, np.exp(g.X)),
+    compensated,
+    lambda g: CoefficientField.anisotropic(g, 1.0 + 0.2 * g.X, 0.1 * g.X * g.Y, 1.2, 0.1),
+], ids=["one", "a=0.1,q=2.5", "a=3,q=-30", "a-corners", "q-ring", "a-one-ulp", "a=exp(x)",
+        "constant-diagonal", "matrix-a"])
+@pytest.mark.parametrize("n", [8, 17, 64])
+def test_assembly_is_bitwise_the_band_assembly(make, n):
+    g = build_grid(n)
+    coeff = make(g)
+    bands, stencil = band_assembly(g, coeff)
+    op = assemble(g, coeff)
+    assert op.stencil == stencil
+    if stencil is not None:      # two weights; the rest is built when asked for
+        assert not {"matrix", "boundary_coupling"} & set(vars(op))
+    coupling = op.boundary_coupling
+    for got, want in zip((coupling.rows, coupling.cols, coupling.weights),
+                         band_walk_coupling(g, bands)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    ref = Stencil(g.interior_mask, bands[0, 0],
+                  {offset: bands[offset] for offset in FORWARD if offset in bands})
+    assert op.matrix.center.tobytes() == ref.center.tobytes()
+    assert list(op.matrix.forward) == list(ref.forward)
+    for offset, w in ref.forward.items():
+        assert op.matrix.forward[offset].tobytes() == w.tobytes()
+
+
+def test_a_constant_operator_holds_no_lattice_field_after_a_solve(traced_memory):
+    g = build_grid(129)
+    bc = np.cos(3.0 * g.boundary_s)
+    forcing = g.X * g.Y
+    kept = []
+
+    def assemble_and_solve():
+        op = assemble(g, CoefficientField.isotropic(g, 0.5, -3.0))
+        solve_dirichlet(op, bc)
+        solve_poisson(g, forcing, bc, op=op)
+        kept.append(op)
+
+    _, held = traced_memory(assemble_and_solve)
+    assert held < 0.25 * g.n ** 2 * 8          # O(n): the coefficients are views
+    assert kept[-1].stencil is not None
+    assert not {"matrix", "boundary_coupling"} & set(vars(kept[-1]))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_sine_transform_result_raises():
     # finite data whose transform overflows
