@@ -182,7 +182,14 @@ def surrogate_h12_norm(bf: BoundaryFunction) -> float:
     """Spectral H^{1/2} surrogate (sum sqrt(1 + m_k^2) a_k^2)^{1/2}."""
     a = np.asarray(bf.coeffs, dtype=float)
     m = mode_frequencies(a.shape[0]).astype(float)
-    return float(np.sqrt(np.sum(np.sqrt(1.0 + m * m) * a * a)))
+    weights = np.sqrt(1.0 + m * m)
+    with np.errstate(over="ignore"):
+        total = np.sum(weights * a * a)
+    if np.isfinite(total):
+        return float(np.sqrt(total))
+    top = np.abs(a).max()       # a * a overflows above about 1e154: rescale first
+    a = a / top
+    return float(top * np.sqrt(np.sum(weights * a * a)))
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,8 @@ def _parse_choice(options):
 
 
 # key -> (parser, default string).  The upper bounds on sizes turn values
-# that no machine can run into configuration errors before any allocation.
+# that no machine can run into configuration errors before any allocation;
+# the one on bc.sigma.c keeps every sampled coefficient finite.
 REGISTRY = {
     "seed": (_number(int), "0"),
     "threads": (_number(int, 0), "0"),
@@ -132,7 +133,7 @@ REGISTRY = {
     "solver.maxiter": (_number(int, 0), "0"),
     "bc.family": (_parse_choice(FAMILIES), "gaussian"),
     "bc.K": (_number(int, hi=1025), "33"),
-    "bc.sigma.c": (_float, "1"),
+    "bc.sigma.c": (_number(float, hi=1e300), "1"),
     "bc.sigma.s": (_float, "1.5"),
     "zeta": (_parse_choice(KIND_ARITY), "critical"),
     "zeta.direction": (_point, "1,0"),

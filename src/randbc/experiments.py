@@ -355,8 +355,9 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     ixs = np.array(ixs)
     iys = np.array(iys)
     parts = _restrict_parts(dictionary, ixs, iys)
-    series = _second_moment_series(
-        feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = _second_moment_series(
+            feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
     buf = np.empty((_CHUNK + 2, len(ixs)))      # running sums, then a span's rows
 
@@ -374,9 +375,15 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
             buf[0] = np.add.reduce(buf[:hi - lo + 1], axis=0)
         return buf[0].copy()
 
-    # numpy's mean and std(ddof=1), operation for operation
-    mc = column_sum() / M
-    se = np.sqrt(column_sum(mc) / (M - 1)) / np.sqrt(M)
+    # numpy's mean and std(ddof=1), operation for operation; a sum that
+    # overflows (at a large weight scale c) leaves no z to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mc = column_sum() / M
+        spread = column_sum(mc)
+    if not all(np.isfinite(v).all() for v in (mc, series, spread)):
+        raise DomainError("variance check overflows: E[zeta^2] or its spread is not "
+                          f"finite in float64 (sigma_1 = {cfg.model.sigma[0]:.6g})")
+    se = np.sqrt(spread / (M - 1)) / np.sqrt(M)
     diff = mc - series
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, diff / se,

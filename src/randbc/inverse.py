@@ -3,9 +3,11 @@ scalar conductivity from interior data.
 
 Photoacoustic: u solves -Delta u + mu u = 0 with known illumination, the
 measured interior energy is H = mu u; since Delta u = H, one Poisson solve
-recovers u and then mu = H / u wherever |u| clears a threshold.  With several
-illuminations every node keeps the largest |u| so far; each illumination's H
-is solved when it is read, so one H is held at a time.
+recovers u and then mu = H / u wherever |u| clears a threshold.  The Poisson
+solve is a sign-flipped solve_dirichlet (solver.solve_poisson), so it meets
+the same contract and a traced run counts it with the forward solves.  With
+several illuminations every node keeps the largest |u| so far; each
+illumination's H is solved when it is read, so one H is held at a time.
 
 Conductivity: for fields u_i of -div(a grad u_i) = 0, the log-gradient
 g = grad log a solves the 2x2 system  [grad u_i] . g = -Delta u_i  nodewise;

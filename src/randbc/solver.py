@@ -64,6 +64,10 @@ checked after every solve.  Three paths meet it:
   matrix a, and q below the certificate with a variable stencil.
 
 Only CG reads maxiter; the sine-transform and LU solves are direct.
+
+solve_dirichlet is the one solve entry: solve_poisson (Delta u = rhs, so
+L u = -rhs for L = -Delta) returns -v for the solve of L v = rhs with trace -g,
+bitwise the same u, as every step of the three paths is odd in (g, forcing).
 """
 
 from __future__ import annotations
@@ -247,20 +251,14 @@ class DiscreteOperator:
         return _walk_coupling(self.grid, forward)
 
     def apply(self, field: ScalarField) -> np.ndarray:
-        """L_h applied to a full-grid field; returns (n-2, n-2) interior values."""
+        """L_h applied to a full-grid field u; returns (n-2, n-2) interior values,
+        A u_int (the matrix product on the lattice, where the ring has zero
+        weight) less the boundary coupling of u's ring."""
         n = self.grid.n
         coupled = self.boundary_coupling @ self.grid.boundary_values(field)
-        return self.interior_product(field) - coupled.reshape(n - 2, n - 2)
-
-    def interior_product(self, field: ScalarField, work: dict | None = None) -> np.ndarray:
-        """A u_int for a full-grid field u, as (n-2, n-2) values: the matrix
-        product on the lattice, where the ring has zero weight.  The values
-        live in work's buffers if work is given (see _scratch)."""
-        n = self.grid.n
         v = np.ascontiguousarray(field, dtype=float).reshape(-1)
-        out = self.matrix.product(v, _scratch(work, "lattice", (n * n,)),
-                                  _scratch(work, "product", (n * n,)))
-        return out.reshape(n, n)[1:-1, 1:-1]
+        product = self.matrix.product(v, np.empty(n * n), np.empty(n * n))
+        return product.reshape(n, n)[1:-1, 1:-1] - coupled.reshape(n - 2, n - 2)
 
     @cached_property
     def preconditioner(self) -> Callable[..., np.ndarray]:
@@ -283,12 +281,6 @@ class DiscreteOperator:
             np.multiply(scale, _sine_solve(sxs, work, out=buf), out=inner)
             return z.reshape(-1)
         return apply
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """(n-2, n-2) eigenvalues of a constant stencil, indexed like the DST-I
-        modes (its solve forms them a block of rows at a time)."""
-        return _stencil_eigenvalues(self.cosines, *self.stencil)
 
     @cached_property
     def cosines(self) -> np.ndarray:
@@ -553,10 +545,9 @@ def _scratch(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndar
 
 
 def _dst1_rows(x: np.ndarray, work: dict | None = None,
-               out: np.ndarray | None = None, negate: bool = False) -> np.ndarray:
+               out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized DST-I of each row, sum_i x_i sin(pi i k / (m + 1)), from the
-    FFT of the odd extension [0, x, 0, -reversed x], written into out if given;
-    of -x if negate, bitwise the transform of a negated copy.
+    FFT of the odd extension [0, x, 0, -reversed x], written into out if given.
 
     Rows go _DST_ROWS at a time through one extension buffer (kept in work);
     each row's FFT is the same whatever the batch.
@@ -570,22 +561,18 @@ def _dst1_rows(x: np.ndarray, work: dict | None = None,
     for lo in range(0, k, rows):
         hi = min(lo + rows, k)
         e = ext[:hi - lo]
-        if negate:
-            np.negative(x[lo:hi], out=e[:, 1:m + 1])
-            e[:, m + 2:] = x[lo:hi, ::-1]
-        else:
-            e[:, 1:m + 1] = x[lo:hi]
-            np.negative(x[lo:hi, ::-1], out=e[:, m + 2:])
+        e[:, 1:m + 1] = x[lo:hi]
+        np.negative(x[lo:hi, ::-1], out=e[:, m + 2:])
         np.multiply(np.fft.rfft(e).imag[:, 1:m + 1], -0.5, out=out[lo:hi])
     return out
 
 
 def _dst1_2d(x: np.ndarray, work: dict | None = None, buf: np.ndarray | None = None,
-             out: np.ndarray | None = None, negate: bool = False) -> np.ndarray:
-    """2-D DST-I of a square array (of -x if negate); the transform is
-    symmetric, so S x S.  The rows' pass goes into buf and the columns' into
-    out, if given, which holds the result's transpose; out may be x."""
-    return _dst1_rows(_dst1_rows(x, work, out=buf, negate=negate).T, work, out=out).T
+             out: np.ndarray | None = None) -> np.ndarray:
+    """2-D DST-I of a square array; the transform is symmetric, so S x S.  The
+    rows' pass goes into buf and the columns' into out, if given, which holds
+    the result's transpose; out may be x."""
+    return _dst1_rows(_dst1_rows(x, work, out=buf).T, work, out=out).T
 
 
 def _boundary_transform(op: DiscreteOperator, u: ScalarField, work: dict | None = None,
@@ -624,9 +611,9 @@ def _sine_solve(transform: np.ndarray, work: dict | None = None,
     S r / lambda, lambda the eigenvalues of A; overwrites transform.
     x is the transpose of a C-ordered (m, m) array, out if given (it must not
     overlap transform), so every pass writes contiguous rows."""
-    x = _dst1_rows(_dst1_rows(transform, work, out=transform).T, work, out=out)
+    x = _dst1_2d(transform, work, transform, out=out)
     x *= (2.0 / (transform.shape[0] + 1)) ** 2
-    return x.T
+    return x
 
 
 def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
@@ -679,13 +666,13 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
 
 
 def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | None,
-                         negate: bool, rtol: float, work: dict | None) -> SolveInfo:
+                         rtol: float, work: dict | None) -> SolveInfo:
     """_solve_interior for a constant stencil, by the sine transform, with no
     (n-2, n-2) right-hand side: the coupled data b are nonzero only on the
     border of the block of unknowns, so the target's scale and the residual
-    A u_int - b - f are taken there and from the forcing f itself (-f if
-    negate).  The residual adds the Stencil's terms in its order (c u, then
-    the neighbors at +y, -y, +x, -x), so it is bitwise the Stencil's."""
+    A u_int - b - f are taken there and from the forcing f itself.  The
+    residual adds the Stencil's terms in its order (c u, then the neighbors
+    at +y, -y, +x, -x), so it is bitwise the Stencil's."""
     n = op.grid.n
     d, o = op.stencil
     c = -o                                  # the ring's coupling weight
@@ -695,11 +682,10 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
     rows[:, 0] += c * u[[1, -2], 0]
     rows[:, -1] += c * u[[1, -2], -1]
     cols = np.multiply(u[2:-2][:, [0, -1]].T, c)
-    add, sub = (np.subtract, np.add) if negate else (np.add, np.subtract)   # of f
     parts = [rows, cols]
     if forcing is not None:
-        add(rows, forcing[[0, -1]], out=rows)
-        add(cols, forcing[1:-1, [0, -1]].T, out=cols)
+        rows += forcing[[0, -1]]
+        cols += forcing[1:-1, [0, -1]].T
         parts.append(forcing[1:-1, 1:-1])
     scale = np.max([max(p.max(), -p.min()) for p in parts])     # max |b + f|, no copy
     if scale == 0.0:
@@ -711,7 +697,7 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
     if forcing is None:
         transform, spare = _boundary_transform(op, u, work, out=product), lattice
     else:
-        sfs = _dst1_2d(forcing, work, lattice, out=product, negate=negate)
+        sfs = _dst1_2d(forcing, work, lattice, out=product)
         transform, spare = _boundary_transform(op, u, work, out=lattice), product
         transform += sfs
     block = _scratch(work, "eigenvalues", (min(m, _DST_ROWS), m))
@@ -732,7 +718,7 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
         tmp[edge] = 0.0
         r += tmp
     if forcing is not None:
-        sub(r[1:-1, 1:-1], forcing[1:-1, 1:-1], out=r[1:-1, 1:-1])
+        r[1:-1, 1:-1] -= forcing[1:-1, 1:-1]
     r[[0, -1]] -= rows
     r[1:-1, [0, -1]] -= cols.T
     res = np.abs(r, out=r).max()
@@ -776,11 +762,26 @@ def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
     return x, SolveInfo("lu", refinements, float(res))
 
 
-def _solve(op: DiscreteOperator, g, forcing: np.ndarray | None, negate: bool, rtol: float,
-           maxiter, want_info: bool, work: dict | None, out: np.ndarray | None):
-    """solve_dirichlet with forcing the checked (n-2, n-2) interior block of the
-    forcing, or of minus the forcing if negate; it is read, never copied."""
+def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
+                    forcing=None, want_info: bool = False, work: dict | None = None,
+                    out: np.ndarray | None = None):
+    """Solve L u = forcing with Dirichlet trace g along the boundary walk.
+
+    g has one value per boundary-walk node; forcing (optional) is a full-grid
+    field read at interior nodes, never copied.  Returns the (n, n) solution
+    field: out if given, else a new one.  work (optional) is a dict in which
+    the sine-transform path keeps its transform and product temporaries, so
+    that a run of solves sharing it allocates them once; one work must not
+    serve two solves at a time.
+    """
     grid = op.grid
+    if forcing is not None:
+        forcing = np.asarray(forcing, dtype=float)
+        if forcing.shape != (grid.n, grid.n):
+            raise ConfigError(f"forcing must have shape {(grid.n, grid.n)}")
+        if not np.all(np.isfinite(forcing)):
+            raise DomainError("forcing must be finite")
+        forcing = forcing[1:-1, 1:-1]
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.boundary_count,):
         raise ConfigError(
@@ -794,7 +795,7 @@ def _solve(op: DiscreteOperator, g, forcing: np.ndarray | None, negate: bool, rt
         rhs = op.boundary_coupling @ g
         if forcing is not None:
             block = rhs.reshape(grid.n - 2, grid.n - 2)
-            (np.subtract if negate else np.add)(block, forcing, out=block)
+            block += forcing
         x, info = _solve_interior(op, rhs, rtol, maxiter)
         del rhs
     if out is None:
@@ -804,33 +805,10 @@ def _solve(op: DiscreteOperator, g, forcing: np.ndarray | None, negate: bool, rt
         u.fill(0.0)
     u[grid.boundary_ix, grid.boundary_iy] = g
     if op.stencil is not None:
-        info = _sine_solve_interior(op, u, forcing, negate, rtol, work)
+        info = _sine_solve_interior(op, u, forcing, rtol, work)
     elif x is not None:
         u[1:-1, 1:-1] = x.reshape(grid.n - 2, grid.n - 2)
     return (u, info) if want_info else u
-
-
-def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
-                    forcing=None, want_info: bool = False, work: dict | None = None,
-                    out: np.ndarray | None = None):
-    """Solve L u = forcing with Dirichlet trace g along the boundary walk.
-
-    g has one value per boundary-walk node; forcing (optional) is a full-grid
-    field read at interior nodes.  Returns the (n, n) solution field: out if
-    given, else a new one.  work (optional) is a dict in which the
-    sine-transform path keeps its transform and product temporaries, so that
-    a run of solves sharing it allocates them once; one work must not serve
-    two solves at a time.
-    """
-    grid = op.grid
-    if forcing is not None:
-        forcing = np.asarray(forcing, dtype=float)
-        if forcing.shape != (grid.n, grid.n):
-            raise ConfigError(f"forcing must have shape {(grid.n, grid.n)}")
-        if not np.all(np.isfinite(forcing)):
-            raise DomainError("forcing must be finite")
-        forcing = forcing[1:-1, 1:-1]
-    return _solve(op, g, forcing, False, rtol, maxiter, want_info, work, out)
 
 
 def laplace_operator(grid: Grid2D) -> DiscreteOperator:
@@ -840,14 +818,11 @@ def laplace_operator(grid: Grid2D) -> DiscreteOperator:
 
 def solve_poisson(grid: Grid2D, rhs, g, rtol: float = 1e-10, maxiter=None,
                   op: DiscreteOperator | None = None) -> ScalarField:
-    """Solve  Delta u = rhs  (not -Delta) with trace g, on op or laplace_operator(grid)."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (grid.n, grid.n):
-        raise ConfigError(f"rhs must have shape {(grid.n, grid.n)}, got {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise DomainError("Poisson right-hand side must be finite")
-    return _solve(op or laplace_operator(grid), g, rhs[1:-1, 1:-1], True, rtol, maxiter,
-                  False, None, None)
+    """Solve  Delta u = rhs  (not -Delta) with trace g, on op or laplace_operator(grid),
+    as -v for the Dirichlet solve L v = rhs with trace -g (see the module docstring)."""
+    u = solve_dirichlet(op or laplace_operator(grid), -np.asarray(g, dtype=float), rtol,
+                        maxiter, forcing=rhs)
+    return np.negative(u, out=u)
 
 
 def gradient(grid: Grid2D, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:

@@ -101,6 +101,20 @@ def test_weighted_and_smoothness_norms_frozen_values():
     assert surrogate_h12_norm(bf) == pytest.approx(0.7441616768196482, rel=1e-13)
 
 
+@pytest.mark.parametrize("c", [1e150, 1e200, 1e300])
+def test_smoothness_norm_is_finite_up_to_the_weight_scale_bound(c):
+    # a * a overflows above about 1e154; the sum is then taken on a / max|a|
+    unit = RandomBoundaryModel.power_law(K=33, c=1.0, s=1.5)
+    scaled = RandomBoundaryModel.power_law(K=33, c=c, s=1.5)
+    rows = zip(sample_coeffs(scaled, derive_rng(3, 0), 4),
+               sample_coeffs(unit, derive_rng(3, 0), 4))
+    for big, ref in rows:
+        big, ref = BoundaryFunction(coeffs=big), BoundaryFunction(coeffs=ref)
+        norm = surrogate_h12_norm(big)
+        assert np.isfinite(norm)
+        assert norm == pytest.approx(c * surrogate_h12_norm(ref), rel=1e-14)
+
+
 def test_weighted_norm_is_infinite_off_the_model_support():
     basis = BoundaryBasis(3)
     m = RandomBoundaryModel(basis=basis, sigma=np.array([1.0, 0.0, 0.5]),

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -131,6 +132,7 @@ BAD_VALUES = [
     ("bc.family", "sample", "cauchy"),
     ("bc.K", "sample", "4.5"),
     ("bc.sigma.c", "sample", "nan"),
+    ("bc.sigma.c", "sample", "1e301"),
     ("bc.sigma.s", "sample", "inf"),
     ("zeta", "constraint-experiment", "hessian"),
     ("zeta.direction", "constraint-experiment", "1,nan"),
@@ -179,7 +181,8 @@ def test_a_bad_value_for_every_registry_key_exits_with_the_config_code(tmp_path,
         assert key in err, (key, value, err)
 
 
-# (key, command, upper bound): every size key, under each command that reads it.
+# (key, command, upper bound): every size key, and the magnitude bc.sigma.c,
+# under each command that reads it.
 SIZE_BOUNDS = [
     ("grid.n", "solve", 4097),
     ("bc.K", "sample", 1025),
@@ -190,6 +193,10 @@ SIZE_BOUNDS = [
     ("N", "qpat", 1024),
     ("N_list", "constraint-experiment", 1024),
     ("sample.count", "sample", 10**6),
+    ("bc.sigma.c", "sample", 1e300),
+    ("bc.sigma.c", "variance-check", 1e300),
+    ("bc.sigma.c", "tail-check", 1e300),
+    ("bc.sigma.c", "constraint-experiment", 1e300),
 ]
 
 
@@ -200,6 +207,8 @@ def test_a_size_past_its_bound_exits_with_the_config_code_at_once(key, command, 
     # Unbounded, these ran into numpy's size limits with a traceback, or, for
     # qpat's N, kept solving.  An exception escaping run() would print one.
     value = "9" * 30 if excess == "30-digits" else str(bound + 1)
+    if isinstance(bound, float):    # a magnitude: 1e308, and the next float up
+        value = "1e308" if excess == "30-digits" else repr(math.nextafter(bound, math.inf))
     if key == "N_list":
         value = "1,2," + value
     start = time.perf_counter()
@@ -463,6 +472,35 @@ def test_variance_check_runs_for_multi_argument_maps(zeta, tmp_path):
     assert len((out / "variance_check.csv").read_text().splitlines()) == 10
 
 
+@pytest.mark.parametrize("c", ["1e100", "1e200"])
+def test_variance_check_fails_cleanly_when_its_sums_overflow(c, tmp_path):
+    # the second pass's (zeta^2 - mc)^2 overflows at c = 1e100; mc and the
+    # series themselves at c = 1e200
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "randbc", "variance-check", "--out",
+                           str(tmp_path / "o"), "--set", "grid.n=17", "--set", "bc.K=5",
+                           "--set", "M=100", "--set", f"bc.sigma.c={c}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("randbc: run failed: variance check overflows")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_constraint_experiment_runs_at_a_huge_weight_scale(tmp_path):
+    # success is scale-free: c = 1e200 gives the counts that c = 1 gives
+    out = tmp_path / "ce"
+    assert run(["constraint-experiment", "--out", str(out), "--seed", "0",
+                "--set", "grid.n=17", "--set", "bc.K=5", "--set", "M=50",
+                "--set", "N_list=1,2", "--set", "bc.sigma.c=1e200"]) == 0
+    with open(out / "success_curve.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["N"], r["successes"], r["M"]) for r in rows] == [("1", "32", "50"),
+                                                                ("2", "49", "50")]
+
+
 def test_tail_check_outputs(tmp_path):
     out = tmp_path / "tail"
     rc = run(["tail-check", "--out", str(out), "--set", "M=1000",
@@ -558,6 +596,41 @@ print(json.dumps(codes))
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(codes) == 8
     assert all(rc == 0 for _, rc in codes), (codes, proc.stderr)
+
+
+def test_the_benchmark_tracer_counts_every_linear_solve(tmp_path):
+    # perfbench/tracer.py wraps solve_dirichlet in every randbc namespace and
+    # asks it for SolveInfo; the four Poisson solves of qpat go through it too.
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    code = f"""
+import json
+import os
+import sys
+sys.path.insert(0, {perfbench!r})
+import tracer as tracing
+import workloads
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+import randbc.cli
+
+codes = []
+for j, argv in enumerate(workloads.commands("imaging", 0, "tiny")):
+    out = os.path.join({str(tmp_path)!r}, f"imaging-{{j}}")
+    codes.append(randbc.cli.run(argv + ["--out", out]))
+layers = tracing.layer_metrics(tracer.spans)
+print(json.dumps([codes, {{k: v for k, v in layers.items() if k.startswith("solver.")}}]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(randbc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    codes, layers = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert layers["solver.solve_dirichlet.calls"] == 11
+    assert layers["solver.solve_poisson.calls"] == 4
+    assert 0.0 < layers["solver.solve_dirichlet.residual_ratio_max"] <= 1.0
 
 
 def test_each_shared_option_is_honored_before_the_command(tmp_path, monkeypatch):

@@ -562,7 +562,7 @@ def test_uncertified_potentials_keep_the_lu_path(a_fn, q_fn):
     assert np.abs(op.apply(u)).max() <= rtol * np.abs(op.boundary_coupling @ bc).max()
 
 
-def test_dictionary_builds_one_hierarchy_for_all_its_solves(monkeypatch):
+def test_dictionary_builds_one_sine_preconditioner_for_all_its_solves(monkeypatch):
     built = []
     eigenvalues = randbc.solver._stencil_eigenvalues
 
@@ -708,7 +708,8 @@ def test_constant_potential_below_the_certificate_solves_by_sine_transform():
 def test_stencil_eigenvalues_are_the_spectrum():
     g = build_grid(9)
     op = assemble(g, CoefficientField.isotropic(g, 0.1, -3.0))
-    np.testing.assert_allclose(np.sort(op.eigenvalues.ravel()),
+    eigenvalues = randbc.solver._stencil_eigenvalues(op.cosines, *op.stencil)
+    np.testing.assert_allclose(np.sort(eigenvalues.ravel()),
                                np.linalg.eigvalsh(op.matrix.tocsr().toarray()), rtol=1e-12)
 
 
@@ -978,6 +979,44 @@ def test_poisson_solve_with_forcing_meets_the_contract():
     # L u = -rhs at the interior nodes, to the contract's tolerance
     scale = np.abs(op.boundary_coupling @ bc - rhs[1:-1, 1:-1].reshape(-1)).max()
     assert np.abs(op.apply(u) + rhs[1:-1, 1:-1]).max() <= 1e-12 * scale
+
+
+POISSON_OPERATORS = {
+    "dst": lambda g: CoefficientField.isotropic(g, 0.5, -3.0),
+    "cg-sine": lambda g: CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, 1.0),
+    "lu-scalar": lambda g: CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, -60.0),
+    "lu-matrix": lambda g: CoefficientField.anisotropic(g, 1.0 + 0.5 * g.X, 0.2 * g.Y, 1.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POISSON_OPERATORS))
+def test_poisson_solve_is_bitwise_the_dirichlet_solve_of_the_negated_forcing(kind):
+    # solve_poisson solves L v = rhs with trace -g and returns -v; every path
+    # is odd in (g, forcing), so that is L u = -rhs with trace g bit for bit.
+    g = build_grid(33)
+    op = assemble(g, POISSON_OPERATORS[kind](g))
+    bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
+    rhs = 40.0 * np.sin(5.0 * g.X) * g.Y - 7.0
+    ref, info = solve_dirichlet(op, bc, forcing=-rhs, want_info=True)
+    assert kind.startswith(info.method)
+    assert solve_poisson(g, rhs, bc, op=op).tobytes() == ref.tobytes()
+
+
+def test_each_poisson_solve_goes_through_solve_dirichlet_once(monkeypatch):
+    calls = []
+    dirichlet = randbc.solver.solve_dirichlet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return dirichlet(*args, **kwargs)
+
+    monkeypatch.setattr(randbc.solver, "solve_dirichlet", counting)
+    g = build_grid(17)
+    bc = np.cos(3.0 * g.boundary_s)
+    op = randbc.solver.laplace_operator(g)
+    solve_poisson(g, g.X * g.Y, bc)
+    solve_poisson(g, g.X * g.Y, bc, op=op)
+    assert len(calls) == 2 and calls[1] is op
 
 
 def test_sine_transform_solve_transforms_only_what_it_must(monkeypatch):
