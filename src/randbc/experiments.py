@@ -417,23 +417,32 @@ def tail_check(model: RandomBoundaryModel, M: int, t_grid=None,
     The norm is the spectral H^{1/2} surrogate of the sampled boundary data.
     The (M, K) draws of derive_rng(master_seed, 0) are streamed in chunks;
     only the M norms (8 bytes per sample) are kept, for the quantiles and
-    the survival counts.
+    the survival counts.  If a sum of squares overflows (sigma above about
+    1e154), the draws are taken again divided by the largest sigma, as in
+    surrogate_h12_norm; c1 is fitted in those units and mapped back.
     """
     if not isinstance(M, (int, np.integer)) or M < 1000:
         raise ConfigError(f"tail check needs at least 1000 samples, got M={M!r}")
     M = int(M)
     m = mode_frequencies(model.K).astype(float)
     weights = np.sqrt(1.0 + m * m)
-    rng = derive_rng(master_seed, 0)
-    nrm = np.empty(M)
-    for lo, hi in _spans(M, _CHUNK):
-        draws = sample_coeffs(model, rng, hi - lo)
-        np.matmul(np.square(draws, out=draws), weights, out=nrm[lo:hi])
-    np.sqrt(nrm, out=nrm)
+    for scale in (1.0, float(model.sigma.max())):
+        rng = derive_rng(master_seed, 0)
+        nrm = np.empty(M)
+        for lo, hi in _spans(M, _CHUNK):
+            draws = sample_coeffs(model, rng, hi - lo)
+            if scale != 1.0:
+                draws /= scale
+            with np.errstate(over="ignore"):
+                np.matmul(np.square(draws, out=draws), weights, out=nrm[lo:hi])
+        np.sqrt(nrm, out=nrm)
+        if np.isfinite(nrm).all():
+            break
     if t_grid is None:
         levels = np.geomspace(0.5, 5.0 / M, 24)
         t_grid = np.quantile(nrm, 1.0 - levels, overwrite_input=True)
-    t_grid = np.asarray(t_grid, dtype=float)
+    else:
+        t_grid = np.asarray(t_grid, dtype=float) / scale
     if np.any(t_grid < 0.0):
         raise ConfigError("tail thresholds must be nonnegative")
 
@@ -443,10 +452,10 @@ def tail_check(model: RandomBoundaryModel, M: int, t_grid=None,
         raise DomainError("no usable tail points; sampled norms are degenerate")
     c1 = float(np.min(np.log(2.0 / survival[usable]) / t_grid[usable] ** 2))
     bound = 2.0 * np.exp(-c1 * t_grid ** 2)
-    rows = [TailRow(t=float(t_grid[j]), survival=float(survival[j]),
+    rows = [TailRow(t=float(t_grid[j] * scale), survival=float(survival[j]),
                     bound=float(bound[j])) for j in range(len(t_grid))]
     dominated = bool(np.all(bound >= survival - 1e-12))
-    return TailReport(c1_hat=c1, rows=rows, dominated=dominated, M=M,
+    return TailReport(c1_hat=c1 / scale / scale, rows=rows, dominated=dominated, M=M,
                       family=model.family)
 
 

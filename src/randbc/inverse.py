@@ -224,7 +224,8 @@ def _components(mask: np.ndarray) -> tuple[int, np.ndarray]:
 def _normal_equations(part: np.ndarray, anchor, log_gradient, h: float):
     """(L, A^T b) of the least-squares integration of log_gradient over part's graph:
     with incidence A (row e is x_j - x_i), L = A^T A with the anchor's unknown fixed
-    at 0, on part's padded bounding box, whose row-major order is part's nodes'."""
+    at 0, a Stencil on part's padded bounding box, and A^T b a field on that box,
+    zero off L.mask, whose row-major order is part's nodes'."""
     rows, cols = (np.flatnonzero(part.any(axis=axis)) for axis in (1, 0))
     box = np.s_[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2]
     inside = part[box]
@@ -244,7 +245,7 @@ def _normal_equations(part: np.ndarray, anchor, log_gradient, h: float):
     out_y = np.where(edges[0, 1], half_h * (gy + neighbor_field(gy, 0, 1)), 0.0)
     atb = (neighbor_field(out_x, -1, 0) + neighbor_field(out_y, 0, -1)) - (out_x + out_y)
     atb[anchor] = 0.0
-    return lap, atb[inside]
+    return lap, atb
 
 
 def conductivity_reconstruct(data: ConductivityData, tau: float,
@@ -323,7 +324,7 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     if anchor_value is None:
         anchor_value = 0.0 if data.a_true is None else float(np.log(data.a_true[aix, aiy]))
     log_a_hat = np.full((grid.n, grid.n), np.nan)
-    log_a_hat[part] = x + anchor_value
+    log_a_hat[part] = x[lap.mask] + anchor_value
     return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,
                               jacobian=jac, components=components,
                               reconstructed_fraction=reconstructed,

@@ -4,24 +4,30 @@ Scalar diffusion uses the conservative five-point stencil with harmonic-mean
 face coefficients; symmetric-matrix diffusion adds the centered cross-term
 corners (a nine-point stencil).  Both assemblies are symmetric by
 construction: face and corner weights are written with commutative
-expressions, and the interior matrix is a Stencil that stores each coupling
-once, so A equals its transpose bit-for-bit.  A Stencil keeps the per-node
-weight bands over the flattened lattice, and its product is a sum of shifted
-1-D slices; the boundary coupling is a scatter over the boundary walk, read
-off the ring in O(n).  A weight that overflows (harmonic means of a above
-about 1.3e154) is a ConfigError.  Everything here runs on numpy alone except
-LU, which imports scipy inside its branch and builds CSR there through
-lattice_operator.
+expressions, and the operator is a Stencil that stores each coupling once,
+so A equals its transpose bit-for-bit.  A weight that overflows (harmonic
+means of a above about 1.3e154) is a ConfigError.  Everything here runs on
+numpy alone except LU, which imports scipy inside its branch and reads CSR
+off the Stencil's bands there.
 
-Dirichlet data is a vector over the boundary walk of the grid.  The solve
-contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol * ||rhs||_inf,
-checked after every solve.  Three paths meet it:
+Dirichlet data g come as a vector along the grid's boundary walk; every
+vector the solves compute on is an (n, n) lattice field.  A Stencil keeps
+L_h's weights at every node, the ring's couplings to the interior included,
+and its product is a sum of shifted 1-D slices with a zero ring.  On a field
+u holding g on its ring, that product is L_h u inside (DiscreteOperator.apply);
+on the field holding g alone it is the data's coupling, and the right-hand
+side is (0.0 - A [g on the ring]) + forcing: subtracted from +0.0, so that a
+coupling that sums to zero reads +0.0.  boundary_coupling @ g is its interior
+as a vector over the unknowns.  No solve reads it; it stays for readers of
+the coupled data alone (the benchmark's tracer and reference builder).  The
+solve contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol *
+||rhs||_inf, checked after every solve.  Three paths meet it:
 
 - A constant five-point stencil (scalar a and q whose assembled diagonal and
   off-diagonal weights are each one value, compared bitwise, since
   harm(a, a) need not round back to a; a that is one value off the corners
   and q one value inside are decided from a 3 x 3 patch, and such an
-  operator keeps its two weights and no band) is diagonalized by the 2-D
+  operator keeps its two weights and no Stencil) is diagonalized by the 2-D
   sine transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)),
   formed a block of rows at a time.
   The solve is direct, S (S r / lambda) (2 / (n - 1))^2, whatever the sign
@@ -61,7 +67,9 @@ checked after every solve.  Three paths meet it:
   and it keeps diag A positive.  The preconditioner is built once per
   operator and shared by every solve, each of which holds its own buffers.
 - Sparse LU with iterative refinement (scipy's splu) serves the rest:
-  matrix a, and q below the certificate with a variable stencil.
+  matrix a, and q below the certificate with a variable stencil.  It solves
+  the interior of the right-hand side and checks L_h u - forcing on the
+  lattice, the form of apply.
 
 Only CG reads maxiter; the sine-transform and LU solves are direct.
 
@@ -198,37 +206,13 @@ def _auto_lambda(a: np.ndarray, q: np.ndarray, given) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryCoupling:
-    """The map from Dirichlet data g along the boundary walk to the interior
-    right-hand side: interior row rows[i] gains weights[i] * g[cols[i]].
-
-    Entries are sorted by row and then by walk position, and @ adds each
-    row's terms in that order starting from 0.0, the order of a sorted CSR
-    product.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    shape: tuple[int, int]
-
-    def __matmul__(self, g: np.ndarray) -> np.ndarray:
-        # bincount adds its weights one by one in index order.
-        return np.bincount(self.rows, self.weights * g[self.cols],
-                           minlength=self.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Interior operator plus the map from boundary values to interior rhs.
+    """The operator L_h on the lattice of one grid.
 
-    matrix is a symmetric Stencil whose unknowns are the interior nodes in
-    row-major (ix, iy) order; boundary_coupling @ g is the right-hand-side
-    contribution of Dirichlet data g given along the grid's boundary walk.
-    assemble() builds both for a variable stencil.  A constant stencil keeps
-    only its weights (d, o), all its sine-transform solve reads: its matrix
-    is assembled on first use, and its boundary coupling is read off o
-    along the ring.
+    matrix is a symmetric Stencil on the interior nodes, the ring's couplings
+    to them included.  assemble() builds it for a variable stencil; a
+    constant stencil keeps only its weights (d, o), all its sine-transform
+    solve reads, and its matrix is assembled on first use.
     """
 
     grid: Grid2D
@@ -241,24 +225,18 @@ class DiscreteOperator:
         return Stencil(self.grid.interior_mask,
                        *_weights(self.grid.h, self.coeff.a, self.coeff.q))
 
-    @cached_property
-    def boundary_coupling(self) -> BoundaryCoupling:
-        if self.stencil is None:
-            forward = _weights(self.grid.h, self.coeff.a, self.coeff.q)[1]
-        else:
-            o = np.broadcast_to(self.stencil[1], (self.grid.n, self.grid.n))
-            forward = {(0, 1): o, (1, 0): o}
-        return _walk_coupling(self.grid, forward)
+    @property
+    def boundary_coupling(self) -> "_BoundaryCoupling":
+        """A view whose @ g is the (n-2)^2 interior right-hand side of Dirichlet
+        data g along the boundary walk, in row-major order (see the module
+        docstring); it holds nothing and solves nothing."""
+        return _BoundaryCoupling(self)
 
     def apply(self, field: ScalarField) -> np.ndarray:
-        """L_h applied to a full-grid field u; returns (n-2, n-2) interior values,
-        A u_int (the matrix product on the lattice, where the ring has zero
-        weight) less the boundary coupling of u's ring."""
-        n = self.grid.n
-        coupled = self.boundary_coupling @ self.grid.boundary_values(field)
-        v = np.ascontiguousarray(field, dtype=float).reshape(-1)
-        product = self.matrix.product(v, np.empty(n * n), np.empty(n * n))
-        return product.reshape(n, n)[1:-1, 1:-1] - coupled.reshape(n - 2, n - 2)
+        """L_h u at the interior nodes, (n-2, n-2), for a full-grid field u that
+        holds its Dirichlet values on the ring: one Stencil product."""
+        u = np.ascontiguousarray(field, dtype=float)
+        return self.matrix.product(u, np.empty_like(u), np.empty_like(u))[1:-1, 1:-1]
 
     @cached_property
     def preconditioner(self) -> Callable[..., np.ndarray]:
@@ -268,8 +246,7 @@ class DiscreteOperator:
         n, h2 = self.grid.n, self.grid.h * self.grid.h
         scale = (0.25 * h2 * self.matrix.center.reshape(n, n)[1:-1, 1:-1]) ** -0.5
         shift = max(0.0, float(np.mean(self.coeff.q[1:-1, 1:-1] * scale ** 2)))
-        eigenvalues = _stencil_eigenvalues(_cosines(self.grid), 4.0 / h2 + shift,
-                                           -1.0 / h2)
+        eigenvalues = _stencil_eigenvalues(self.cosines, 4.0 / h2 + shift, -1.0 / h2)
 
         def apply(r: np.ndarray, out=None, work: dict | None = None) -> np.ndarray:
             z = (np.empty(n * n) if out is None else out).reshape(n, n)
@@ -279,12 +256,13 @@ class DiscreteOperator:
             sxs = _dst1_2d(inner, work, buf, out=inner)
             sxs /= eigenvalues
             np.multiply(scale, _sine_solve(sxs, work, out=buf), out=inner)
-            return z.reshape(-1)
+            return z.reshape(r.shape)
         return apply
 
     @cached_property
     def cosines(self) -> np.ndarray:
-        return _cosines(self.grid)
+        """cos(j pi h), j = 1 .. n-2: the DST-I modes' part of a stencil's eigenvalues."""
+        return np.cos(np.pi * self.grid.h * np.arange(1, self.grid.n - 1))
 
     @cached_property
     def edge_sines(self) -> np.ndarray:
@@ -308,74 +286,59 @@ class Stencil:
 
     Its unknowns are the True nodes of mask, an (nx, ny) bool array whose
     outer ring is False, in row-major order.  center and forward[dx, dy]
-    ((dx, dy) in FORWARD) are (nx, ny) weights: a node's diagonal entry and its
-    coupling to its (dx, dy) neighbor.  Couplings that touch a node off the
-    mask are dropped, and the backward couplings are the forward ones read
-    from the other end, so the operator is symmetric by construction.
+    ((dx, dy) in FORWARD) are (nx, ny) weights, used as given: a node's
+    diagonal entry and its coupling to its (dx, dy) neighbor; the backward
+    couplings are the forward ones read from the other end, so the operator
+    is symmetric by construction.  A node off the mask other than the ring
+    must carry zero weights; the ring's couplings to the nodes are the
+    boundary data's (see DiscreteOperator).
 
-    Internally vectors are lattice fields, flattened row-major and zero off
-    the mask (scatter, gather).  There a neighbor is a fixed shift of the flat
-    index, and the False ring keeps a shift from wrapping a coupling onto a
-    node, so product() is a sum of contiguous shifted 1-D slices.
+    Vectors are C-contiguous (nx, ny) lattice fields.  A neighbor is a fixed
+    shift of the flat index, so product() is a sum of contiguous shifted 1-D
+    slices; a shift wraps only from ring node to ring node, and product()
+    zeroes the ring of its result.
     """
 
     def __init__(self, mask: np.ndarray, center: np.ndarray, forward: dict):
         self.mask = mask
-        self.center = np.where(mask, center, 0.0).reshape(-1)
-        self.forward = {offset: np.where(mask & neighbor_field(mask, *offset), w, 0.0)
-                        for offset, w in forward.items()}
+        self.center = center.reshape(-1)
         ny = mask.shape[1]
-        self._shifts = [(dx * ny + dy, w.reshape(-1))
-                        for (dx, dy), w in self.forward.items()]
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        """Flat lattice indices of the unknowns, for CSR (made on first use:
-        scatter and gather read the mask)."""
-        return np.flatnonzero(self.mask)
+        self._shifts = [(dx * ny + dy, w.reshape(-1)) for (dx, dy), w in forward.items()]
 
     @property
     def shape(self) -> tuple[int, int]:
         count = int(np.count_nonzero(self.mask))
         return (count, count)
 
-    def scatter(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The lattice field holding x at the nodes, written into out if given."""
-        if out is None:
-            out = np.zeros(self.mask.size)
-        else:
-            out.fill(0.0)
-        out[self.mask.reshape(-1)] = x
-        return out
-
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        """The node values of a lattice field."""
-        return v[self.mask.reshape(-1)]
-
     def product(self, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """out = A v for a lattice field v; returns out.  Values of v off the
-        mask meet zero weights, so finite ones change out by signs of zero.
-        tmp, a lattice-sized buffer, holds each band's products."""
-        np.multiply(self.center, v, out=out)
+        """out = A v for a lattice field v, the ring of out zero; returns out.
+        tmp, a lattice field, holds each band's products."""
+        v, flat, tmp = v.reshape(-1), out.reshape(-1), tmp.reshape(-1)
+        np.multiply(self.center, v, out=flat)
         size = v.size
         for k, w in self._shifts:
             w = w[:size - k]
             t = tmp[:size - k]
-            out[:size - k] += np.multiply(w, v[k:], out=t)
-            out[k:] += np.multiply(w, v[:size - k], out=t)
+            flat[:size - k] += np.multiply(w, v[k:], out=t)
+            flat[k:] += np.multiply(w, v[:size - k], out=t)
+        ring = flat.reshape(self.mask.shape)
+        ring[[0, -1]] = ring[:, [0, -1]] = 0.0
         return out
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        v = self.scatter(x)
-        return self.gather(self.product(v, np.empty_like(v), np.empty_like(v)))
-
     def tocsr(self):
-        """The CSR matrix, built by lattice_operator (this imports scipy)."""
-        bands = {(0, 0): self.center.reshape(self.mask.shape)}
-        for (dx, dy), w in self.forward.items():
-            bands[dx, dy] = w
-            bands[-dx, -dy] = neighbor_field(w, -dx, -dy)
-        return lattice_operator(bands)[self.nodes][:, self.nodes]
+        """The CSR matrix over the unknowns, read off product()'s bands as the
+        diagonals of the flat lattice, zeros dropped.  Only the LU path needs
+        CSR, so scipy is imported here."""
+        from scipy import sparse
+
+        size = self.center.size
+        offsets, diagonals = [0], [self.center]
+        for k, w in self._shifts:
+            offsets += [k, -k]
+            diagonals += [w[:size - k]] * 2
+        nodes = np.flatnonzero(self.mask)
+        csr = sparse.diags(diagonals, offsets, shape=(size, size), format="csr")
+        return csr[nodes][:, nodes]
 
     def tocsc(self):
         return self.tocsr().tocsc()
@@ -400,51 +363,6 @@ def neighbor_field(field: np.ndarray, dx: int, dy: int) -> np.ndarray:
     where that neighbor is off the lattice."""
     n, m = field.shape[:2]
     return np.pad(field, 1)[1 + dx:n + 1 + dx, 1 + dy:m + 1 + dy]
-
-
-def lattice_operator(bands: dict):
-    """The N x N scipy CSR operator on an nx x ny lattice (N = nx ny) in
-    row-major (ix, iy) order from {(dx, dy): (nx, ny) weights}: row (ix, iy)
-    holds bands[dx, dy][ix, iy] in the column of node (ix + dx, iy + dy), for
-    |dx|, |dy| <= 1 and nx, ny >= 3.  Weights coupling to nodes off the lattice
-    are dropped, and so are zeros.  Only the LU path needs CSR, so scipy is
-    imported here."""
-    from scipy import sparse
-
-    nx, ny = next(iter(bands.values())).shape
-    size = nx * ny
-    on_lattice = np.ones((nx, ny), dtype=bool)
-    offsets, diagonals = [], []
-    for (dx, dy), weights in bands.items():
-        k = dx * ny + dy
-        flat = np.where(neighbor_field(on_lattice, dx, dy), weights, 0.0).reshape(-1)
-        offsets.append(k)
-        diagonals.append(flat[max(-k, 0):size - max(k, 0)])
-    return sparse.diags(diagonals, offsets, shape=(size, size), format="csr")
-
-
-def _walk_coupling(grid: Grid2D, forward: dict) -> BoundaryCoupling:
-    """The boundary coupling of the forward weights of a Stencil (before its
-    mask is applied), read along the ring: interior node q meets ring node p
-    through forward[p - q] at q, or through forward[q - p] at p."""
-    n = grid.n
-    ring = (grid.boundary_ix, grid.boundary_iy)
-    walk = np.arange(grid.boundary_count)
-    rows, cols, weights = [], [], []
-    for (dx, dy), w in forward.items():
-        for sign in (1, -1):
-            ix, iy = ring[0] - sign * dx, ring[1] - sign * dy    # q = p - sign (dx, dy)
-            hit = (ix >= 1) & (ix <= n - 2) & (iy >= 1) & (iy <= n - 2)
-            ix, iy = ix[hit], iy[hit]
-            wt = w[ix, iy] if sign == 1 else w[ring[0][hit], ring[1][hit]]
-            keep = wt != 0.0
-            rows.append(((ix - 1) * (n - 2) + iy - 1)[keep])
-            cols.append(walk[hit][keep])
-            weights.append(-wt[keep])
-    rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
-    order = np.lexsort((cols, rows))
-    return BoundaryCoupling(rows=rows[order], cols=cols[order], weights=weights[order],
-                            shape=((n - 2) ** 2, grid.boundary_count))
 
 
 def _weights(h: float, a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -508,8 +426,8 @@ def _uniform_weights(h: float, coeff: CoefficientField) -> tuple[float, float] |
 
 
 def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
-    """Assemble the interior system and the boundary-coupling map; a constant
-    stencil keeps its two weights only (see DiscreteOperator)."""
+    """Assemble L_h's Stencil; a constant stencil keeps its two weights only
+    (see DiscreteOperator)."""
     coeff.validate(grid)
     stencil = _uniform_weights(grid.h, coeff) if coeff.is_scalar else None
     if stencil is None:
@@ -519,9 +437,8 @@ def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     spd = bool(coeff.is_scalar
                and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
     op = DiscreteOperator(grid=grid, coeff=coeff, spd=spd, stencil=stencil)
-    if stencil is None:     # the cached properties, from the weights at hand
-        op.__dict__.update(matrix=Stencil(grid.interior_mask, center, forward),
-                           boundary_coupling=_walk_coupling(grid, forward))
+    if stencil is None:     # the cached matrix, from the weights at hand
+        op.__dict__["matrix"] = Stencil(grid.interior_mask, center, forward)
     return op
 
 
@@ -589,16 +506,11 @@ def _boundary_transform(op: DiscreteOperator, u: ScalarField, work: dict | None 
                      np.stack((s1, sm, bottom, top)), out=out)
 
 
-def _cosines(grid: Grid2D) -> np.ndarray:
-    """cos(j pi h), j = 1 .. n-2: the DST-I modes' part of a stencil's eigenvalues."""
-    return np.cos(np.pi * grid.h * np.arange(1, grid.n - 1))
-
-
 def _stencil_eigenvalues(c: np.ndarray, d: float, o: float, rows=slice(None),
                          out: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues d + 2 o (c_j + c_k) of the constant five-point stencil (d, o)
-    for c = _cosines(grid), indexed like the DST-I modes: the (n-2, n-2) table,
-    or its rows j in the slice rows, written into out if given."""
+    for c = DiscreteOperator.cosines, indexed like the DST-I modes: the
+    (n-2, n-2) table, or its rows j in the slice rows, written into out if given."""
     out = np.add.outer(c[rows], c, out=out)
     out *= 2.0 * o
     out += d
@@ -618,11 +530,12 @@ def _sine_solve(transform: np.ndarray, work: dict | None = None,
 
 def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
                         precond: Callable[..., np.ndarray] | None = None,
-                        ) -> tuple[np.ndarray, int, float]:
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """Solve matrix x = rhs for an SPD Stencil by (preconditioned) CG from x = 0.
 
-    rhs and x are over the stencil's unknowns; the iteration runs in place on
-    five lattice fields: x, r, p, A p and a spare for z, alpha p and scratch.
+    rhs and x are lattice fields, zero off the stencil's unknowns; x is out
+    (C-contiguous) if given.  Besides them the iteration runs in place on
+    four lattice fields: r, p, A p and a spare for z, alpha p and scratch.
     precond, if given, is an SPD map of lattice fields, zero off the unknowns,
     that precond(r, out, work) writes into out (DiscreteOperator.preconditioner
     is one).  Stops once the recurrence residual has
@@ -631,8 +544,10 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     iteration goes on.  Returns (x, iterations, true residual); raises
     SolverError at maxiter or when r.z is not finite.
     """
-    r = matrix.scatter(rhs)
-    x, Ap, spare, work = np.zeros_like(r), np.empty_like(r), np.empty_like(r), {}
+    b = rhs.reshape(-1)
+    x = np.empty(b.size) if out is None else out.reshape(-1)
+    x.fill(0.0)
+    r, Ap, spare, work = b.copy(), np.empty_like(b), np.empty_like(b), {}
     res = np.abs(r, out=spare).max()
     z = r if precond is None else precond(r, spare, work)
     p = z.copy()
@@ -640,7 +555,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     iterations = 0
     while not res <= target:
         if iterations >= maxiter or not np.isfinite(rz):
-            res = np.abs(matrix.scatter(rhs) - matrix.product(x, Ap, spare)).max()
+            res = np.abs(b - matrix.product(x, Ap, spare)).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "
                 f"residual {res:.3e} > target {target:.3e}",
@@ -651,9 +566,8 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
         r -= np.multiply(Ap, alpha, out=Ap)
         iterations += 1
         res = np.abs(r, out=spare).max()
-        if res <= target:                # r = rhs - matrix x, keeping no copy of rhs
-            r = matrix.scatter(rhs, out=r)
-            r -= matrix.product(x, Ap, spare)
+        if res <= target:                # the true residual rhs - matrix x
+            np.subtract(b, matrix.product(x, Ap, spare), out=r)
             res = np.abs(r, out=spare).max()
             if res <= target:
                 break
@@ -661,8 +575,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
         rz, rz_old = r @ z, rz
         p *= rz / rz_old                 # then p + z: bitwise z + beta p
         p += z
-    del r, z, p, Ap, spare, work         # before the unknowns are gathered
-    return matrix.gather(x), iterations, float(res)
+    return x.reshape(rhs.shape), iterations, float(res)
 
 
 def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | None,
@@ -708,8 +621,8 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
     u[1:-1, 1:-1] = _sine_solve(transform, work, out=spare)
     inner, tmp = u[1:-1, 1:-1], lattice
     r = np.multiply(inner, d, out=product)
-    # Each neighbor term on the whole block, zero where it would be the ring's
-    # (the Stencil's zero weight), so the sums run over contiguous arrays.
+    # Each neighbor term on the whole block, zero where the neighbor is on the ring
+    # (as in the unknowns' field), so the sums run over contiguous arrays.
     for to, of, edge in ((np.s_[:, :-1], np.s_[:, 1:], np.s_[:, -1]),
                          (np.s_[:, 1:], np.s_[:, :-1], np.s_[:, 0]),
                          (np.s_[:-1], np.s_[1:], np.s_[-1]),
@@ -728,38 +641,66 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
     return SolveInfo("dst", 0, float(res))
 
 
-def _solve_interior(op: DiscreteOperator, rhs: np.ndarray, rtol: float,
-                    maxiter) -> tuple[np.ndarray | None, SolveInfo]:
-    """The unknowns x with A x = rhs, by conjugate gradients or sparse LU
-    (None when rhs is zero)."""
-    scale = max(rhs.max(), -rhs.min()) if rhs.size else 0.0    # max |rhs|, no copy
+def _dirichlet_rhs(op: DiscreteOperator, u: ScalarField,
+                   forcing: np.ndarray | None = None) -> np.ndarray:
+    """The right-hand side (0.0 - A u) + forcing on the lattice, for u holding
+    Dirichlet data on its ring and zero inside; forcing is an interior block."""
+    rhs = op.matrix.product(u, np.empty_like(u), np.empty_like(u))
+    np.subtract(0.0, rhs, out=rhs)
+    if forcing is not None:
+        rhs[1:-1, 1:-1] += forcing
+    return rhs
+
+
+@dataclass(frozen=True)
+class _BoundaryCoupling:
+    """DiscreteOperator.boundary_coupling: @ g is the interior of _dirichlet_rhs."""
+
+    op: DiscreteOperator
+
+    def __matmul__(self, g) -> np.ndarray:
+        grid = self.op.grid
+        u = np.zeros((grid.n, grid.n))
+        u[grid.boundary_ix, grid.boundary_iy] = g
+        return _dirichlet_rhs(self.op, u)[1:-1, 1:-1].reshape(-1)
+
+
+def _solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | None,
+                    rtol: float, maxiter) -> SolveInfo:
+    """Solve L u = forcing into the interior of u, which holds the Dirichlet data
+    on its ring and zero inside, by conjugate gradients (run in u, whose ring
+    it leaves zero) or sparse LU."""
+    rhs = _dirichlet_rhs(op, u, forcing)
+    scale = max(rhs.max(), -rhs.min())      # max |rhs|, no copy
     if scale == 0.0:
-        return None, SolveInfo("trivial", 0, 0.0)
+        return SolveInfo("trivial", 0, 0.0)
     if maxiter is None:
         maxiter = 20 * op.grid.n
     target = rtol * scale
     if op.spd:
-        x, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter,
-                                            op.preconditioner)
-        return x, SolveInfo("cg-sine", iters, res)
+        _, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter,
+                                            op.preconditioner, out=u)
+        return SolveInfo("cg-sine", iters, res)
     from scipy.sparse.linalg import splu   # the one path that needs scipy
 
     try:
         lu = splu(op.matrix.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}", residual=np.inf) from exc
-    x = lu.solve(rhs)
-    res = np.abs(op.matrix @ x - rhs).max()
-    refinements = 0
-    while res > target and refinements < 3:
-        x = x + lu.solve(rhs - op.matrix @ x)
-        res = np.abs(op.matrix @ x - rhs).max()
-        refinements += 1
+    inner = u[1:-1, 1:-1]
+    inner[...] = lu.solve(rhs[1:-1, 1:-1].reshape(-1)).reshape(inner.shape)
+    del rhs
+    for refinements in range(4):
+        r = op.apply(u) - (0.0 if forcing is None else forcing)    # L_h u - forcing
+        res = np.abs(r).max()
+        if not res > target or refinements == 3:
+            break
+        inner -= lu.solve(r.reshape(-1)).reshape(inner.shape)
     if not res <= target:
         raise SolverError(
             f"direct solve residual {res:.3e} > target {target:.3e} "
             f"after {refinements} refinement steps", residual=res, iterations=refinements)
-    return x, SolveInfo("lu", refinements, float(res))
+    return SolveInfo("lu", refinements, float(res))
 
 
 def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
@@ -769,10 +710,10 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
 
     g has one value per boundary-walk node; forcing (optional) is a full-grid
     field read at interior nodes, never copied.  Returns the (n, n) solution
-    field: out if given, else a new one.  work (optional) is a dict in which
-    the sine-transform path keeps its transform and product temporaries, so
-    that a run of solves sharing it allocates them once; one work must not
-    serve two solves at a time.
+    field: out (C-contiguous) if given, else a new one.  work (optional) is a
+    dict in which the sine-transform path keeps its transform and product
+    temporaries, so that a run of solves sharing it allocates them once; one
+    work must not serve two solves at a time.
     """
     grid = op.grid
     if forcing is not None:
@@ -790,24 +731,20 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
         raise DomainError("boundary data must be finite")
     if not (0.0 < rtol < 1.0):
         raise ConfigError(f"rtol must lie in (0, 1), got {rtol}")
-    x = None
-    if op.stencil is None:      # solved before u is made, which it does not read
-        rhs = op.boundary_coupling @ g
-        if forcing is not None:
-            block = rhs.reshape(grid.n - 2, grid.n - 2)
-            block += forcing
-        x, info = _solve_interior(op, rhs, rtol, maxiter)
-        del rhs
     if out is None:
         u = np.zeros((grid.n, grid.n))
+    elif out.shape != (grid.n, grid.n) or not out.flags.c_contiguous:
+        raise ConfigError(f"out must be a C-contiguous array of shape {(grid.n, grid.n)}")
     else:
         u = out
         u.fill(0.0)
-    u[grid.boundary_ix, grid.boundary_iy] = g
+    ring = (grid.boundary_ix, grid.boundary_iy)
+    u[ring] = g
     if op.stencil is not None:
         info = _sine_solve_interior(op, u, forcing, rtol, work)
-    elif x is not None:
-        u[1:-1, 1:-1] = x.reshape(grid.n - 2, grid.n - 2)
+    else:
+        info = _solve_interior(op, u, forcing, rtol, maxiter)
+        u[ring] = g
     return (u, info) if want_info else u
 
 

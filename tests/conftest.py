@@ -9,12 +9,33 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from randbc.boundary import RandomBoundaryModel
 from randbc.grid import build_grid
 from randbc.runge import build_dictionary
-from randbc.solver import CoefficientField
+from randbc.solver import CoefficientField, neighbor_field
+
+def lattice_operator(bands: dict):
+    """Reference N x N scipy CSR operator on an nx x ny lattice (N = nx ny) in
+    row-major (ix, iy) order from {(dx, dy): (nx, ny) weights}: row (ix, iy)
+    holds bands[dx, dy][ix, iy] in the column of node (ix + dx, iy + dy), for
+    |dx|, |dy| <= 1 and nx, ny >= 3.  Weights coupling to nodes off the lattice
+    are dropped, and so are zeros."""
+    from scipy import sparse
+
+    nx, ny = next(iter(bands.values())).shape
+    size = nx * ny
+    on_lattice = np.ones((nx, ny), dtype=bool)
+    offsets, diagonals = [], []
+    for (dx, dy), weights in bands.items():
+        k = dx * ny + dy
+        flat = np.where(neighbor_field(on_lattice, dx, dy), weights, 0.0).reshape(-1)
+        offsets.append(k)
+        diagonals.append(flat[max(-k, 0):size - max(k, 0)])
+    return sparse.diags(diagonals, offsets, shape=(size, size), format="csr")
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

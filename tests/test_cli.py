@@ -489,6 +489,28 @@ def test_variance_check_fails_cleanly_when_its_sums_overflow(c, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("c", ["1e155", "1e300"])
+def test_tail_check_runs_at_a_huge_weight_scale(c, tmp_path):
+    # the draws' squares overflow above about 1e154; the norms are then taken
+    # in units of the largest sigma and mapped back
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "randbc", "tail-check", "--out", str(out),
+                           "--set", "grid.n=17", "--set", "bc.K=5", "--set", "M=1000",
+                           "--set", f"bc.sigma.c={c}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    with open(out / "tail_curve.csv", newline="") as fh:
+        curve = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
+    with open(out / "tail_summary.csv", newline="") as fh:
+        summary = {row["metric"]: row["value"] for row in csv.DictReader(fh)}
+    assert len(curve) == 24 and np.isfinite(curve).all()
+    assert np.isfinite(float(summary["c1_hat"]))
+    assert summary["dominated"] == "1"
+
+
 def test_constraint_experiment_runs_at_a_huge_weight_scale(tmp_path):
     # success is scale-free: c = 1e200 gives the counts that c = 1 gives
     out = tmp_path / "ce"

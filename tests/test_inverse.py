@@ -10,7 +10,9 @@ from randbc.errors import ConfigError, DomainError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct_multi)
-from randbc.solver import gradient, laplacian, lattice_operator, solve_poisson
+from randbc.solver import gradient, laplacian, solve_poisson
+
+from conftest import lattice_operator
 
 
 @pytest.fixture(scope="module")

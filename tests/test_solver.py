@@ -16,8 +16,10 @@ from randbc.grid import build_grid, default_window
 from randbc.runge import build_dictionary
 from randbc.solver import (FORWARD, CoefficientField, Stencil, assemble,
                            conjugate_gradients, gradient, laplacian, laplacian_floor,
-                           lattice_operator, load_field_csv, neighbor_field, norms,
-                           save_field_csv, solve_dirichlet, solve_poisson)
+                           load_field_csv, neighbor_field, norms, save_field_csv,
+                           solve_dirichlet, solve_poisson)
+
+from conftest import lattice_operator
 
 
 def exact_harmonic(g):
@@ -81,6 +83,24 @@ def test_lattice_operator_matches_a_dense_build(n):
         assert op.nnz == np.count_nonzero(dense)   # zeros are not stored
 
 
+def lattice(mask, x):
+    """The lattice field holding x at the True nodes of mask, in row-major
+    order, and zero elsewhere."""
+    v = np.zeros(mask.shape)
+    v[mask] = x
+    return v
+
+
+def product(matrix, v):
+    """A Stencil's product of the lattice field v, into a new field."""
+    return matrix.product(v, np.empty_like(v), np.empty_like(v))
+
+
+def matvec(matrix, x):
+    """A x over a Stencil's unknowns, through its lattice product."""
+    return product(matrix, lattice(matrix.mask, x))[matrix.mask]
+
+
 def symmetric_bands(center, forward):
     bands = {(0, 0): center}
     for (dx, dy), w in forward.items():
@@ -101,13 +121,17 @@ def test_stencil_product_matches_the_lattice_operator(n):
         for mask in (full, rng.random((n, n)) < 0.6):
             nodes = np.flatnonzero(mask)
             csr = lattice_operator(symmetric_bands(center * mask, forward))[nodes][:, nodes]
-            # an outer ring of non-nodes around the lattice
-            A = Stencil(np.pad(mask, 1), np.pad(center, 1),
-                        {o: np.pad(w, 1) for o, w in forward.items()})
+            # an outer ring of non-nodes around the lattice, and zero weights on
+            # every coupling that touches a non-node
+            A = Stencil(np.pad(mask, 1), np.pad(center * mask, 1),
+                        {o: np.pad(w * (mask & neighbor_field(mask, *o)), 1)
+                         for o, w in forward.items()})
             assert A.shape == csr.shape
             x = rng.standard_normal(nodes.size)
             bound = 1e-15 * (abs(csr) @ np.abs(x))
-            assert np.all(np.abs(A @ x - csr @ x) <= bound)
+            Ax = product(A, lattice(A.mask, x))
+            assert np.all(np.abs(Ax[A.mask] - csr @ x) <= bound)
+            assert np.all(Ax[~A.mask] == 0.0)
             np.testing.assert_array_equal(A.tocsr().toarray(), csr.toarray())
 
 
@@ -133,7 +157,8 @@ def csr_boundary_coupling(g, coeff):
 @pytest.mark.parametrize("n", [9, 17, 65])
 def test_walk_coupling_is_bitwise_the_sorted_csr_product(kind, n):
     # A scalar-a row holds at most two boundary terms, whose sum does not
-    # depend on their order; matrix a's corners give rows of three.
+    # depend on their order.  Matrix a gives rows of up to five, which the
+    # lattice product adds in its own order: within the summation bound.
     g = build_grid(n)
     rng = np.random.default_rng(n)
     a, q = 0.5 + rng.random((2, n, n))
@@ -149,7 +174,12 @@ def test_walk_coupling_is_bitwise_the_sorted_csr_product(kind, n):
         bc = rng.standard_normal(g.boundary_count) * 10.0 ** rng.integers(-5, 5)
         bc[::5] = 0.0
         bc[1::7] *= -0.0
-        assert (op.boundary_coupling @ bc).tobytes() == (csr @ bc).tobytes()
+        got, want = op.boundary_coupling @ bc, csr @ bc
+        if kind == "matrix":
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(got - want) <= 2.0 * eps * (abs(csr) @ np.abs(bc)))
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def dense_assembly(g, coeff):
@@ -205,9 +235,7 @@ def test_assembly_matches_a_dense_reference(kind):
     columns = np.column_stack([walk @ e for e in np.eye(g.boundary_count)])
     np.testing.assert_allclose(columns, coupling, rtol=1e-15, atol=0.0)
     assert A.nnz == np.count_nonzero(matrix)
-    assert walk.weights.size == np.count_nonzero(coupling)
-    # sorted by row, then walk position, with no entry twice
-    assert np.all(np.diff(walk.rows * g.boundary_count + walk.cols) > 0)
+    assert np.count_nonzero(columns) == np.count_nonzero(coupling)
 
 
 def test_interior_stencil_row_of_the_laplacian():
@@ -323,7 +351,8 @@ SPD_COEFFICIENTS = {
 
 def precondition(op, v):
     """The operator's preconditioner M^-1 applied to v over its unknowns."""
-    return op.matrix.gather(op.preconditioner(op.matrix.scatter(v)))
+    mask = op.matrix.mask
+    return op.preconditioner(lattice(mask, v))[mask]
 
 
 def preconditioned_cg(op, rhs, atol):
@@ -358,7 +387,7 @@ def test_multigrid_cg_meets_the_contract_in_few_iterations(n, coeff):
     else:
         # a = 1 solves by sine transform; drive the preconditioner it would use.
         x, iterations = preconditioned_cg(op, rhs, rtol * np.abs(rhs).max())
-        res = np.abs(op.matrix @ x - rhs).max()
+        res = np.abs(matvec(op.matrix, x) - rhs).max()
     if coeff == "disk":
         assert iterations <= min(DISK_ITERATIONS, 20 * n)
     else:
@@ -389,8 +418,10 @@ def test_cg_loop_meets_the_inf_norm_target_no_later_than_scipy_cg(n, coeff):
     bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
     rhs = op.boundary_coupling @ bc
     target = 1e-10 * np.abs(rhs).max()
-    x, iterations, res = conjugate_gradients(op.matrix, rhs, target, 200, op.preconditioner)
-    assert res == np.abs(rhs - op.matrix @ x).max() <= target
+    mask = op.matrix.mask
+    x, iterations, res = conjugate_gradients(op.matrix, lattice(mask, rhs), target, 200,
+                                             op.preconditioner)
+    assert res == np.abs(rhs - matvec(op.matrix, x[mask])).max() <= target
     _, reference_iterations = preconditioned_cg(op, rhs, target)
     assert 0 < iterations <= reference_iterations
 
@@ -398,7 +429,7 @@ def test_cg_loop_meets_the_inf_norm_target_no_later_than_scipy_cg(n, coeff):
 def reference_cg(matrix, rhs, target, maxiter, precond=None):
     """The same iteration written with a new array for every vector it forms;
     the solver's in-place loop must match it bit for bit."""
-    b = matrix.scatter(rhs)
+    b = rhs.reshape(-1)
     x = np.zeros_like(b)
     r = b.copy()
     z = r if precond is None else precond(r)
@@ -422,15 +453,16 @@ def reference_cg(matrix, rhs, target, maxiter, precond=None):
         z = r if precond is None else precond(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    return matrix.gather(x), iterations, float(res)
+    return x.reshape(rhs.shape), iterations, float(res)
 
 
 def holed_stencil(n):
-    """A diagonally dominant five-point Stencil on the interior less a disk."""
+    """A diagonally dominant five-point Stencil on the interior less a disk,
+    with zero weights off it."""
     g = build_grid(n)
     mask = g.interior_mask & ((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2 > 0.05)
-    ones = np.ones((n, n))
-    return Stencil(mask, 4.25 * ones, {(1, 0): -ones, (0, 1): -ones})
+    return Stencil(mask, 4.25 * mask, {o: -1.0 * (mask & neighbor_field(mask, *o))
+                                       for o in ((1, 0), (0, 1))})
 
 
 @pytest.mark.parametrize("coeff, precond",
@@ -440,7 +472,7 @@ def holed_stencil(n):
 def test_cg_loop_is_bitwise_the_allocating_iteration(n, coeff, precond):
     if coeff == "holed":
         matrix, target = holed_stencil(n), 1e-10
-        rhs = np.cos(np.arange(matrix.shape[0], dtype=float))
+        rhs = lattice(matrix.mask, np.cos(np.arange(matrix.shape[0], dtype=float)))
         apply = None
     else:
         g = build_grid(n)
@@ -448,7 +480,7 @@ def test_cg_loop_is_bitwise_the_allocating_iteration(n, coeff, precond):
         op = assemble(g, CoefficientField.isotropic(g, a, q))
         matrix, apply = op.matrix, (op.preconditioner if precond else None)
         bc = np.cos(3.0 * g.boundary_s) + 0.3 * np.sin(7.0 * g.boundary_s)
-        rhs = op.boundary_coupling @ bc
+        rhs = lattice(matrix.mask, op.boundary_coupling @ bc)
         target = 1e-10 * np.abs(rhs).max()
     x, iterations, res = conjugate_gradients(matrix, rhs, target, 20 * n, apply)
     x_ref, iterations_ref, res_ref = reference_cg(matrix, rhs, target, 20 * n, apply)
@@ -463,9 +495,9 @@ def test_preconditioner_into_a_reused_buffer_is_bitwise_the_fresh_one(n):
     op = assemble(g, CoefficientField.isotropic(g, a, q))
     rng = np.random.default_rng(n)
     work = {}
-    out = np.full(n * n, np.nan)     # a buffer whose ring holds stale values
+    out = np.full((n, n), np.nan)    # a buffer whose ring holds stale values
     for _ in range(3):
-        r = op.matrix.scatter(rng.standard_normal(op.matrix.shape[0]))
+        r = lattice(op.matrix.mask, rng.standard_normal(op.matrix.shape[0]))
         z = op.preconditioner(r, out, work)
         assert np.shares_memory(z, out)
         assert z.tobytes() == op.preconditioner(r).tobytes()
@@ -474,7 +506,7 @@ def test_preconditioner_into_a_reused_buffer_is_bitwise_the_fresh_one(n):
 def test_sine_preconditioned_cg_holds_under_eight_lattice_fields(traced_memory):
     g = build_grid(129)
     op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
-    rhs = op.boundary_coupling @ np.cos(3.0 * g.boundary_s)
+    rhs = lattice(op.matrix.mask, op.boundary_coupling @ np.cos(3.0 * g.boundary_s))
     target = 1e-10 * np.abs(rhs).max()
     peak, _ = traced_memory(
         lambda: conjugate_gradients(op.matrix, rhs, target, 200, op.preconditioner))
@@ -484,7 +516,7 @@ def test_sine_preconditioned_cg_holds_under_eight_lattice_fields(traced_memory):
 def test_cg_loop_reports_the_iteration_cap():
     g = build_grid(33)
     op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
-    rhs = op.boundary_coupling @ np.cos(g.boundary_s)
+    rhs = lattice(op.matrix.mask, op.boundary_coupling @ np.cos(g.boundary_s))
     with pytest.raises(SolverError, match="after 2 iterations") as caught:
         conjugate_gradients(op.matrix, rhs, 1e-14 * np.abs(rhs).max(), 2, op.preconditioner)
     assert caught.value.iterations == 2
@@ -500,8 +532,8 @@ def test_cg_loop_reports_the_iteration_cap():
 def test_cg_loop_rejects_a_non_finite_right_hand_side(bad, precond):
     g = build_grid(17)
     op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
-    rhs = op.boundary_coupling @ np.cos(g.boundary_s)
-    rhs[7] = bad
+    rhs = lattice(op.matrix.mask, op.boundary_coupling @ np.cos(g.boundary_s))
+    rhs[1, 8] = bad                  # the interior node 7 in row-major order
     with pytest.raises(SolverError) as caught:
         conjugate_gradients(op.matrix, rhs, 1e-10, 100,
                             op.preconditioner if precond else None)
@@ -842,16 +874,18 @@ def test_assembly_is_bitwise_the_band_assembly(make, n):
     assert op.stencil == stencil
     if stencil is not None:      # two weights; the rest is built when asked for
         assert not {"matrix", "boundary_coupling"} & set(vars(op))
-    coupling = op.boundary_coupling
-    for got, want in zip((coupling.rows, coupling.cols, coupling.weights),
-                         band_walk_coupling(g, bands)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # One walk node at a time, a row meets one coupling term: the columns
+    # are the coupling's weights bit for bit.
+    rows, cols, weights = band_walk_coupling(g, bands)
+    want = np.zeros(((n - 2) ** 2, g.boundary_count))
+    want[rows, cols] = weights
+    got = np.column_stack([op.boundary_coupling @ e for e in np.eye(g.boundary_count)])
+    assert got.tobytes() == want.tobytes()
     ref = Stencil(g.interior_mask, bands[0, 0],
                   {offset: bands[offset] for offset in FORWARD if offset in bands})
     assert op.matrix.center.tobytes() == ref.center.tobytes()
-    assert list(op.matrix.forward) == list(ref.forward)
-    for offset, w in ref.forward.items():
-        assert op.matrix.forward[offset].tobytes() == w.tobytes()
+    assert ([(k, w.tobytes()) for k, w in op.matrix._shifts]
+            == [(k, w.tobytes()) for k, w in ref._shifts])
 
 
 def test_a_constant_operator_holds_no_lattice_field_after_a_solve(traced_memory):
@@ -934,6 +968,8 @@ def test_edge_sines_are_accurate_to_rounding(n):
 @pytest.mark.parametrize("kind", ["one", "scalar", "matrix"])
 @pytest.mark.parametrize("n", [8, 17, 33])
 def test_apply_on_the_lattice_is_the_product_over_the_unknowns(kind, n):
+    # apply adds the interior and ring terms in one product: to the summation
+    # bound of the up to nine products of each side, and the subtraction
     g = build_grid(n)
     rng = np.random.default_rng(n)
     a11, a22 = 2.0 + rng.random((2, n, n))
@@ -945,10 +981,32 @@ def test_apply_on_the_lattice_is_the_product_over_the_unknowns(kind, n):
         coeff = CoefficientField.anisotropic(g, a11, 0.3 * rng.random((n, n)), a22)
     op = assemble(g, coeff)
     u = rng.standard_normal((n, n))
-    u[0, 3] = -1.0   # a negative ring value meets zero weights: signs of zero only
-    expected = (op.matrix @ u[1:-1, 1:-1].reshape(-1)
-                - op.boundary_coupling @ g.boundary_values(u))
-    np.testing.assert_array_equal(op.apply(u), expected.reshape(n - 2, n - 2))
+    u[0, 3] = -1.0   # a negative ring value
+    inner, ring = u[1:-1, 1:-1].reshape(-1), g.boundary_values(u)
+    expected = matvec(op.matrix, inner) - op.boundary_coupling @ ring
+    terms = (abs(op.matrix.tocsr()) @ np.abs(inner)
+             + abs(csr_boundary_coupling(g, coeff)) @ np.abs(ring))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(op.apply(u).reshape(-1) - expected) <= 20.0 * eps * terms)
+
+
+@pytest.mark.parametrize("kind", ["one", "scalar", "matrix"])
+@pytest.mark.parametrize("n", [8, 17, 33])
+def test_apply_is_bitwise_one_stencil_product(kind, n):
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    a11, a22 = 2.0 + rng.random((2, n, n))
+    if kind == "one":
+        coeff = CoefficientField.isotropic(g)
+    elif kind == "scalar":
+        coeff = CoefficientField.isotropic(g, a11, rng.standard_normal((n, n)))
+    else:
+        coeff = CoefficientField.anisotropic(g, a11, 0.3 * rng.random((n, n)), a22)
+    op = assemble(g, coeff)
+    u = rng.standard_normal((n, n))
+    Au = product(op.matrix, u)
+    assert op.apply(u).tobytes() == Au[1:-1, 1:-1].tobytes()
+    assert np.all(Au[g.boundary_mask] == 0.0)
 
 
 @pytest.mark.parametrize("a, q", [(1.0, 0.0), (0.1, -5.0)])
@@ -965,7 +1023,7 @@ def test_sine_transform_residual_is_the_residual_over_the_unknowns(a, q, with_fo
     if with_forcing:
         rhs = rhs + forcing[1:-1, 1:-1].reshape(-1)
     x = u[1:-1, 1:-1].reshape(-1)
-    assert info.residual_inf == np.abs(op.matrix @ x - rhs).max()
+    assert info.residual_inf == np.abs(matvec(op.matrix, x) - rhs).max()
     assert info.residual_inf <= rtol * np.abs(rhs).max()
     np.testing.assert_array_equal(g.boundary_values(u), bc)
 
@@ -1022,8 +1080,8 @@ def test_each_poisson_solve_goes_through_solve_dirichlet_once(monkeypatch):
 def test_sine_transform_solve_transforms_only_what_it_must(monkeypatch):
     # The boundary data take one batched 1-D transform of the four sides and
     # the inverse two; a forcing term adds its own 2-D transform.  The
-    # residual is checked on the lattice, with no scatter or gather.
-    calls = {"rfft": 0, "scatter": 0, "gather": 0}
+    # residual is checked on the block of unknowns, with no Stencil product.
+    calls = {"rfft": 0, "product": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1032,12 +1090,30 @@ def test_sine_transform_solve_transforms_only_what_it_must(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
-    monkeypatch.setattr(Stencil, "scatter", counted("scatter", Stencil.scatter))
-    monkeypatch.setattr(Stencil, "gather", counted("gather", Stencil.gather))
+    monkeypatch.setattr(Stencil, "product", counted("product", Stencil.product))
     g = build_grid(33)
     op = assemble(g, CoefficientField.isotropic(g, 1.0, 2.5))
     bc = np.cos(3.0 * g.boundary_s)
     solve_dirichlet(op, bc)
-    assert calls == {"rfft": 3, "scatter": 0, "gather": 0}
+    assert calls == {"rfft": 3, "product": 0}
     solve_poisson(g, g.X * g.Y, bc)
-    assert calls == {"rfft": 8, "scatter": 0, "gather": 0}
+    assert calls == {"rfft": 8, "product": 0}
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_cg_returns_a_field_zero_off_the_mask(n):
+    matrix = holed_stencil(n)
+    rhs = lattice(matrix.mask, np.cos(np.arange(matrix.shape[0], dtype=float)))
+    x, _, _ = conjugate_gradients(matrix, rhs, 1e-10, 20 * n)
+    assert x.shape == rhs.shape and np.any(x[matrix.mask] != 0.0)
+    assert np.all(x[~matrix.mask] == 0.0)
+    out = np.full(rhs.shape, np.nan)         # stale values are overwritten
+    y, _, _ = conjugate_gradients(matrix, rhs, 1e-10, 20 * n, out=out)
+    assert np.shares_memory(y, out) and y.tobytes() == x.tobytes()
+
+
+def test_solve_into_a_non_contiguous_buffer_is_a_config_error():
+    g = build_grid(17)
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
+    with pytest.raises(ConfigError, match="C-contiguous"):
+        solve_dirichlet(op, np.cos(g.boundary_s), out=np.zeros((g.n, g.n)).T)
