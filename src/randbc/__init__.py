@@ -1,6 +1,14 @@
 """Elliptic PDE lab: random boundary data, non-vanishing constraints,
 quantitative interior approximation, and hybrid imaging on the unit square."""
 
+import os as _os
+
+# One BLAS thread, set before numpy loads: a multithreaded BLAS splits long
+# dot products across threads, so their last bits would follow the core count.
+# The worker pool (--threads) is the one parallel knob.
+_os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), "1"))
+
 from .boundary import (BoundaryBasis, BoundaryFunction, CovarianceSummary,
                        RandomBoundaryModel, empirical_covariance, evaluate,
                        sample, sample_coeffs, sigma_norm, surrogate_h12_norm)

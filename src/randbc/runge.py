@@ -224,7 +224,11 @@ def _tikhonov(target: LocalTarget, dictionary: Dictionary, system,
     Zd, hv, G, b = system
     sigma = dictionary.model.sigma
     h2 = dictionary.grid.h * dictionary.grid.h
-    M = G + lam * np.diag(1.0 / sigma ** 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        M = G + lam * np.diag(1.0 / sigma ** 2)
+    if not np.isfinite(M).all():
+        raise ConfigError(f"regularization lambda / sigma^2 overflows at lambda = {lam:.6g} "
+                          f"(smallest sigma {sigma.min():.6g})")
 
     w, V = np.linalg.eigh(M)
     floor = 1e-14 * float(np.trace(M))

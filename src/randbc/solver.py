@@ -23,12 +23,12 @@ the coupled data alone (the benchmark's tracer and reference builder).  The
 solve contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol *
 ||rhs||_inf, checked after every solve.  Three paths meet it:
 
-- A constant five-point stencil (scalar a and q whose assembled diagonal and
-  off-diagonal weights are each one value, compared bitwise, since
-  harm(a, a) need not round back to a; a that is one value off the corners
-  and q one value inside are decided from a 3 x 3 patch, and such an
-  operator keeps its two weights and no Stencil) is diagonalized by the 2-D
-  sine transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)),
+- A constant five-point stencil (decided on the coefficients alone: scalar a
+  that is one value off the four corners and q that is one value inside; its
+  diagonal and off-diagonal weights d and o come from the same arithmetic on
+  a 3 x 3 patch, since harm(a, a) need not round back to a, and its Stencil
+  holds them as zero-stride broadcasts) is diagonalized by the 2-D sine
+  transform (DST-I), with eigenvalues d + 2 o (cos(j pi h) + cos(k pi h)),
   formed a block of rows at a time.
   The solve is direct, S (S r / lambda) (2 / (n - 1))^2, whatever the sign
   of q, as long as no eigenvalue vanishes; S is built on numpy.fft, which
@@ -43,8 +43,8 @@ solve contract is a residual guarantee, ||A u_int - rhs||_inf <= rtol *
   four 1-D transforms in one batch; only a forcing term takes a 2-D forward
   transform, read in place.  No (n-2, n-2) right-hand side is formed: the
   coupled data live on the border of the block of unknowns, so the target's
-  scale and the residual A u_int - r are taken there and from the forcing,
-  the residual adding the Stencil's terms in its order, bitwise its product.
+  scale is taken there and from the forcing.  The residual is L_h u - forcing,
+  one Stencil product, the form of apply and of the LU path's check.
 - Other operators certified positive definite take conjugate gradients
   (conjugate_gradients, the loop potential integration in randbc.inverse
   shares) preconditioned by the same sine transform between two diagonal
@@ -144,10 +144,6 @@ class CoefficientField:
         field.validate(grid)
         return field
 
-    def min_eigenvalues(self) -> np.ndarray:
-        """Nodewise smallest eigenvalue of the diffusion matrix."""
-        return _min_eigenvalues(self.a)
-
     def validate(self, grid: Grid2D) -> None:
         if self.q.shape != (grid.n, grid.n):
             raise ConfigError(f"q has shape {self.q.shape}, expected {(grid.n, grid.n)}")
@@ -161,7 +157,7 @@ class CoefficientField:
         lam = self.lambda_bound
         if not (np.isfinite(lam) and lam >= 1.0):
             raise ConfigError(f"ellipticity bound must be finite and >= 1, got {lam}")
-        mineig = self.min_eigenvalues()
+        mineig = _min_eigenvalues(self.a)
         # Tolerate roundoff at the binding node when the bound was auto-fitted.
         slack = 1e-12 * max(1.0, lam)
         bad = mineig < 1.0 / lam - slack
@@ -210,20 +206,16 @@ class DiscreteOperator:
     """The operator L_h on the lattice of one grid.
 
     matrix is a symmetric Stencil on the interior nodes, the ring's couplings
-    to them included.  assemble() builds it for a variable stencil; a
-    constant stencil keeps only its weights (d, o), all its sine-transform
-    solve reads, and its matrix is assembled on first use.
+    to them included.  A constant stencil (stencil = (d, o), decided from the
+    coefficients) holds d and o as zero-stride (n, n) broadcasts, so its
+    matrix keeps no lattice field.
     """
 
     grid: Grid2D
     coeff: CoefficientField
     spd: bool
     stencil: tuple[float, float] | None   # (diagonal, off-diagonal) if constant
-
-    @cached_property
-    def matrix(self) -> "Stencil":
-        return Stencil(self.grid.interior_mask,
-                       *_weights(self.grid.h, self.coeff.a, self.coeff.q))
+    matrix: "Stencil"
 
     @property
     def boundary_coupling(self) -> "_BoundaryCoupling":
@@ -286,12 +278,12 @@ class Stencil:
 
     Its unknowns are the True nodes of mask, an (nx, ny) bool array whose
     outer ring is False, in row-major order.  center and forward[dx, dy]
-    ((dx, dy) in FORWARD) are (nx, ny) weights, used as given: a node's
-    diagonal entry and its coupling to its (dx, dy) neighbor; the backward
-    couplings are the forward ones read from the other end, so the operator
-    is symmetric by construction.  A node off the mask other than the ring
-    must carry zero weights; the ring's couplings to the nodes are the
-    boundary data's (see DiscreteOperator).
+    ((dx, dy) in FORWARD) are (nx, ny) weights, read only (so they may be
+    broadcasts): a node's diagonal entry and its coupling to its (dx, dy)
+    neighbor; the backward couplings are the forward ones read from the
+    other end, so the operator is symmetric by construction.  A node off the
+    mask other than the ring must carry zero weights; the ring's couplings
+    to the nodes are the boundary data's (see DiscreteOperator).
 
     Vectors are C-contiguous (nx, ny) lattice fields.  A neighbor is a fixed
     shift of the flat index, so product() is a sum of contiguous shifted 1-D
@@ -400,46 +392,37 @@ def _weights(h: float, a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
     return center, {offset: forward[offset] for offset in FORWARD if offset in forward}
 
 
-def _constant_weights(center: np.ndarray, forward: dict) -> tuple[float, float] | None:
-    """(d, o) if the five-point weights of _weights are one diagonal d and one
-    off-diagonal o at every interior node (faces to the ring included), else None.
-    Compared bitwise on the weights: _harm(a, a) need not round back to a."""
-    east, north = forward[1, 0], forward[0, 1]
-    o, d = east[0, 1], center[1, 1]
-    if (np.all(east[:-1, 1:-1] == o) and np.all(north[1:-1, :-1] == o)
-            and np.all(center[1:-1, 1:-1] == d)):
-        return float(d), float(o)
-    return None
-
-
 def _uniform_weights(h: float, coeff: CoefficientField) -> tuple[float, float] | None:
-    """_constant_weights of scalar coefficients with one a at every node but the
-    four corners (which no interior face reads) and one q at the interior nodes,
-    from the same arithmetic on a 3 x 3 patch; None for any other coefficients."""
+    """(d, o), the diagonal and off-diagonal weights of L_h at every interior
+    node (faces to the ring included), for scalar coefficients with one a at
+    every node but the four corners (which no interior face reads) and one q at
+    the interior nodes: _weights on a 3 x 3 patch.  None for any other
+    coefficients, even if their weights happen to be one value."""
     a, q = coeff.a, coeff.q
     alpha, beta = a[0, 1], q[1, 1]
     for part, value in ((a[1:-1], alpha), (a[0, 1:-1], alpha), (a[-1, 1:-1], alpha),
                         (q[1:-1, 1:-1], beta)):
         if not part.min() == value == part.max():
             return None
-    return _constant_weights(*_weights(h, np.full((3, 3), alpha), np.full((3, 3), beta)))
+    center, forward = _weights(h, np.full((3, 3), alpha), np.full((3, 3), beta))
+    return float(center[1, 1]), float(forward[1, 0][0, 1])
 
 
 def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
-    """Assemble L_h's Stencil; a constant stencil keeps its two weights only
-    (see DiscreteOperator)."""
+    """Assemble L_h's Stencil; a constant stencil's weights are two broadcast
+    values (see DiscreteOperator)."""
     coeff.validate(grid)
     stencil = _uniform_weights(grid.h, coeff) if coeff.is_scalar else None
     if stencil is None:
         center, forward = _weights(grid.h, coeff.a, coeff.q)
-        stencil = _constant_weights(center, forward) if coeff.is_scalar else None
+    else:
+        center, o = (np.broadcast_to(w, (grid.n, grid.n)) for w in stencil)
+        forward = {(0, 1): o, (1, 0): o}
     # Certified after the weights' overflow check, which a too large for it fails.
     spd = bool(coeff.is_scalar
                and coeff.q.min() >= -0.5 * coeff.a.min() * laplacian_floor(grid))
-    op = DiscreteOperator(grid=grid, coeff=coeff, spd=spd, stencil=stencil)
-    if stencil is None:     # the cached matrix, from the weights at hand
-        op.__dict__["matrix"] = Stencil(grid.interior_mask, center, forward)
-    return op
+    return DiscreteOperator(grid=grid, coeff=coeff, spd=spd, stencil=stencil,
+                            matrix=Stencil(grid.interior_mask, center, forward))
 
 
 @dataclass
@@ -582,10 +565,9 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
                          rtol: float, work: dict | None) -> SolveInfo:
     """_solve_interior for a constant stencil, by the sine transform, with no
     (n-2, n-2) right-hand side: the coupled data b are nonzero only on the
-    border of the block of unknowns, so the target's scale and the residual
-    A u_int - b - f are taken there and from the forcing f itself.  The
-    residual adds the Stencil's terms in its order (c u, then the neighbors
-    at +y, -y, +x, -x), so it is bitwise the Stencil's."""
+    border of the block of unknowns, so the target's scale max |b + f| is taken
+    there and from the forcing f itself.  The residual L_h u - f is the form
+    apply takes, one product of op.matrix."""
     n = op.grid.n
     d, o = op.stencil
     c = -o                                  # the ring's coupling weight
@@ -605,8 +587,8 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
         return SolveInfo("trivial", 0, 0.0)
     target = rtol * scale
     m = n - 2
-    product, lattice = (_scratch(work, name, (n * n,))[:m * m].reshape(m, m)
-                        for name in ("product", "lattice"))
+    fields = [_scratch(work, name, (n * n,)) for name in ("product", "lattice")]
+    product, lattice = (f[:m * m].reshape(m, m) for f in fields)
     if forcing is None:
         transform, spare = _boundary_transform(op, u, work, out=product), lattice
     else:
@@ -619,21 +601,9 @@ def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarr
         transform[lo:hi] /= _stencil_eigenvalues(op.cosines, d, o, np.s_[lo:hi],
                                                  out=block[:hi - lo])
     u[1:-1, 1:-1] = _sine_solve(transform, work, out=spare)
-    inner, tmp = u[1:-1, 1:-1], lattice
-    r = np.multiply(inner, d, out=product)
-    # Each neighbor term on the whole block, zero where the neighbor is on the ring
-    # (as in the unknowns' field), so the sums run over contiguous arrays.
-    for to, of, edge in ((np.s_[:, :-1], np.s_[:, 1:], np.s_[:, -1]),
-                         (np.s_[:, 1:], np.s_[:, :-1], np.s_[:, 0]),
-                         (np.s_[:-1], np.s_[1:], np.s_[-1]),
-                         (np.s_[1:], np.s_[:-1], np.s_[0])):
-        np.multiply(inner[of], o, out=tmp[to])
-        tmp[edge] = 0.0
-        r += tmp
+    r = op.matrix.product(u, *fields).reshape(n, n)[1:-1, 1:-1]
     if forcing is not None:
-        r[1:-1, 1:-1] -= forcing[1:-1, 1:-1]
-    r[[0, -1]] -= rows
-    r[1:-1, [0, -1]] -= cols.T
+        r -= forcing
     res = np.abs(r, out=r).max()
     if not res <= target:
         raise SolverError(f"sine-transform solve residual {res:.3e} > target "

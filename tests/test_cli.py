@@ -455,6 +455,34 @@ def test_worker_env_fallback_matches_serial_run(tmp_path, monkeypatch):
     assert manifest(serial)["outputs"] == manifest(enviro)["outputs"]
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constraint-experiment", "--set", "grid.n=65", "--set", "bc.K=33",
+     "--set", "zeta=jacobian", "--set", "M=50", "--set", "N_list=1,32"],
+    ["qpat", "--set", "grid.n=257", "--set", "bc.K=33", "--set", "N=4"] + BENCH_QPAT,
+], ids=["jacobian", "qpat"])
+def test_outputs_do_not_depend_on_the_blas_thread_setting(argv, tmp_path):
+    # A multithreaded BLAS splits long dot products and GEMMs across threads,
+    # which changes their last bits; randbc runs at one BLAS thread whatever
+    # the environment asks for.
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    outputs = []
+    for blas in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        env["PYTHONPATH"] = src
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        out = tmp_path / f"blas-{blas}"
+        proc = subprocess.run([sys.executable, "-m", "randbc", *argv, "--seed", "0",
+                               "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(manifest(out)["outputs"])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_variance_check_outputs(tmp_path):
     out = tmp_path / "var"
     rc = run(["variance-check", "--out", str(out), "--set", "grid.n=17",
@@ -541,6 +569,31 @@ def test_runge_curve_outputs(tmp_path):
     lines = (out / "runge_curve.csv").read_text().splitlines()
     assert lines[0] == "lambda,eps,boundary_cost"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("pair, code", [
+    ("runge.lambdas=1e308", 2),
+    ("bc.sigma.c=1e-300", 2),
+    ("bc.sigma.c=1e300", 0),
+], ids=["huge-lambda", "tiny-sigma", "huge-sigma"])
+def test_runge_never_warns_or_writes_a_non_finite_curve(pair, code, tmp_path):
+    # lambda / sigma^2 overflows in the first two; 1 / sigma^2 underflows to 0
+    # in the third, which leaves the normal equations unregularized
+    src = os.path.dirname(os.path.dirname(randbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "randbc", "runge", "--out", str(out),
+                           "--set", "grid.n=33", "--set", "bc.K=9", "--set", pair],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("randbc: configuration error: regularization ")
+        assert not out.exists()
+    else:
+        with open(out / "runge_curve.csv", newline="") as fh:
+            curve = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
+        assert len(curve) == 9 and np.isfinite(curve).all()
 
 
 def test_qpat_command_round_trip(tmp_path):
