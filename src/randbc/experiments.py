@@ -325,9 +325,10 @@ def _second_moment_series(feats: list, sig2: np.ndarray) -> np.ndarray:
     return math.factorial(d) * det(S)
 
 
-def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
+def variance_identity_check(cfg: TrialConfig, M: int = 10000,
                             master_seed: int = 0) -> list[VarianceRow]:
-    """Monte-Carlo E[zeta(u)^2] against the exact closed form at probes.
+    """Monte-Carlo E[zeta(u)^2] against the exact closed form at the
+    default_probes.
 
     Every map is supported (see _second_moment_series).  z scores use the
     sample standard error.  The M draws of derive_rng(master_seed, 0) are
@@ -341,12 +342,10 @@ def variance_identity_check(cfg: TrialConfig, x_points=None, M: int = 10000,
     if not isinstance(M, (int, np.integer)) or M < 2:
         raise ConfigError(f"need at least two samples, got M={M!r}")
     M = int(M)
-    if x_points is None:
-        x_points = default_probes(cfg.grid)
 
     dictionary = ensure_dictionary(cfg)
     ixs, iys = [], []
-    for p in x_points:
+    for p in default_probes(cfg.grid):
         ix, iy = cfg.grid.nearest_node(p)
         if not cfg.mask.member[ix, iy]:
             raise ConfigError(f"probe {p!r} snaps to ({ix}, {iy}) outside the window")
@@ -410,9 +409,9 @@ class TailReport:
     family: str
 
 
-def tail_check(model: RandomBoundaryModel, M: int, t_grid=None,
-               master_seed: int = 0) -> TailReport:
-    """Fit the largest c1 with 2 exp(-c1 t^2) >= P(||phi|| >= t) on a t-grid.
+def tail_check(model: RandomBoundaryModel, M: int, master_seed: int = 0) -> TailReport:
+    """Fit the largest c1 with 2 exp(-c1 t^2) >= P(||phi|| >= t) on a t-grid:
+    the norms' quantiles at 24 geometric levels from 1/2 down to 5/M.
 
     The norm is the spectral H^{1/2} surrogate of the sampled boundary data.
     The (M, K) draws of derive_rng(master_seed, 0) are streamed in chunks;
@@ -438,14 +437,7 @@ def tail_check(model: RandomBoundaryModel, M: int, t_grid=None,
         np.sqrt(nrm, out=nrm)
         if np.isfinite(nrm).all():
             break
-    if t_grid is None:
-        levels = np.geomspace(0.5, 5.0 / M, 24)
-        t_grid = np.quantile(nrm, 1.0 - levels, overwrite_input=True)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float) / scale
-    if np.any(t_grid < 0.0):
-        raise ConfigError("tail thresholds must be nonnegative")
-
+    t_grid = np.quantile(nrm, 1.0 - np.geomspace(0.5, 5.0 / M, 24), overwrite_input=True)
     survival = _survival(nrm, t_grid)
     usable = (t_grid > 0.0) & (survival > 0.0)
     if not np.any(usable):
@@ -474,11 +466,11 @@ class ConcentrationReport:
     rows: list
 
 
-def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
-                        levels=(0.5, 0.2, 0.1, 0.05, 0.02),
+def concentration_check(cfg: TrialConfig, N_values, M: int,
                         master_seed: int = 0) -> ConcentrationReport:
-    """Deviation of mean_l zeta(u_l)^2 from the series mean, with a fitted
-    mixed bound 2 exp(-C min(N t^2, t N)) per sampled (N, t).
+    """Deviation of mean_l zeta(u_l)^2 from the series mean at the node
+    nearest (0.5, 0.5), with a fitted mixed bound 2 exp(-C min(N t^2, t N))
+    per sampled (N, t), t the deviations' quantiles at survival levels 0.5 to 0.02.
 
     Each N streams derive_rng(master_seed, N) in chunks of whole
     repetitions, a multiple of 64 of them, so every chunk's product rows
@@ -495,11 +487,9 @@ def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
         raise ConfigError(f"bad N_values {N_values!r}")
 
     dictionary = ensure_dictionary(cfg)
-    if x_point is None:
-        x_point = (0.5, 0.5)
-    ix, iy = cfg.grid.nearest_node(x_point)
+    ix, iy = cfg.grid.nearest_node((0.5, 0.5))
     if not cfg.mask.member[ix, iy]:
-        raise ConfigError(f"probe {x_point!r} lies outside the window")
+        raise ConfigError("probe (0.5, 0.5) lies outside the window")
     parts = _restrict_parts(dictionary, np.array([ix]), np.array([iy]))
     feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
     w = feats[0][:, 0]
@@ -514,7 +504,7 @@ def concentration_check(cfg: TrialConfig, N_values, M: int, x_point=None,
             vals = np.square(sample_coeffs(cfg.model, rng, (hi - lo) * N) @ w)
             d = dev[lo:hi]
             np.abs(np.subtract(vals.reshape(hi - lo, N).mean(axis=1), mu, out=d), out=d)
-        ts = np.quantile(dev, 1.0 - np.asarray(levels), overwrite_input=True)
+        ts = np.quantile(dev, 1.0 - np.array([0.5, 0.2, 0.1, 0.05, 0.02]), overwrite_input=True)
         for t, p in zip(ts.tolist(), _survival(dev, ts).tolist()):
             p_emp = p if t > 0.0 else 1.0
             rows.append([N, t, p_emp])

@@ -183,7 +183,6 @@ class ConductivityResult:
     log_a_hat: ScalarField       # NaN outside the anchor's component of the region
     region: np.ndarray           # (n, n) bool, |Jacobian| >= tau inside the window
     coverage: float              # fraction of the window in the region
-    jacobian: ScalarField
     components: int              # connected components of the region
     reconstructed_fraction: float   # fraction of the window in the anchor's component
     integration: SolveInfo       # the potential integration's CG solve
@@ -301,7 +300,7 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
         gy_log = np.subtract(g2x, np.multiply(g1x, lap, out=g1x), out=g2x)
         gx_log /= jac
         gy_log /= jac
-    del g1x, g1y, g2x, g2y, lap
+    del g1x, g1y, g2x, g2y, lap, jac
 
     components, label = _components(region)
     part, reconstructed = region, coverage
@@ -326,6 +325,6 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     log_a_hat = np.full((grid.n, grid.n), np.nan)
     log_a_hat[part] = x[lap.mask] + anchor_value
     return ConductivityResult(log_a_hat=log_a_hat, region=region, coverage=coverage,
-                              jacobian=jac, components=components,
+                              components=components,
                               reconstructed_fraction=reconstructed,
                               integration=SolveInfo("cg", iterations, residual))

@@ -6,9 +6,10 @@ corners (a nine-point stencil).  Both assemblies are symmetric by
 construction: face and corner weights are written with commutative
 expressions, and the operator is a Stencil that stores each coupling once,
 so A equals its transpose bit-for-bit.  A weight that overflows (harmonic
-means of a above about 1.3e154) is a ConfigError.  Everything here runs on
-numpy alone except LU, which imports scipy inside its branch and reads CSR
-off the Stencil's bands there.
+means of a above about 1.3e154) or may underflow (a below about 1.5e-154,
+where a product of two a leaves the normal floats) is a ConfigError.
+Everything here runs on numpy alone except LU, which imports scipy inside
+its branch and reads CSR off the Stencil's bands there.
 
 Dirichlet data g come as a vector along the grid's boundary walk; every
 vector the solves compute on is an (n, n) lattice field.  A Stencil keeps
@@ -106,99 +107,52 @@ def _as_field(grid: Grid2D, value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Diffusion a (scalar or symmetric 2x2 per node) and potential q.
-
-    lambda_bound records the ellipticity constant: eigenvalues of a lie in
-    [1/lambda_bound, lambda_bound] and |q| <= lambda_bound.
-    """
+    """Diffusion a (scalar or symmetric 2x2 per node) and potential q, checked
+    once when made: q is (n, n), a is (n, n) or (n, n, 2, 2), both finite, and
+    a is symmetric with a positive smallest eigenvalue at every node."""
 
     a: np.ndarray            # (n, n) or (n, n, 2, 2)
     q: np.ndarray            # (n, n)
-    lambda_bound: float
+
+    def __post_init__(self):
+        a, q = self.a, self.q
+        if q.ndim != 2 or a.shape not in (q.shape, q.shape + (2, 2)):
+            raise ConfigError(f"a has shape {a.shape} and q {q.shape}; expected "
+                              "q (n, n) and a (n, n) or (n, n, 2, 2)")
+        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(q)):
+            raise ConfigError("coefficients must be finite")
+        if a.ndim == 4 and not np.array_equal(a[..., 0, 1], a[..., 1, 0]):
+            raise ConfigError("matrix diffusion must be symmetric at every node")
+        # The smallest eigenvalue of a at each node.
+        mineig = a if a.ndim == 2 else 0.5 * (a[..., 0, 0] + a[..., 1, 1]) - np.sqrt(
+            np.maximum(0.25 * (a[..., 0, 0] - a[..., 1, 1]) ** 2 + a[..., 0, 1] ** 2, 0.0))
+        if np.any(mineig <= 0.0):
+            ix, iy = np.argwhere(mineig <= 0.0)[0]
+            raise ConfigError(f"diffusion is not elliptic at node ({ix}, {iy}): "
+                              f"min eigenvalue {mineig.min():.6g}")
 
     @property
     def is_scalar(self) -> bool:
         return self.a.ndim == 2
 
     @classmethod
-    def isotropic(cls, grid: Grid2D, a=1.0, q=0.0, lambda_bound=None) -> "CoefficientField":
-        a = _as_field(grid, a, "a")
-        q = _as_field(grid, q, "q")
-        field = cls(a=a, q=q, lambda_bound=_auto_lambda(a, q, lambda_bound))
-        field.validate(grid)
-        return field
+    def isotropic(cls, grid: Grid2D, a=1.0, q=0.0) -> "CoefficientField":
+        return cls(a=_as_field(grid, a, "a"), q=_as_field(grid, q, "q"))
 
     @classmethod
-    def anisotropic(cls, grid: Grid2D, a11, a12, a22, q=0.0,
-                    lambda_bound=None) -> "CoefficientField":
+    def anisotropic(cls, grid: Grid2D, a11, a12, a22, q=0.0) -> "CoefficientField":
         a11 = _as_field(grid, a11, "a11")
         a12 = _as_field(grid, a12, "a12")
         a22 = _as_field(grid, a22, "a22")
-        q = _as_field(grid, q, "q")
         a = np.empty((grid.n, grid.n, 2, 2))
         a[..., 0, 0] = a11
         a[..., 0, 1] = a12
         a[..., 1, 0] = a12
         a[..., 1, 1] = a22
-        field = cls(a=a, q=q, lambda_bound=_auto_lambda(a, q, lambda_bound))
-        field.validate(grid)
-        return field
-
-    def validate(self, grid: Grid2D) -> None:
-        if self.q.shape != (grid.n, grid.n):
-            raise ConfigError(f"q has shape {self.q.shape}, expected {(grid.n, grid.n)}")
-        expect = (grid.n, grid.n) if self.is_scalar else (grid.n, grid.n, 2, 2)
-        if self.a.shape != expect:
-            raise ConfigError(f"a has shape {self.a.shape}, expected {expect}")
-        if not np.all(np.isfinite(self.a)) or not np.all(np.isfinite(self.q)):
-            raise ConfigError("coefficients must be finite")
-        if not self.is_scalar and not np.array_equal(self.a[..., 0, 1], self.a[..., 1, 0]):
-            raise ConfigError("matrix diffusion must be symmetric at every node")
-        lam = self.lambda_bound
-        if not (np.isfinite(lam) and lam >= 1.0):
-            raise ConfigError(f"ellipticity bound must be finite and >= 1, got {lam}")
-        mineig = _min_eigenvalues(self.a)
-        # Tolerate roundoff at the binding node when the bound was auto-fitted.
-        slack = 1e-12 * max(1.0, lam)
-        bad = mineig < 1.0 / lam - slack
-        if np.any(bad):
-            ix, iy = np.argwhere(bad)[0]
-            raise ConfigError(
-                f"ellipticity violated at node ({ix}, {iy}): "
-                f"min eigenvalue {mineig[ix, iy]:.6g} < 1/lambda = {1.0 / lam:.6g}")
-        if np.any(np.abs(self.q) > lam + slack):
-            ix, iy = np.argwhere(np.abs(self.q) > lam + slack)[0]
-            raise ConfigError(
-                f"|q| exceeds lambda at node ({ix}, {iy}): {self.q[ix, iy]:.6g}")
+        return cls(a=a, q=_as_field(grid, q, "q"))
 
     def is_identity(self) -> bool:
         return self.is_scalar and np.all(self.a == 1.0) and np.all(self.q == 0.0)
-
-
-def _min_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Nodewise smallest eigenvalue of scalar (n, n) or matrix (n, n, 2, 2) a."""
-    if a.ndim == 2:
-        return a
-    a11 = a[..., 0, 0]
-    a12 = a[..., 0, 1]
-    a22 = a[..., 1, 1]
-    half_tr = 0.5 * (a11 + a22)
-    return half_tr - np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12 ** 2, 0.0))
-
-
-def _auto_lambda(a: np.ndarray, q: np.ndarray, given) -> float:
-    if given is not None:
-        return float(given)
-    mineig = _min_eigenvalues(a)
-    floor = mineig.min()
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(q)):
-        raise ConfigError("coefficients must be finite")
-    if floor <= 0.0:
-        ix, iy = np.argwhere(mineig <= 0.0)[0]
-        raise ConfigError(
-            f"diffusion is not elliptic at node ({ix}, {iy}): min eigenvalue {floor:.6g}")
-    # a is symmetric, so its largest |entry| is max(|a11|, |a12|, |a22|).
-    return float(max(1.0, np.abs(a).max(), np.abs(q).max(), 1.0 / floor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,9 +315,14 @@ def _weights(h: float, a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
     """The weights of L_h on the lattice for scalar (n, n) or matrix (n, n, 2, 2)
     a: each node's diagonal weight, and forward[dx, dy], (dx, dy) in FORWARD, its
     coupling to its (dx, dy) neighbor.  ConfigError if a weight is not finite
-    (harmonic means overflow for a above about 1.3e154)."""
+    (harmonic means overflow for a above about 1.3e154) or if a product p r in
+    a harmonic mean may leave the normal floats (a below about 1.5e-154)."""
     h2 = h * h
     a11, a22 = (a, a) if a.ndim == 2 else (a[..., 0, 0], a[..., 1, 1])
+    smallest = float(a.min() if a.ndim == 2 else min(a11.min(), a22.min()))
+    if smallest * smallest < np.finfo(float).tiny:
+        raise ConfigError("diffusion coefficient a is too small to assemble: a stencil "
+                          f"weight underflows (min a = {smallest:.6g})")
     # Temporaries are made in place, and a node's west and south faces are read
     # off its neighbors' east and north ones, so a few lattice fields are held.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,7 +370,9 @@ def _uniform_weights(h: float, coeff: CoefficientField) -> tuple[float, float] |
 def assemble(grid: Grid2D, coeff: CoefficientField) -> DiscreteOperator:
     """Assemble L_h's Stencil; a constant stencil's weights are two broadcast
     values (see DiscreteOperator)."""
-    coeff.validate(grid)
+    if coeff.q.shape != (grid.n, grid.n):
+        raise ConfigError(f"coefficients have shape {coeff.q.shape}, expected "
+                          f"{(grid.n, grid.n)} for this grid")
     stencil = _uniform_weights(grid.h, coeff) if coeff.is_scalar else None
     if stencil is None:
         center, forward = _weights(grid.h, coeff.a, coeff.q)

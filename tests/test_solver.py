@@ -650,6 +650,28 @@ def test_anisotropic_validation_rejects_indefinite_tensor():
         CoefficientField.anisotropic(g, one, 2.0 * one, one)
 
 
+def test_a_directly_built_field_is_checked_like_the_factories():
+    q = np.zeros((9, 9))
+    a = CoefficientField.anisotropic(build_grid(9), 2.0, 0.5, 2.0).a.copy()
+    a[4, 5, 1, 0] = 0.25
+    with pytest.raises(ConfigError, match="symmetric at every node"):
+        CoefficientField(a=a, q=q)
+    with pytest.raises(ConfigError, match="^coefficients must be finite$"):
+        CoefficientField(a=np.full((9, 9), np.inf), q=q)
+    with pytest.raises(ConfigError, match=r"not elliptic at node \(0, 0\)"):
+        CoefficientField(a=np.zeros((9, 9)), q=q)
+    with pytest.raises(ConfigError, match="shape"):
+        CoefficientField(a=np.ones((9, 9, 2)), q=q)
+
+
+def test_assembly_rejects_coefficients_built_on_another_grid():
+    coeff = CoefficientField.isotropic(build_grid(17), 1.0 + build_grid(17).X)
+    with pytest.raises(ConfigError, match=r"shape \(17, 17\), expected \(33, 33\)"):
+        assemble(build_grid(33), coeff)
+    with pytest.raises(ConfigError, match="shape"):
+        assemble(build_grid(9), CoefficientField.anisotropic(build_grid(17), 2.0, 0.5, 2.0))
+
+
 def test_forcing_term_and_poisson_wrapper():
     g = build_grid(33)
     u_ex = g.X ** 3 * g.Y
