@@ -13,7 +13,7 @@ from .boundary import (BoundaryBasis, BoundaryFunction, CovarianceSummary,
                        RandomBoundaryModel, empirical_covariance, evaluate,
                        sample, sample_coeffs, sigma_norm, surrogate_h12_norm)
 from .constraints import (ConstraintField, ConstraintMap, CoverLabeling,
-                          extract_cover, holder_seminorm, max_abs,
+                          extract_cover, holder_seminorm, restrict,
                           save_cover_csv, witness_check, witness_fields,
                           zeta_eval)
 from .errors import ConfigError, DomainError, RandbcError, SolverError

@@ -346,8 +346,8 @@ class OutputWriter:
         save_field_csv(grid, field, self.path(name))
         self.written.append(name)
 
-    def cover(self, name: str, grid, cfields, labeling) -> None:
-        save_cover_csv(grid, cfields, labeling, self.path(name))
+    def cover(self, name: str, grid, mask, labeling) -> None:
+        save_cover_csv(grid, mask, labeling, self.path(name))
         self.written.append(name)
 
     def cleanup(self) -> None:
@@ -479,8 +479,8 @@ def cmd_constraint_experiment(cfg: RunConfig, out: OutputWriter) -> None:
     if result.tau > 0.0:
         # One representative draw at the largest N, labeled at the resolved
         # threshold, so the cover geometry can be plotted from the artifacts.
-        fields = trial_fields(trial, cfg["seed"])
-        out.cover("cover_field.csv", grid, fields, extract_cover(fields, result.tau))
+        rows = trial_fields(trial, cfg["seed"])
+        out.cover("cover_field.csv", grid, trial.mask, extract_cover(rows, result.tau))
 
 
 def cmd_variance_check(cfg: RunConfig, out: OutputWriter) -> None:
@@ -515,6 +515,23 @@ def cmd_runge(cfg: RunConfig, out: OutputWriter) -> None:
             [(r.lam, r.eps_achieved, r.boundary_cost) for r in curve])
 
 
+def _rel_l2_error(diff: np.ndarray, ref: np.ndarray) -> float:
+    """||diff||_2 / ||ref||_2, or the RMS of diff where ref is all zero.
+
+    Sums of squares that are not normal floats (diff's may be zero) are
+    taken in units of max |ref|, so that no scale of ref overflows or
+    underflows them."""
+    with np.errstate(over="ignore", under="ignore"):
+        if not ref.any():
+            return float(np.sqrt(np.mean(diff ** 2)))
+        num, den = np.sum(diff ** 2), np.sum(ref ** 2)
+        tiny = np.finfo(float).tiny
+        if not (tiny <= den < math.inf and (num == 0.0 or tiny <= num < math.inf)):
+            unit = np.abs(ref).max()
+            num, den = np.sum((diff / unit) ** 2), np.sum((ref / unit) ** 2)
+    return float(np.sqrt(num)) / float(np.sqrt(den))
+
+
 def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     grid = _grid(cfg)
     window = _window(cfg, grid)
@@ -534,12 +551,9 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol,
                                    maxiter=maxiter)
     valid, mu_hat = recon.mask_valid, recon.mu_hat
-    err = mu_hat[valid] - mu[valid]
-    denom = float(np.sqrt(np.sum(mu[valid] ** 2)))
-    rel = float(np.sqrt(np.sum(err ** 2))) / denom if denom > 0 else float("nan")
     out.field("mu_hat.csv", grid, mu_hat)
     out.csv("qpat_metrics.csv", ["metric", "value"],
-            [("rel_l2_error_valid", rel),
+            [("rel_l2_error_valid", _rel_l2_error(mu_hat[valid] - mu[valid], mu[valid])),
              ("valid_fraction_window", float(valid[window.indices].mean())),
              ("window_complete", recon.complete),
              ("N", N), ("tau", tau)])
@@ -558,10 +572,7 @@ def cmd_conductivity(cfg: RunConfig, out: OutputWriter) -> None:
                                      window=window, rtol=rtol, maxiter=maxiter)
     log_true = np.log(a)
     done = np.isfinite(recon.log_a_hat)
-    diff = recon.log_a_hat[done] - log_true[done]
-    denom = float(np.sqrt(np.sum(log_true[done] ** 2)))
-    rel = (float(np.sqrt(np.sum(diff ** 2))) / denom if denom > 0
-           else float(np.sqrt(np.mean(diff ** 2))))
+    rel = _rel_l2_error(recon.log_a_hat[done] - log_true[done], log_true[done])
     out.field("log_a_hat.csv", grid, recon.log_a_hat)
     out.csv("conductivity_metrics.csv", ["metric", "value"],
             [("coverage", recon.coverage), ("components", recon.components),

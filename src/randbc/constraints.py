@@ -9,8 +9,11 @@ Four maps, each with a known witness tuple that evaluates to exactly 1:
              matrix with rows (u_i), (d/dx1 u_i), (d/dx2 u_i)
 
 Gradients are lattice gradients (central inside, one-sided second order at
-the edges), so on dyadic grids the witness values are exact floats.  Each map
-is the determinant of its feature rows (feature_rows).  The 3x3 determinant
+the edges), so on dyadic grids the witness values are exact floats.  restrict
+reads each field once and keeps its values and gradients at the evaluation
+nodes; each map is the determinant of its feature rows (feature_rows) built
+from them.  A cover is labeled from the (N, m) values of N measurements
+(extract_cover) and written from its labeling alone.  The 3x3 determinant
 sums its positive and its negative monomials each in ascending order, then
 subtracts, so swapping two arguments flips the sign bit-for-bit; the sum is
 canonical, not exactly rounded.
@@ -96,14 +99,16 @@ def det(F, in_place: bool = False):
             - group_sum(((0, 2, 1), (1, 0, 2), (2, 1, 0))))
 
 
-def values_from_parts(cmap: ConstraintMap, vals, gxs, gys) -> np.ndarray:
-    """Constraint values from pre-restricted node values and gradients.
-
-    vals/gxs/gys: sequences of (m,) arrays, one per tuple slot, already
-    restricted to the evaluation nodes.
-    """
-    parts = (np.asarray(p, dtype=float) for p in (vals, gxs, gys))
-    return det(feature_rows(cmap, *parts))
+def restrict(grid: Grid2D, fields, ix, iy):
+    """(vals, gxs, gys), each (len(fields), m): each field's values and lattice
+    gradients at the nodes (ix, iy), read once (fields may solve on access)."""
+    vals, gxs, gys = (np.empty((len(fields), len(ix))) for _ in range(3))
+    for k, f in enumerate(fields):
+        gx, gy = gradient(grid, f)
+        vals[k] = f[ix, iy]
+        gxs[k] = gx[ix, iy]
+        gys[k] = gy[ix, iy]
+    return vals, gxs, gys
 
 
 def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
@@ -113,82 +118,57 @@ def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
     if len(fields) != cmap.arity:
         raise ConfigError(
             f"{cmap.kind} needs {cmap.arity} field(s), got {len(fields)}")
-    for f in fields:
-        if f.shape != (grid.n, grid.n):
-            raise ConfigError(
-                f"fields must have shape {(grid.n, grid.n)}, got {f.shape}")
     if mask.grid_n != grid.n:
         raise ConfigError(f"mask was built for n={mask.grid_n}, grid has n={grid.n}")
-    idx = mask.indices
-    vals = [f[idx] for f in fields]
-    grads = [gradient(grid, f) for f in fields]
-    gxs = [g[0][idx] for g in grads]
-    gys = [g[1][idx] for g in grads]
-    return ConstraintField(values=values_from_parts(cmap, vals, gxs, gys), mask=mask)
-
-
-def _common_mask(cfields) -> SubdomainMask:
-    if len(cfields) == 0:
-        raise DomainError("need at least one constraint field")
-    mask = cfields[0].mask
-    for cf in cfields[1:]:
-        if cf.mask is not mask and not np.array_equal(cf.mask.member, mask.member):
-            raise ConfigError("constraint fields live on different masks")
-        if cf.values.shape != cfields[0].values.shape:
-            raise ConfigError("constraint fields have mismatched sizes")
-    return mask
-
-
-def max_abs(cfields) -> tuple[np.ndarray, float]:
-    """Pointwise max_l |zeta^l| over the mask and its minimum over nodes."""
-    _common_mask(cfields)
-    stacked = np.abs(np.stack([cf.values for cf in cfields]))
-    pointwise = stacked.max(axis=0)
-    return pointwise, float(pointwise.min())
+    parts = restrict(grid, fields, *mask.indices)
+    return ConstraintField(values=det(feature_rows(cmap, *parts)), mask=mask)
 
 
 @dataclass(frozen=True)
 class CoverLabeling:
-    """Per-node index (1-based) of the measurement realizing max_l |zeta^l|."""
+    """Per-node index (1-based) of the measurement realizing max_l |zeta^l|,
+    and that maximum."""
 
     label: np.ndarray
+    value: np.ndarray
     threshold: float
     complete: bool
 
 
-def extract_cover(cfields, tau: float) -> CoverLabeling:
+def extract_cover(rows, tau: float) -> CoverLabeling:
     """Label each node by the argmax measurement; complete iff max >= tau everywhere.
 
-    Ties resolve to the smallest index.
+    rows: (N, m) constraint values, one row per measurement.  Ties resolve
+    to the smallest index.
     """
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
-    _common_mask(cfields)
-    stacked = np.abs(np.stack([cf.values for cf in cfields]))
-    label = stacked.argmax(axis=0) + 1
-    pointwise = stacked.max(axis=0)
-    return CoverLabeling(label=label, threshold=float(tau),
-                         complete=bool(np.all(pointwise >= tau)))
+    stacked = np.abs(rows)
+    if stacked.ndim != 2 or len(stacked) == 0:
+        raise DomainError(f"need (N, m) constraint rows with N >= 1, got {stacked.shape}")
+    value = stacked.max(axis=0)
+    return CoverLabeling(label=stacked.argmax(axis=0) + 1, value=value,
+                         threshold=float(tau), complete=bool(np.all(value >= tau)))
 
 
-def save_cover_csv(grid: Grid2D, cfields, labeling: CoverLabeling, path) -> None:
+def save_cover_csv(grid: Grid2D, mask: SubdomainMask, labeling: CoverLabeling,
+                   path) -> None:
     """Write x,y,value,label rows over the masked nodes.
 
     value is the decision quantity max_l |zeta^l| at the node; label is the
     1-based index of the measurement realizing it, as stored in labeling.
     """
-    pointwise, _ = max_abs(cfields)
-    mask = cfields[0].mask
-    if labeling.label.shape != pointwise.shape:
+    if labeling.label.shape != (mask.count,) or labeling.value.shape != (mask.count,):
         raise ConfigError(
-            f"labeling covers {labeling.label.shape} nodes, fields {pointwise.shape}")
+            f"labeling covers {labeling.label.shape} nodes, mask {mask.count}")
     xs = grid.xs.tolist()
     ixs, iys = (idx.tolist() for idx in mask.indices)
     # The bytes csv.writer would emit: unquoted fields, "\r\n" line ends.
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value,label\r\n")
         fh.write("".join([f"{xs[i]!r},{xs[j]!r},{v!r},{int(label)}\r\n" for i, j, v, label
-                          in zip(ixs, iys, pointwise.tolist(), labeling.label.tolist())]))
+                          in zip(ixs, iys, labeling.value.tolist(),
+                                 labeling.label.tolist())]))
 
 
 def witness_fields(cmap: ConstraintMap, grid: Grid2D):

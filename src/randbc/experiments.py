@@ -4,9 +4,11 @@ Solutions for random boundary draws are synthesized from the basis
 dictionary by linearity (u = sum_k a_k z_k), so a whole experiment costs K
 PDE solves regardless of the number of draws.  A dictionary keeps no
 solution fields: each reader solves the K modes once and keeps only their
-values and gradients at its nodes (_restrict_parts), and the window's are
-kept on the TrialConfig, so success_curve and trial_fields share one pass.
-Covered studies:
+values and gradients at its nodes (constraints.restrict), and the window's
+are kept on the TrialConfig, so success_curve and trial_fields share one
+pass.  Every reader evaluates the map by one batched product of coefficient
+rows with the map's feature rows (_constraint_rows); trial_fields returns
+the (N, m) values, which extract_cover labels directly.  Covered studies:
 
   success_curve           P(min over window of max_l |zeta^l| >= tau) vs N,
                           with nested (coupled) draws across N and Wilson
@@ -42,11 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import RandomBoundaryModel, mode_frequencies, sample_coeffs
-from .constraints import ConstraintField, ConstraintMap, det, feature_rows
+from .constraints import ConstraintMap, det, feature_rows, restrict
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
 from .runge import Dictionary, build_dictionary
-from .solver import CoefficientField, gradient
+from .solver import CoefficientField
 from .streams import derive_rng
 
 Z95 = 1.959963984540054
@@ -65,7 +67,7 @@ class TrialConfig:
     N: int
     mask: SubdomainMask | None = None
     dictionary: Dictionary | None = None
-    # (dictionary, mask, _Parts) of the last _window_parts
+    # (dictionary, mask, restrict's (vals, gxs, gys)) of the last _window_parts
     _window: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -93,48 +95,28 @@ def ensure_dictionary(cfg: TrialConfig) -> Dictionary:
     return cfg.dictionary
 
 
-@dataclass(eq=False)
-class _Parts:
-    """Dictionary values and gradients restricted to evaluation nodes."""
-
-    vals: np.ndarray              # (K, m)
-    gxs: np.ndarray               # (K, m)
-    gys: np.ndarray
-
-
-def _restrict_parts(dictionary: Dictionary, ix, iy) -> _Parts:
-    """Read each z[k] once and keep its values and gradients at (ix, iy)."""
-    K = dictionary.K
-    m = len(ix)
-    vals = np.empty((K, m))
-    gxs = np.empty((K, m))
-    gys = np.empty((K, m))
-    for k in range(K):
-        zk = dictionary.z[k]
-        vals[k] = zk[ix, iy]
-        gx, gy = gradient(dictionary.grid, zk)
-        gxs[k] = gx[ix, iy]
-        gys[k] = gy[ix, iy]
-    return _Parts(vals=vals, gxs=gxs, gys=gys)
-
-
-def _window_parts(cfg: TrialConfig) -> _Parts:
-    """The dictionary's parts on the window, computed once per dictionary and
-    mask and kept on cfg."""
+def _window_parts(cfg: TrialConfig) -> tuple:
+    """The dictionary's (vals, gxs, gys) on the window, computed once per
+    dictionary and mask and kept on cfg."""
     d = ensure_dictionary(cfg)
     if cfg._window is None or cfg._window[0] is not d or cfg._window[1] is not cfg.mask:
-        cfg._window = (d, cfg.mask, _restrict_parts(d, *cfg.mask.indices))
+        cfg._window = (d, cfg.mask, restrict(d.grid, d.z, *cfg.mask.indices))
     return cfg._window[2]
 
 
-def _constraint_rows(cmap: ConstraintMap, parts: _Parts,
-                     coeffs: np.ndarray) -> np.ndarray:
-    """(N, m) constraint values for N synthesized measurement tuples.
+def _constraint_rows(feats: list, coeffs: np.ndarray, out=None) -> np.ndarray:
+    """(N, m) constraint values of N synthesized measurement tuples.
 
-    coeffs has shape (N, arity, K).
+    feats are the map's d feature rows, each (K, m); coeffs has shape
+    (N, d, K).  out (optional) is d lists of d (N, m) buffers that take the
+    products; the values are formed in them (det in place).
     """
-    return det([[coeffs[:, i, :] @ f for i in range(cmap.arity)]
-                for f in feature_rows(cmap, parts.vals, parts.gxs, parts.gys)])
+    d = len(feats)
+    out = out or [[None] * d for _ in range(d)]
+    for f, row in zip(feats, out):
+        for i in range(d):
+            row[i] = np.matmul(coeffs[:, i, :], f, out=row[i])
+    return det(out, in_place=True)
 
 
 def _spans(count: int, size: int):
@@ -160,15 +142,12 @@ def _survival(samples: np.ndarray, t) -> np.ndarray:
     return (samples.size - np.searchsorted(samples, t, side="left")) / samples.size
 
 
-def trial_fields(cfg: TrialConfig, trial_seed: int) -> list:
-    """Draw and evaluate one trial's N constraint fields, kept for inspection."""
-    parts = _window_parts(cfg)
-    rng = derive_rng(trial_seed)
-    coeffs = sample_coeffs(cfg.model, rng, cfg.N * cfg.cmap.arity)
-    coeffs = coeffs.reshape(cfg.N, cfg.cmap.arity, cfg.model.K)
-    rows = _constraint_rows(cfg.cmap, parts, coeffs)
-    return [ConstraintField(values=rows[l], mask=cfg.mask)
-            for l in range(cfg.N)]
+def trial_fields(cfg: TrialConfig, trial_seed: int) -> np.ndarray:
+    """Draw one trial's N measurements: their (N, m) constraint values on the
+    window's nodes (cfg.mask.indices order), kept for inspection."""
+    coeffs = sample_coeffs(cfg.model, derive_rng(trial_seed), cfg.N * cfg.cmap.arity)
+    return _constraint_rows(feature_rows(cfg.cmap, *_window_parts(cfg)),
+                            coeffs.reshape(cfg.N, cfg.cmap.arity, cfg.model.K))
 
 
 def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, float]:
@@ -247,9 +226,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         raise ConfigError(f"measurement counts must be >= 1, got {Ns[0]}")
     N_max = Ns[-1]
     arity = cfg.cmap.arity
-    parts = _window_parts(cfg)
-    feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
-    K, m = cfg.model.K, parts.vals.shape[1]
+    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
+    K, m = cfg.model.K, cfg.mask.count
     blocks = list(zip([0] + Ns[:-1], Ns))             # [N_{j-1}, N_j)
     min_max = np.empty((M, len(Ns)))
 
@@ -260,10 +238,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         for rep in range(start, stop):
             rng = derive_rng(master_seed, rep)
             coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
-            for f, row in zip(feats, prods):
-                for i, buf in enumerate(row):
-                    np.matmul(coeffs[:, i, :], f, out=buf)
-            rows = det(prods, in_place=True)
+            rows = _constraint_rows(feats, coeffs, prods)
             np.abs(rows, out=rows)
             cur.fill(0.0)                             # identity of max over |zeta|
             for j, (lo, hi) in enumerate(blocks):
@@ -351,12 +326,9 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
             raise ConfigError(f"probe {p!r} snaps to ({ix}, {iy}) outside the window")
         ixs.append(ix)
         iys.append(iy)
-    ixs = np.array(ixs)
-    iys = np.array(iys)
-    parts = _restrict_parts(dictionary, ixs, iys)
+    feats = feature_rows(cfg.cmap, *restrict(dictionary.grid, dictionary.z, ixs, iys))
     with np.errstate(over="ignore", invalid="ignore"):
-        series = _second_moment_series(
-            feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys), cfg.model.sigma ** 2)
+        series = _second_moment_series(feats, cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
     buf = np.empty((_CHUNK + 2, len(ixs)))      # running sums, then a span's rows
 
@@ -367,8 +339,7 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
         for lo, hi in _spans(M, _CHUNK):
             coeffs = sample_coeffs(cfg.model, rng, arity * (hi - lo))
             sq = buf[1:hi - lo + 1]
-            np.square(_constraint_rows(cfg.cmap, parts,
-                                       coeffs.reshape(hi - lo, arity, K)), out=sq)
+            np.square(_constraint_rows(feats, coeffs.reshape(hi - lo, arity, K)), out=sq)
             if mc is not None:
                 np.square(np.subtract(sq, mc, out=sq), out=sq)
             buf[0] = np.add.reduce(buf[:hi - lo + 1], axis=0)
@@ -490,8 +461,7 @@ def concentration_check(cfg: TrialConfig, N_values, M: int,
     ix, iy = cfg.grid.nearest_node((0.5, 0.5))
     if not cfg.mask.member[ix, iy]:
         raise ConfigError("probe (0.5, 0.5) lies outside the window")
-    parts = _restrict_parts(dictionary, np.array([ix]), np.array([iy]))
-    feats = feature_rows(cfg.cmap, parts.vals, parts.gxs, parts.gys)
+    feats = feature_rows(cfg.cmap, *restrict(dictionary.grid, dictionary.z, [ix], [iy]))
     w = feats[0][:, 0]
     mu = float(_second_moment_series(feats, cfg.model.sigma ** 2)[0])
 

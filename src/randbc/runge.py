@@ -162,8 +162,10 @@ def make_target(kind: str, grid: Grid2D, disk: SubdomainMask, *,
     h1 = size.h1 if size.h1 > 0.0 else 1.0
     inner = _interior_sub(disk, grid)
     if kind == "dictionary_member":
+        # L_h h in units of a's scale, max |diag L_h| h^2 / 4 (1 for -Laplace)
+        unit = float(np.abs(dictionary.operator.matrix.center).max()) * grid.h * grid.h / 4.0
         resid_field = np.zeros((grid.n, grid.n))
-        resid_field[1:-1, 1:-1] = dictionary.operator.apply(h)
+        resid_field[1:-1, 1:-1] = dictionary.operator.apply(h) / unit
     else:
         resid_field = -laplacian(grid, h)
     if inner.count:

@@ -12,14 +12,14 @@ import pytest
 
 from randbc.boundary import RandomBoundaryModel
 from randbc.cli import run as cli_run
-from randbc.constraints import ConstraintMap, values_from_parts, witness_check
+from randbc.constraints import ConstraintMap, det, feature_rows, restrict, witness_check
 from randbc.experiments import (TrialConfig, success_curve, tail_check,
                                 variance_identity_check)
 from randbc.grid import build_grid, default_window, disk_mask
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct_multi)
 from randbc.runge import approximate, build_dictionary, make_target, tradeoff_curve
-from randbc.solver import CoefficientField, assemble, gradient, solve_dirichlet
+from randbc.solver import CoefficientField, assemble, solve_dirichlet
 from randbc.streams import derive_rng
 
 
@@ -75,13 +75,10 @@ def test_acceptance_03_multilinearity_antisymmetry(grid17):
     g = grid17
     rng = derive_rng(2024, 3)
 
-    def parts(f):
-        gx, gy = gradient(g, f)
-        return f.ravel(), gx.ravel(), gy.ravel()
+    ix, iy = np.indices(g.X.shape).reshape(2, -1)
 
     def zeta(kind, fields):
-        return values_from_parts(ConstraintMap(kind),
-                                 *zip(*[parts(f) for f in fields]))
+        return det(feature_rows(ConstraintMap(kind), *restrict(g, fields, ix, iy)))
 
     worst = 0.0
     swaps_exact = True

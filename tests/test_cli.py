@@ -17,7 +17,7 @@ import pytest
 
 import randbc
 from randbc.cli import (COMMANDS, REGISTRY, OutputWriter, _build_parser, _collect_overrides,
-                        _fmt, resolve_config, run)
+                        _fmt, _rel_l2_error, resolve_config, run)
 from randbc.solver import CoefficientField, assemble, load_field_csv
 
 
@@ -282,9 +282,8 @@ COEFFICIENT_RUNS = [
 ]
 COEFFICIENT_VALUES = ["0", "-1", "1e200", "-1e200", "1e308", "1e-308", "1e-310", "x/0",
                       "exp(1000*x)", "9" * 30]
-# The NaNs README documents: the reconstructed fields where no value is
-# justified, and qpat's relative error when the true mu is zero where valid.
-DOCUMENTED_NANS = {"mu_hat.csv", "log_a_hat.csv", "qpat_metrics.csv:rel_l2_error_valid"}
+# The NaNs README documents: the reconstructed fields where no value is justified.
+DOCUMENTED_NANS = {"mu_hat.csv", "log_a_hat.csv"}
 
 
 def test_every_coefficient_value_exits_cleanly_with_finite_outputs(tmp_path, capsys):
@@ -620,6 +619,15 @@ def test_tail_check_outputs(tmp_path):
     assert (out / "tail_summary.csv").exists()
 
 
+@pytest.mark.parametrize("a", ["1e-100", "1e30", "9" * 30])
+def test_runge_dictionary_member_target_runs_at_every_diffusion_scale(a, tmp_path):
+    out = tmp_path / "rg"
+    assert run(["runge", "--out", str(out), "--set", "grid.n=17", "--set", "bc.K=5",
+                "--set", "runge.disk.radius=0.3", "--set", "runge.target=dictionary_member",
+                "--set", "runge.index=2", "--set", f"coeff.a={a}"]) == 0
+    assert (out / "runge_curve.csv").exists()
+
+
 def test_runge_curve_outputs(tmp_path):
     out = tmp_path / "runge"
     rc = run(["runge", "--out", str(out), "--set", "grid.n=33",
@@ -655,6 +663,35 @@ def test_runge_never_warns_or_writes_a_non_finite_curve(pair, code, tmp_path):
             curve = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
         assert len(curve) == 9 and np.isfinite(curve).all()
         assert all(row[2] > 0.0 for row in curve)       # boundary_cost
+
+
+def _metrics(path) -> dict:
+    return dict(line.split(",") for line in path.read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("mu, bound", [("0", 0.0), ("1e10", 1e-6), ("1e200", 1e-6)])
+def test_qpat_error_is_finite_at_every_absorption_scale(mu, bound, tmp_path):
+    # At mu = 1e10 the reconstruction's Poisson data and forcing cancel to
+    # 1e-5 of their size; mu = 0 has no relative error and reports the RMS one.
+    out = tmp_path / "qpat"
+    assert run(["qpat", "--out", str(out), "--set", "grid.n=17",
+                "--set", f"qpat.mu={mu}"]) == 0
+    rows = _metrics(out / "qpat_metrics.csv")
+    assert all(map(math.isfinite, (float(v) for v in rows.values())))
+    assert float(rows["rel_l2_error_valid"]) <= bound
+
+
+def test_relative_error_is_the_plain_formula_and_keeps_its_scale():
+    rng = np.random.default_rng(5)
+    ref = 1.0 + rng.random(50)
+    diff = 1e-6 * rng.standard_normal(50)
+    plain = float(np.sqrt(np.sum(diff ** 2))) / float(np.sqrt(np.sum(ref ** 2)))
+    assert _rel_l2_error(diff, ref) == plain
+    for scale in (1e-300, 1e-160, 1e160, 1e300):
+        assert _rel_l2_error(diff * scale, ref * scale) == pytest.approx(plain, rel=1e-12)
+    zero = np.zeros(50)
+    assert _rel_l2_error(diff, zero) == float(np.sqrt(np.mean(diff ** 2)))
+    assert _rel_l2_error(zero, zero) == 0.0
 
 
 def test_qpat_command_round_trip(tmp_path):

@@ -2,15 +2,16 @@
 
 import csv
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from randbc.constraints import (KIND_ARITY, ConstraintField, ConstraintMap,
-                                CoverLabeling, det, extract_cover, holder_seminorm,
-                                max_abs, save_cover_csv, values_from_parts,
+                                CoverLabeling, det, extract_cover, feature_rows,
+                                holder_seminorm, restrict, save_cover_csv,
                                 witness_check, witness_fields, zeta_eval)
-from randbc.errors import ConfigError
+from randbc.errors import ConfigError, DomainError
 from randbc.grid import build_grid, default_window
 from randbc.solver import gradient
 from randbc.streams import derive_rng
@@ -63,9 +64,10 @@ def test_arity_mismatch_is_rejected(grid17):
                   default_window(grid17))
 
 
-def _parts(g, f):
-    gx, gy = gradient(g, f)
-    return f.ravel(), gx.ravel(), gy.ravel()
+def _zeta(g, cm, fields):
+    """The map at every node of the grid, from one restriction of the tuple."""
+    ix, iy = np.indices(g.X.shape).reshape(2, -1)
+    return det(feature_rows(cm, *restrict(g, fields, ix, iy)))
 
 
 @pytest.mark.parametrize("kind", ["jacobian", "augmented"])
@@ -78,10 +80,9 @@ def test_multilinearity_in_the_last_slot(kind, grid17):
         fields = [rng.standard_normal(g.X.shape) for _ in range(arity + 1)]
         al, be = rng.standard_normal(2)
         head, v, w = fields[:arity - 1], fields[-2], fields[-1]
-        lhs = values_from_parts(cm, *zip(*[_parts(g, f)
-                                           for f in head + [al * v + be * w]]))
-        r1 = values_from_parts(cm, *zip(*[_parts(g, f) for f in head + [v]]))
-        r2 = values_from_parts(cm, *zip(*[_parts(g, f) for f in head + [w]]))
+        lhs = _zeta(g, cm, head + [al * v + be * w])
+        r1 = _zeta(g, cm, head + [v])
+        r2 = _zeta(g, cm, head + [w])
         rhs = al * r1 + be * r2
         scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-30)
         assert np.abs(lhs - rhs).max() / scale <= 1e-12
@@ -97,8 +98,8 @@ def test_argument_transposition_flips_the_sign_exactly(kind, swap, grid17):
     cm = ConstraintMap(kind)
     for _ in range(10):
         fields = [rng.standard_normal(g.X.shape) for _ in range(KIND_ARITY[kind])]
-        base = values_from_parts(cm, *zip(*[_parts(g, f) for f in fields]))
-        perm = values_from_parts(cm, *zip(*[_parts(g, fields[i]) for i in swap]))
+        base = _zeta(g, cm, fields)
+        perm = _zeta(g, cm, [fields[i] for i in swap])
         np.testing.assert_array_equal(perm, -base)
 
 
@@ -118,14 +119,38 @@ def test_det3_is_within_the_summation_bound_of_an_exactly_rounded_sum():
     assert np.all(np.abs(det(F) - reference) <= bound)
 
 
-def test_max_abs_is_the_pointwise_sup_and_window_min(grid17):
+def test_restrict_reads_each_field_once_at_the_nodes(grid17):
+    fields = [grid17.X ** 2, grid17.X * grid17.Y]
+    ix, iy = default_window(grid17).indices
+    reads = []
+
+    class Recording(Sequence):
+        def __len__(self):
+            return len(fields)
+
+        def __getitem__(self, k):
+            f = fields[k]
+            reads.append(k)
+            return f
+
+    vals, gxs, gys = restrict(grid17, Recording(), ix, iy)
+    assert sorted(reads) == [0, 1]
+    assert vals.shape == gxs.shape == gys.shape == (2, ix.size)
+    for k, f in enumerate(fields):
+        gx, gy = gradient(grid17, f)
+        np.testing.assert_array_equal(vals[k], f[ix, iy])
+        np.testing.assert_array_equal(gxs[k], gx[ix, iy])
+        np.testing.assert_array_equal(gys[k], gy[ix, iy])
+
+
+def test_cover_value_is_the_pointwise_sup_and_its_min_the_window_min(grid17):
     w = default_window(grid17)
-    a = ConstraintField(values=np.full(w.count, 0.5), mask=w)
-    b = ConstraintField(values=np.linspace(-2.0, 0.1, w.count), mask=w)
-    pointwise, lowest = max_abs([a, b])
-    np.testing.assert_allclose(pointwise,
-                               np.maximum(0.5, np.abs(b.values)), rtol=0, atol=0)
-    assert lowest == pytest.approx(0.5)
+    a = np.full(w.count, 0.5)
+    b = np.linspace(-2.0, 0.1, w.count)
+    cover = extract_cover(np.array([a, b]), 0.5)
+    np.testing.assert_array_equal(cover.value, np.maximum(0.5, np.abs(b)))
+    assert cover.value.min() == 0.5
+    assert cover.complete
 
 
 def test_cover_extraction_labels_thresholds_and_ties(grid17):
@@ -134,22 +159,25 @@ def test_cover_extraction_labels_thresholds_and_ties(grid17):
     half = m // 2
     a = np.zeros(m); a[:half] = 1.0; a[half:] = 0.1
     b = np.zeros(m); b[:half] = 0.05; b[half:] = -1.0
-    fields = [ConstraintField(values=a, mask=w), ConstraintField(values=b, mask=w)]
+    fields = np.array([a, b])
     cover = extract_cover(fields, 0.5)
     assert cover.complete
     assert cover.threshold == 0.5
     np.testing.assert_array_equal(cover.label[:half], 1)
     np.testing.assert_array_equal(cover.label[half:], 2)
     # ties resolve to the lowest measurement index
-    tie = [ConstraintField(values=np.ones(m), mask=w),
-           ConstraintField(values=np.ones(m), mask=w)]
-    np.testing.assert_array_equal(extract_cover(tie, 0.5).label, 1)
+    np.testing.assert_array_equal(extract_cover(np.ones((2, m)), 0.5).label, 1)
     # raising the threshold keeps the argmax labels but the cover is incomplete
     sparse = extract_cover(fields, 2.0)
     assert not sparse.complete
     np.testing.assert_array_equal(sparse.label, cover.label)
-    with pytest.raises(ConfigError):
-        extract_cover(fields, 0.0)
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            extract_cover(fields, tau)
+    # no measurement at all, as rows or as a flat array, labels nothing
+    for empty in (np.empty((0, m)), np.empty(0)):
+        with pytest.raises(DomainError):
+            extract_cover(empty, 0.5)
 
 
 def test_save_cover_csv_round_trips_values_and_labels(grid17, tmp_path):
@@ -158,38 +186,38 @@ def test_save_cover_csv_round_trips_values_and_labels(grid17, tmp_path):
     half = m // 2
     a = np.zeros(m); a[:half] = 1.0; a[half:] = 0.1
     b = np.zeros(m); b[:half] = 0.05; b[half:] = -1.0
-    fields = [ConstraintField(values=a, mask=w), ConstraintField(values=b, mask=w)]
-    cover = extract_cover(fields, 0.5)
+    cover = extract_cover(np.array([a, b]), 0.5)
     path = tmp_path / "cover.csv"
-    save_cover_csv(grid17, fields, cover, path)
+    save_cover_csv(grid17, w, cover, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "value", "label"]
     assert len(rows) == m + 1
     ixs, iys = w.indices
-    pointwise, _ = max_abs(fields)
+    pointwise = np.maximum(np.abs(a), np.abs(b))
     for j in (0, half, m - 1):
         got = rows[1 + j]
         assert float(got[0]) == grid17.xs[ixs[j]]
         assert float(got[1]) == grid17.xs[iys[j]]
         assert float(got[2]) == pointwise[j]
         assert int(got[3]) == cover.label[j]
-    # a labeling whose node count disagrees with the fields is rejected
-    bad = CoverLabeling(label=cover.label[:-1], threshold=0.5, complete=True)
-    with pytest.raises(ConfigError):
-        save_cover_csv(grid17, fields, bad, tmp_path / "bad.csv")
+    # a labeling whose node count disagrees with the mask is rejected
+    for bad in (CoverLabeling(label=cover.label[:-1], value=cover.value[:-1],
+                              threshold=0.5, complete=True),
+                CoverLabeling(label=cover.label, value=cover.value[:-1],
+                              threshold=0.5, complete=True)):
+        with pytest.raises(ConfigError):
+            save_cover_csv(grid17, w, bad, tmp_path / "bad.csv")
 
 
 def test_save_cover_csv_bytes_match_the_csv_module(tmp_path):
     g = build_grid(257)
     w = default_window(g)
     rng = np.random.default_rng(11)
-    fields = [ConstraintField(values=v, mask=w)
-              for v in rng.standard_normal((3, w.count)) * 10.0 ** rng.integers(-300, 300, w.count)]
-    for f in fields:
-        f.values[:7] = [0.0, -0.0, 1e-5, 1e-4, 1e16, 1.0 / 3.0, -2.5e-300]
-    cover = extract_cover(fields, 0.5)
-    pointwise, _ = max_abs(fields)
+    rows = rng.standard_normal((3, w.count)) * 10.0 ** rng.integers(-300, 300, w.count)
+    rows[:, :7] = [0.0, -0.0, 1e-5, 1e-4, 1e16, 1.0 / 3.0, -2.5e-300]
+    cover = extract_cover(rows, 0.5)
+    pointwise = np.abs(rows).max(axis=0)
     ixs, iys = w.indices
     ref = tmp_path / "reference.csv"
     with open(ref, "w", newline="") as fh:
@@ -199,7 +227,7 @@ def test_save_cover_csv_bytes_match_the_csv_module(tmp_path):
             writer.writerow([repr(float(g.xs[ixs[j]])), repr(float(g.xs[iys[j]])),
                              repr(float(pointwise[j])), int(cover.label[j])])
     out = tmp_path / "cover.csv"
-    save_cover_csv(g, fields, cover, out)
+    save_cover_csv(g, w, cover, out)
     assert out.read_bytes() == ref.read_bytes()
 
 

@@ -8,13 +8,12 @@ import pytest
 import randbc.experiments
 import randbc.runge
 from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
-from randbc.constraints import (ConstraintField, ConstraintMap, extract_cover,
-                                max_abs, zeta_eval)
+from randbc.constraints import ConstraintMap, extract_cover, feature_rows, restrict, zeta_eval
 from randbc.errors import ConfigError
 from randbc.grid import default_window
 from randbc.runge import Dictionary
 from randbc.experiments import (_CHUNK, TrialConfig, _constraint_rows,
-                                _restrict_parts, _spans, _survival, _window_parts,
+                                _spans, _survival, _window_parts,
                                 concentration_check, default_probes,
                                 ensure_dictionary, success_curve, tail_check,
                                 trial_fields, variance_identity_check,
@@ -51,39 +50,37 @@ def test_injected_constant_field_gives_its_magnitude_exactly(cfg17, grid17):
     c = 3.25
     field = zeta_eval(ConstraintMap("nodal"), (np.full(grid17.X.shape, c),),
                       grid17, cfg17.mask)
-    _, min_max = max_abs([field])
-    assert min_max == c
+    assert extract_cover(field.values[None], 1.0).value.min() == c
 
 
 def test_trial_labels_appear_at_a_reference_threshold(cfg17):
-    fields = trial_fields(cfg17, 1)
-    labels = extract_cover(fields, 1e-6)
+    rows = trial_fields(cfg17, 1)
+    labels = extract_cover(rows, 1e-6)
     assert labels.label.min() >= 1
     assert labels.label.max() <= cfg17.N
-    pointwise, min_max = max_abs(fields)
-    assert labels.complete == (min_max >= 1e-6)
+    assert labels.complete == (labels.value.min() >= 1e-6)
+    np.testing.assert_array_equal(labels.value, np.abs(rows).max(axis=0))
     np.testing.assert_array_equal(
-        pointwise, np.abs([f.values for f in fields])[labels.label - 1,
-                                                      np.arange(cfg17.mask.count)])
+        labels.value, np.abs(rows)[labels.label - 1, np.arange(cfg17.mask.count)])
 
 
 def test_trial_fields_are_the_rows_of_the_trial_seeds_stream(cfg17):
-    fields = trial_fields(cfg17, 7)
-    assert len(fields) == cfg17.N
+    rows = trial_fields(cfg17, 7)
+    assert rows.shape == (cfg17.N, cfg17.mask.count)
     coeffs = sample_coeffs(cfg17.model, derive_rng(7), cfg17.N)
-    rows = _constraint_rows(cfg17.cmap, _window_parts(cfg17),
-                            coeffs.reshape(cfg17.N, 1, cfg17.model.K))
-    for l, f in enumerate(fields):
-        assert f.mask is cfg17.mask
-        np.testing.assert_array_equal(f.values, rows[l])
+    np.testing.assert_array_equal(rows, coeffs @ _window_parts(cfg17)[0])
+    # the values of the synthesized fields, up to rounding
+    z = cfg17.dictionary.z
+    u = np.tensordot(coeffs, np.stack([z[k] for k in range(len(z))]), 1)
+    for l in range(cfg17.N):
+        np.testing.assert_allclose(zeta_eval(cfg17.cmap, [u[l]], cfg17.grid,
+                                             cfg17.mask).values, rows[l], rtol=0, atol=1e-12)
 
 
 def test_trials_are_reproducible_and_seed_sensitive(cfg17):
-    a = max_abs(trial_fields(cfg17, 9))[1]
-    b = max_abs(trial_fields(cfg17, 9))[1]
-    c = max_abs(trial_fields(cfg17, 10))[1]
-    assert a == b
-    assert a != c
+    a = trial_fields(cfg17, 9)
+    assert trial_fields(cfg17, 9).tobytes() == a.tobytes()
+    assert not np.array_equal(trial_fields(cfg17, 10), a)
 
 
 def test_success_curve_is_nested_and_calibrated(cfg17):
@@ -199,9 +196,9 @@ def test_dense_and_on_demand_dictionaries_restrict_to_the_same_bits(cfg17, dict1
                        z=np.stack([dict17.z[k] for k in range(dict17.K)]),
                        operator=dict17.operator)
     ix, iy = cfg17.mask.indices
-    lazy, full = _restrict_parts(dict17, ix, iy), _restrict_parts(dense, ix, iy)
-    for name in ("vals", "gxs", "gys"):
-        np.testing.assert_array_equal(getattr(lazy, name), getattr(full, name))
+    lazy, full = restrict(dict17.grid, dict17.z, ix, iy), restrict(dense.grid, dense.z, ix, iy)
+    for a, b in zip(lazy, full):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_a_config_solves_its_window_modes_once(grid17, ident17, model9, monkeypatch):
@@ -231,37 +228,34 @@ def test_batched_augmented_rows_flip_sign_exactly_under_transpositions(perm, gri
                                                                        dict17):
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
                       cmap=ConstraintMap("augmented"), N=8, dictionary=dict17)
-    parts = _window_parts(cfg)
+    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
     coeffs = sample_coeffs(model9, derive_rng(31, 0), 8 * 3).reshape(8, 3, model9.K)
-    rows = _constraint_rows(cfg.cmap, parts, coeffs)
+    rows = _constraint_rows(feats, coeffs)
     assert rows.shape == (8, cfg.mask.count)
-    np.testing.assert_array_equal(_constraint_rows(cfg.cmap, parts, coeffs[:, perm, :]),
-                                  -rows)
+    np.testing.assert_array_equal(_constraint_rows(feats, coeffs[:, perm, :]), -rows)
 
 
 def _reference_complete_count(cfg, N_max, M, tau, master_seed):
     """Covers complete at tau, counted the long way: redraw each repetition's
-    N_max constraint fields and label them with extract_cover."""
-    parts = _window_parts(cfg)
+    N_max constraint rows and label them with extract_cover."""
+    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
     arity, K = cfg.cmap.arity, cfg.model.K
     complete = 0
     for rep in range(M):
         rng = derive_rng(master_seed, rep)
         coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
-        rows = _constraint_rows(cfg.cmap, parts, coeffs)
-        cfields = [ConstraintField(values=rows[l], mask=cfg.mask) for l in range(N_max)]
-        complete += extract_cover(cfields, tau).complete
+        complete += extract_cover(_constraint_rows(feats, coeffs), tau).complete
     return complete
 
 
 def _reference_min_max(cfg, Ns, M, master_seed):
     """min over nodes of max_{l < N_j} |zeta^l|, from each repetition's full rows."""
-    parts = _window_parts(cfg)
+    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
     arity, K = cfg.cmap.arity, cfg.model.K
     out = np.empty((M, len(Ns)))
     for rep in range(M):
         coeffs = sample_coeffs(cfg.model, derive_rng(master_seed, rep), Ns[-1] * arity)
-        rows = np.abs(_constraint_rows(cfg.cmap, parts, coeffs.reshape(-1, arity, K)))
+        rows = np.abs(_constraint_rows(feats, coeffs.reshape(-1, arity, K)))
         out[rep] = [rows[:N].max(axis=0).min() for N in Ns]
     return out
 
@@ -321,7 +315,7 @@ def _probe_parts(cfg):
     nodes = [cfg.grid.nearest_node(p) for p in default_probes(cfg.grid)]
     ixs = np.array([ix for ix, _ in nodes])
     iys = np.array([iy for _, iy in nodes])
-    return _restrict_parts(ensure_dictionary(cfg), ixs, iys)
+    return restrict(cfg.grid, ensure_dictionary(cfg).z, ixs, iys)
 
 
 def test_series_matches_brute_force_sums_over_modes(grid17, ident17):
@@ -330,14 +324,14 @@ def test_series_matches_brute_force_sums_over_modes(grid17, ident17):
         cfg = TrialConfig(grid=grid17, coeff=ident17, model=model,
                           cmap=ConstraintMap(kind), N=1)
         series = np.array([r.series for r in variance_identity_check(cfg, M=2)])
-        parts = _probe_parts(cfg)
+        vals, gxs, gys = _probe_parts(cfg)
         s2 = model.sigma ** 2
         brute = np.zeros(len(series))
         if kind == "jacobian":
             # E zeta^2 = sum_ij s_i s_j (gx_i gy_j - gy_i gx_j)^2
             for i in range(K):
                 for j in range(K):
-                    t = parts.gxs[i] * parts.gys[j] - parts.gys[i] * parts.gxs[j]
+                    t = gxs[i] * gys[j] - gys[i] * gxs[j]
                     brute += s2[i] * s2[j] * t * t
         else:
             # E zeta^2 = sum_ijk s_i s_j s_k det[v; gx; gy](modes i, j, k)^2
@@ -346,8 +340,7 @@ def test_series_matches_brute_force_sums_over_modes(grid17, ident17):
                     for k in range(K):
                         for p in range(len(series)):
                             cols = [i, j, k]
-                            mat = np.array([parts.vals[cols, p], parts.gxs[cols, p],
-                                            parts.gys[cols, p]])
+                            mat = np.array([vals[cols, p], gxs[cols, p], gys[cols, p]])
                             brute[p] += s2[i] * s2[j] * s2[k] * np.linalg.det(mat) ** 2
         np.testing.assert_allclose(series, brute, rtol=1e-12, atol=0.0)
 
@@ -358,12 +351,12 @@ def test_single_argument_series_is_the_weighted_square_sum(cmap, cfg17):
     cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
                       cmap=cmap, N=1, dictionary=cfg17.dictionary)
     series = np.array([r.series for r in variance_identity_check(cfg, M=2)])
-    parts = _probe_parts(cfg)
+    vals, gxs, gys = _probe_parts(cfg)
     if cmap.kind == "nodal":
-        w = parts.vals
+        w = vals
     else:
         d0, d1 = cmap.direction
-        w = d0 * parts.gxs + d1 * parts.gys
+        w = d0 * gxs + d1 * gys
     np.testing.assert_array_equal(series, (cfg.model.sigma ** 2) @ (w * w))
 
 
@@ -430,10 +423,10 @@ def test_streamed_variance_reductions_equal_the_one_shot_ones(kind, family, grid
     M = 5 * _CHUNK // 2
     rows = variance_identity_check(cfg, M=M, master_seed=3)
 
-    parts, arity = _probe_parts(cfg), cfg.cmap.arity
+    feats, arity = feature_rows(cfg.cmap, *_probe_parts(cfg)), cfg.cmap.arity
     rng = derive_rng(3, 0)
     sq = np.concatenate([
-        _constraint_rows(cfg.cmap, parts, sample_coeffs(model, rng, arity * (hi - lo))
+        _constraint_rows(feats, sample_coeffs(model, rng, arity * (hi - lo))
                          .reshape(hi - lo, arity, 9)) ** 2
         for lo, hi in _spans(M, _CHUNK)])
     series = np.array([r.series for r in rows])

@@ -47,6 +47,15 @@ def test_member_target_is_reachable(dict65, grid65, disk65):
     assert abs(r.c[4] - 1.0) <= 0.05
 
 
+def test_member_residual_is_at_rounding_level_for_every_scale_of_a(grid17, model9):
+    # L_h h scales with a; its unit, max |diag L_h| h^2 / 4, scales with it
+    disk = disk_mask(grid17, (0.5, 0.5), 0.3)
+    for a in (1e-100, 1.0, 1e30):
+        d = build_dictionary(grid17, CoefficientField.isotropic(grid17, a=a), model9)
+        t = make_target("dictionary_member", grid17, disk, dictionary=d, index=2)
+        assert t.residual_rel < 1e-10, a
+
+
 def test_unregularized_member_recovery_reports_singularity(dict65, grid65, disk65):
     t = make_target("dictionary_member", grid65, disk65,
                     dictionary=dict65, index=5)

@@ -308,6 +308,32 @@ def test_residual_contract_holds_on_both_solver_paths():
         assert info.residual_inf == pytest.approx(res, rel=1e-6, abs=1e-30)
 
 
+@pytest.mark.parametrize("method", ["dst", "cg-sine", "lu"])
+def test_a_solve_whose_data_and_forcing_cancel_meets_the_contract(method):
+    # Data of size 1e6 on the ring and a forcing that cancels their coupling
+    # b up to an O(1) interior field: b + f is ~1e-7 of |b| and |f|, so a
+    # residual at roundoff of the large terms misses rtol * max |b + f|.
+    g = build_grid(17)
+    coeff = {"dst": CoefficientField.isotropic(g),
+             "cg-sine": CoefficientField.isotropic(g, smooth_a(g)),
+             "lu": CoefficientField.anisotropic(g, 1.0 + 0.2 * g.X, 0.1 * g.X * g.Y,
+                                                1.1 + 0.1 * g.Y)}[method]
+    op = assemble(g, coeff)
+    inside = np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)
+    u_star = np.where(g.boundary_mask, 1e6 * (1.0 + g.X + g.Y), inside)
+    forcing = np.zeros_like(u_star)
+    forcing[1:-1, 1:-1] = op.apply(u_star)
+    bc = g.boundary_values(u_star)
+    rtol = 1e-10
+    u, info = solve_dirichlet(op, bc, rtol=rtol, forcing=forcing, want_info=True)
+    assert info.method == method
+    b, f = op.boundary_coupling @ bc, forcing[1:-1, 1:-1].reshape(-1)
+    assert np.abs(b + f).max() < 1e-6 * np.abs(b).max()
+    assert info.residual_inf == np.abs(op.apply(u) - forcing[1:-1, 1:-1]).max()
+    assert info.residual_inf <= rtol * (np.abs(b).max() + np.abs(f).max())
+    np.testing.assert_allclose(u[1:-1, 1:-1], inside[1:-1, 1:-1], rtol=0, atol=1e-2)
+
+
 def test_cg_and_lu_paths_agree_on_the_same_equation():
     # a12 = 0 keeps the continuous problem identical; the nine point and
     # five point stencils then agree to discretization accuracy
