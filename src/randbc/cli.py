@@ -18,7 +18,8 @@ resolved configuration of the run that produced it.
 
 Every run writes its CSV artifacts plus manifest.json (resolved config,
 sha256 of each output and, for constraint-experiment, the number of workers
-that ran) into --out.  Exit status: 0 success, 1 runtime/domain
+that ran) into --out.  The digests are streamed from each written file, in
+fixed-size chunks, after the run.  Exit status: 0 success, 1 runtime/domain
 failure or exhausted memory, 2 configuration error.  RANDBC_THREADS sets the
 worker count when --threads/threads is 0 (auto); at most one worker runs per
 CPU the process may use, and thread count never changes emitted numbers.
@@ -27,7 +28,6 @@ CPU the process may use, and thread count never changes emitted numbers.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -312,6 +312,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_DIGEST_CHUNK = 1 << 16     # bytes of an output read at once to digest it
+
+
 class OutputWriter:
     """Creates artifacts under the output directory, removing them on failure."""
 
@@ -362,11 +365,15 @@ class OutputWriter:
             pass
 
     def manifest(self, cfg: RunConfig) -> None:
+        # hashlib loads OpenSSL's libcrypto (about 3.6 MB of RSS): import it
+        # only after the command's work, and read no output whole.
+        import hashlib
         outputs = {}
         for name in self.written:
             digest = hashlib.sha256()
             with open(self.path(name), "rb") as fh:
-                digest.update(fh.read())
+                while chunk := fh.read(_DIGEST_CHUNK):
+                    digest.update(chunk)
             outputs[name] = "sha256:" + digest.hexdigest()
         doc = {"command": cfg.command,
                "config": {k: cfg.raw[k] for k in sorted(cfg.raw)},

@@ -4,6 +4,7 @@ Dictionary construction dominates test cost (one PDE solve per basis mode),
 so dictionaries are built once per session and shared read-only.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -56,15 +57,33 @@ sys.meta_path.insert(0, BlockScipy())
 """
 
 
+def _fresh_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Runs Python source in a fresh interpreter that finds randbc in src/."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 @pytest.fixture
 def block_scipy():
     """Runs Python source in a fresh interpreter that finds randbc in src/
     and cannot import scipy; returns the CompletedProcess."""
     def run(code: str, timeout: float = 600.0) -> subprocess.CompletedProcess:
-        env = dict(os.environ, PYTHONPATH=SRC)
-        return subprocess.run([sys.executable, "-c", SCIPY_BLOCKER + code],
-                              capture_output=True, text=True, env=env, timeout=timeout)
+        return _fresh_python(SCIPY_BLOCKER + code, timeout)
     return run
+
+
+@pytest.fixture(scope="session")
+def modules_loaded_by():
+    """Imports one module in a fresh interpreter that finds randbc in src/
+    and returns the set of names then in sys.modules (once per module and
+    session)."""
+    @functools.cache
+    def loaded(module: str) -> frozenset[str]:
+        proc = _fresh_python(f"import sys, {module}; print(*sys.modules)", 120.0)
+        assert proc.returncode == 0, proc.stderr
+        return frozenset(proc.stdout.split())
+    return loaded
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import randbc
-from randbc.cli import (COMMANDS, REGISTRY, OutputWriter, _build_parser, _collect_overrides,
-                        _fmt, _rel_l2_error, resolve_config, run)
+from randbc.cli import (_DIGEST_CHUNK, COMMANDS, REGISTRY, OutputWriter, _build_parser,
+                        _collect_overrides, _fmt, _rel_l2_error, resolve_config, run)
 from randbc.solver import CoefficientField, assemble, load_field_csv
 
 
@@ -462,6 +462,26 @@ def test_solve_writes_solution_and_manifest(tmp_path):
     assert m["outputs"]["solution.csv"] == "sha256:" + sha256(out / "solution.csv")
 
 
+def test_manifest_digest_of_an_output_spanning_many_read_chunks(tmp_path):
+    out = tmp_path / "solve"
+    assert run(["solve", "--out", str(out), "--set", "grid.n=129"]) == 0
+    path = out / "solution.csv"
+    size = path.stat().st_size
+    assert size > 4 * _DIGEST_CHUNK and size % _DIGEST_CHUNK
+    assert manifest(out)["outputs"] == {"solution.csv": "sha256:" + sha256(path)}
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 0)])
+def test_manifest_digest_at_chunk_boundaries(chunks, extra, tmp_path):
+    out = OutputWriter(str(tmp_path / "out"))
+    blob = tmp_path / "out" / "blob.bin"
+    size = chunks * _DIGEST_CHUNK + extra
+    blob.write_bytes(np.random.default_rng(size).bytes(size))
+    out.written.append("blob.bin")
+    out.manifest(resolve_config("solve", None, {}))
+    assert manifest(tmp_path / "out")["outputs"] == {"blob.bin": "sha256:" + sha256(blob)}
+
+
 def test_solve_with_negative_potential_meets_the_residual_contract(tmp_path):
     # default coeff.a = 1 and solve.bc = x*x - y*y; q = -5 is above the
     # certificate's -lambda_1/2 (about -9.9), and the constant stencil solves
@@ -493,9 +513,12 @@ def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path):
     rerun = tmp_path / "rerun"
     assert run(["constraint-experiment", "--config", str(base / "manifest.json"),
                 "--out", str(rerun), "--threads", "2"]) == 0
-    for name in ("success_curve.csv", "cover_summary.csv", "cover_field.csv"):
+    names = ("success_curve.csv", "cover_summary.csv", "cover_field.csv")
+    for name in names:
         assert (base / name).read_bytes() == (rerun / name).read_bytes()
     assert manifest(base)["outputs"] == manifest(rerun)["outputs"]
+    assert manifest(rerun)["outputs"] == {name: "sha256:" + sha256(rerun / name)
+                                          for name in names}
     lines = (base / "cover_field.csv").read_text().splitlines()
     assert lines[0] == "x,y,value,label"
     assert len(lines) > 1

@@ -1,9 +1,6 @@
 """Discrete elliptic operator assembly and the Dirichlet solve contract."""
 
 import csv
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -995,19 +992,19 @@ def test_non_finite_sine_transform_result_raises():
         solve_dirichlet(op, np.full(g.boundary_count, 1e306))
 
 
-def test_importing_the_cli_does_not_load_scipy_fft(block_scipy):
+def test_importing_the_cli_does_not_load_scipy_fft(block_scipy, modules_loaded_by):
     # numpy.fft carries the sine transform, and only the LU path imports
     # scipy: importing it would add about 0.25 s to every command
-    src = os.path.dirname(os.path.dirname(randbc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, randbc.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = modules_loaded_by("randbc.cli")
+    assert sorted(m for m in loaded if m.partition(".")[0] == "scipy") == []
     blocked = block_scipy("import randbc.cli")
     assert blocked.returncode == 0, blocked.stderr
+
+
+def test_importing_the_cli_does_not_load_openssl(modules_loaded_by):
+    # hashlib loads OpenSSL's libcrypto (about 3.6 MB of RSS) through
+    # _hashlib; only the manifest's digests need it, after the run
+    assert not {"hashlib", "_hashlib"} & modules_loaded_by("randbc.cli")
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 31])
