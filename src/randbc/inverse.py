@@ -32,8 +32,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
 from .solver import (CoefficientField, DiscreteOperator, ScalarField, SolveInfo, Stencil,
-                     assemble, conjugate_gradients, gradient, laplace_operator, laplacian,
-                     neighbor_field, solve_dirichlet, solve_poisson)
+                     assemble, conjugate_gradients, default_maxiter, gradient,
+                     laplace_operator, laplacian, neighbor_field, solve_dirichlet,
+                     solve_poisson)
 
 
 @dataclass(eq=False)
@@ -316,7 +317,7 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
 
     lap, rhs = _normal_equations(part, (aix, aiy), (gx_log, gy_log), grid.h)
     if maxiter is None:
-        maxiter = 20 * grid.n
+        maxiter = default_maxiter(grid)
     x, iterations, residual = conjugate_gradients(lap, rhs, rtol * np.abs(rhs).max(),
                                                   maxiter)
 

@@ -8,8 +8,8 @@ expressions, and the operator is a Stencil that stores each coupling once,
 so A equals its transpose bit-for-bit.  A weight that overflows (harmonic
 means of a above about 1.3e154) or may underflow (a below about 1.5e-154,
 where a product of two a leaves the normal floats) is a ConfigError.
-Everything here runs on numpy alone except LU, which imports scipy inside
-its branch and reads CSR off the Stencil's bands there.
+Everything here runs on numpy alone except the LU backstop, which imports
+scipy inside its branch and reads CSC off the Stencil's bands there.
 
 Dirichlet data g come as a vector along the grid's boundary walk; every
 vector the solves compute on is an (n, n) lattice field.  A Stencil keeps
@@ -24,7 +24,8 @@ readers of the coupled data alone (the benchmark's tracer and reference
 builder).  The solve contract is a residual guarantee, ||A u_int - rhs||_inf
 <= rtol * (||b||_inf + ||forcing||_inf), checked after every solve: a scale
 that b and forcing cannot cancel, so roundoff in a solution driven by large
-terms of opposite sign meets it.  Three paths meet it:
+terms of opposite sign meets it.  Three paths meet it, and a fourth backs
+the last:
 
 - A constant five-point stencil (decided on the coefficients alone: scalar a
   that is one value off the four corners and q that is one value inside; its
@@ -47,7 +48,7 @@ terms of opposite sign meets it.  Three paths meet it:
   transform, read in place.  No (n-2, n-2) right-hand side is formed: the
   coupled data live on the border of the block of unknowns, so max |b| is
   taken there.  The residual is L_h u - forcing, one Stencil product, the
-  form of apply and of the LU path's check.
+  form of apply.
 - Other operators certified positive definite take conjugate gradients
   (conjugate_gradients, the loop potential integration in randbc.inverse
   shares) preconditioned by the same sine transform between two diagonal
@@ -69,12 +70,25 @@ terms of opposite sign meets it.  Three paths meet it:
   (the factor 1/2 is a fixed margin against rounding and poor conditioning),
   and it keeps diag A positive.  The preconditioner is built once per
   operator and shared by every solve, each of which holds its own buffers.
-- Sparse LU with iterative refinement (scipy's splu) serves the rest:
-  matrix a, and q below the certificate with a variable stencil.  It solves
-  the interior of the right-hand side and checks L_h u - forcing on the
-  lattice, the form of apply.
+- MINRES (minres; Paige & Saunders 1975) serves the rest: matrix a, and q
+  below the certificate with a variable stencil, definite or not, as long
+  as 0 is not an eigenvalue.  Its preconditioner is the same transform
+  with s read off the diffusion part D of diag A (always positive, where q
+  may make the whole diagonal vanish or change sign), s = (h^2 / 4 D)^(-1/2),
+  and lambda the absolute values of the eigenvalues of (4 / h^2 + mean(q s^2),
+  -1 / h^2), floored at lambda_1: the inverse of the modulus of the
+  constant-coefficient model, exact for it, SPD, and with no resonance of
+  the model left to grow.  It stops as CG does.
+- Sparse LU with iterative refinement (scipy's splu) takes over where MINRES
+  misses the target within maxiter: potentials so far below the spectrum of
+  -div(a grad) that the model is far from A (q = -4096 (1 + x) at n = 33, or
+  -1e5 (1 + x) at n = 129).  It solves the interior of the right-hand side
+  and checks rhs - A u on the lattice as the Krylov loops do.  A singular
+  operator (q = -lambda_k of -div(a grad)) has no solution to converge to:
+  both fail, MINRES at maxiter.
 
-Only CG reads maxiter; the sine-transform and LU solves are direct.
+CG and MINRES read maxiter (default_maxiter when None); the sine-transform
+and LU solves are direct.
 
 solve_dirichlet is the one solve entry: solve_poisson (Delta u = rhs, so
 L u = -rhs for L = -Delta) returns -v for the solve of L v = rhs with trace -g,
@@ -188,13 +202,23 @@ class DiscreteOperator:
 
     @cached_property
     def preconditioner(self) -> Callable[..., np.ndarray]:
-        """The CG path's M^-1 of a certified operator on lattice fields (see the module
-        docstring), built on first use, SPD as every lambda is positive.  apply(r,
-        out=None, work=None) writes M^-1 r into out, its transform into work's buffer."""
+        """The Krylov solves' M^-1 on lattice fields (see the module docstring),
+        built on first use, SPD as every lambda is positive.  apply(r, out=None,
+        work=None) writes M^-1 r into out, its transform into work's buffer."""
         n, h2 = self.grid.n, self.grid.h * self.grid.h
-        scale = (0.25 * h2 * self.matrix.center.reshape(n, n)[1:-1, 1:-1]) ** -0.5
-        shift = max(0.0, float(np.mean(self.coeff.q[1:-1, 1:-1] * scale ** 2)))
-        eigenvalues = _stencil_eigenvalues(self.cosines, 4.0 / h2 + shift, -1.0 / h2)
+        # MINRES scales by the diffusion part of diag A, which is positive
+        # where q makes the whole diagonal vanish or change sign.
+        diagonal = (self.matrix.center if self.spd
+                    else _weights(self.grid.h, self.coeff.a, 0.0)[0])
+        scale = (0.25 * h2 * diagonal.reshape(n, n)[1:-1, 1:-1]) ** -0.5
+        shift = float(np.mean(self.coeff.q[1:-1, 1:-1] * scale ** 2))
+        if self.spd:
+            eigenvalues = _stencil_eigenvalues(self.cosines, 4.0 / h2 + max(0.0, shift),
+                                               -1.0 / h2)
+        else:
+            eigenvalues = _stencil_eigenvalues(self.cosines, 4.0 / h2 + shift, -1.0 / h2)
+            np.abs(eigenvalues, out=eigenvalues)
+            np.maximum(eigenvalues, laplacian_floor(self.grid), out=eigenvalues)
 
         def apply(r: np.ndarray, out=None, work: dict | None = None) -> np.ndarray:
             z = (np.empty(n * n) if out is None else out).reshape(n, n)
@@ -275,8 +299,9 @@ class Stencil:
 
     def tocsr(self):
         """The CSR matrix over the unknowns, read off product()'s bands as the
-        diagonals of the flat lattice, zeros dropped.  Only the LU path needs
-        CSR, so scipy is imported here."""
+        diagonals of the flat lattice, zeros dropped.  The LU backstop (as
+        tocsc), the tests and the benchmark's direct reference builder read
+        it, so scipy is imported here."""
         from scipy import sparse
 
         size = self.center.size
@@ -524,6 +549,73 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     return x.reshape(rhs.shape), iterations, float(res)
 
 
+def minres(matrix: Stencil, rhs: np.ndarray, target: float, maxiter: int,
+           precond: Callable[..., np.ndarray],
+           out: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+    """Solve matrix x = rhs for a symmetric nonsingular Stencil, definite or not,
+    by preconditioned MINRES (Paige & Saunders 1975) from x = 0.
+
+    The conventions are conjugate_gradients': lattice fields, zero off the
+    unknowns, x is out if given, and precond is an SPD map that precond(r, out,
+    work) writes into out.  Besides x and rhs it holds eight lattice fields:
+    the residual r, the Lanczos vectors r1, r2 (unnormalized, in the
+    residual's space) and y = M^-1 r2, which rotate, v = y / beta, the last
+    two directions w and a spare.  r follows the recurrence
+    r_k = sn^2 r_(k-1) - (phibar cs / beta) r2, its coefficient computed as
+    phi / gamma (the same number, with no division by a vanishing beta).  Stops
+    once ||r||_inf <= target, then checks the true residual ||rhs - matrix x||_inf;
+    if that misses the target it replaces r and the iteration goes on.  Returns
+    (x, iterations, true residual); raises SolverError at maxiter or when beta
+    is not a positive finite number.
+    """
+    b = rhs.reshape(-1)
+    x = np.empty(b.size) if out is None else out.reshape(-1)
+    x.fill(0.0)
+    r, r1, r2, work = b.copy(), np.empty_like(b), b.copy(), {}
+    y, v, w, w_old, spare = (np.zeros_like(b) for _ in range(5))
+    res = np.abs(r, out=spare).max()
+    beta = np.sqrt(r2 @ precond(r2, y, work))
+    oldb, phibar, cs, sn, dbar, epsln = beta, beta, -1.0, 0.0, 0.0, 0.0
+    iterations = 0
+    while not res <= target:
+        if iterations >= maxiter or not 0.0 < beta < np.inf:
+            res = np.abs(b - matrix.product(x, v, spare)).max()
+            raise SolverError(
+                f"MINRES stalled after {iterations} iterations: "
+                f"residual {res:.3e} > target {target:.3e}",
+                residual=res, iterations=iterations)
+        np.multiply(y, 1.0 / beta, out=v)
+        matrix.product(v, y, spare)          # the Lanczos step, into y
+        if iterations:
+            y -= np.multiply(r1, beta / oldb, out=spare)
+        alfa = v @ y
+        y -= np.multiply(r2, alfa / beta, out=spare)
+        r1, r2, y = r2, y, r1
+        oldb, beta = beta, np.sqrt(r2 @ precond(r2, y, work))
+        # The last rotation on the new column of T, then the rotation that
+        # annihilates its beta.
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        gamma = np.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        # w = (v - oldeps w_(k-2) - delta w_(k-1)) / gamma, over w_(k-2)
+        w_old *= -oldeps
+        w_old -= np.multiply(w, delta, out=spare)
+        w_old += v
+        w_old /= gamma
+        w, w_old = w_old, w
+        x += np.multiply(w, phi, out=spare)
+        r *= sn * sn
+        r -= np.multiply(r2, phi / gamma, out=spare)
+        iterations += 1
+        res = np.abs(r, out=spare).max()
+        if res <= target:                    # the true residual rhs - matrix x
+            np.subtract(b, matrix.product(x, r, spare), out=r)
+            res = np.abs(r, out=spare).max()
+    return x.reshape(rhs.shape), iterations, float(res)
+
+
 def _sine_solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | None,
                          rtol: float, work: dict | None) -> SolveInfo:
     """_solve_interior for a constant stencil, by the sine transform, with no
@@ -593,11 +685,17 @@ class _BoundaryCoupling:
         return _dirichlet_rhs(self.op, u)[1:-1, 1:-1].reshape(-1)
 
 
+def default_maxiter(grid: Grid2D) -> int:
+    """The iteration cap of a Krylov solve whose maxiter is None: 20 n."""
+    return 20 * grid.n
+
+
 def _solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | None,
                     rtol: float, maxiter) -> SolveInfo:
     """Solve L u = forcing into the interior of u, which holds the Dirichlet data
-    on its ring and zero inside, by conjugate gradients (run in u, whose ring
-    it leaves zero) or sparse LU."""
+    on its ring and zero inside, by conjugate gradients for a certified operator
+    and MINRES for any other, both preconditioned by op.preconditioner and run
+    in u, whose ring they leave zero; sparse LU where MINRES stalls."""
     rhs = _dirichlet_rhs(op, u)
     scale = _max_abs(rhs) + _max_abs(forcing)
     if forcing is not None:
@@ -605,30 +703,36 @@ def _solve_interior(op: DiscreteOperator, u: ScalarField, forcing: np.ndarray | 
     if scale == 0.0:
         return SolveInfo("trivial", 0, 0.0)
     if maxiter is None:
-        maxiter = 20 * op.grid.n
+        maxiter = default_maxiter(op.grid)
     target = rtol * scale
     if op.spd:
         _, iters, res = conjugate_gradients(op.matrix, rhs, target, maxiter,
                                             op.preconditioner, out=u)
         return SolveInfo("cg-sine", iters, res)
+    try:
+        _, iters, res = minres(op.matrix, rhs, target, maxiter, op.preconditioner, out=u)
+        return SolveInfo("minres", iters, res)
+    except SolverError as exc:
+        stalled = exc
     from scipy.sparse.linalg import splu   # the one path that needs scipy
 
     try:
         lu = splu(op.matrix.tocsc())
     except RuntimeError as exc:
-        raise SolverError(f"direct factorization failed: {exc}", residual=np.inf) from exc
-    inner = u[1:-1, 1:-1]
+        raise SolverError(f"{stalled}; direct factorization failed: {exc}",
+                          residual=np.inf) from exc
+    u.fill(0.0)                             # the ring MINRES left, NaN if gamma was 0
+    inner, r, tmp = u[1:-1, 1:-1], np.empty_like(u), np.empty_like(u)
     inner[...] = lu.solve(rhs[1:-1, 1:-1].reshape(-1)).reshape(inner.shape)
-    del rhs
     for refinements in range(4):
-        r = op.apply(u) - (0.0 if forcing is None else forcing)    # L_h u - forcing
+        np.subtract(rhs, op.matrix.product(u, r, tmp), out=r)     # rhs - A u
         res = np.abs(r).max()
         if not res > target or refinements == 3:
             break
-        inner -= lu.solve(r.reshape(-1)).reshape(inner.shape)
+        inner += lu.solve(r[1:-1, 1:-1].reshape(-1)).reshape(inner.shape)
     if not res <= target:
         raise SolverError(
-            f"direct solve residual {res:.3e} > target {target:.3e} "
+            f"{stalled}; direct solve residual {res:.3e} > target {target:.3e} "
             f"after {refinements} refinement steps", residual=res, iterations=refinements)
     return SolveInfo("lu", refinements, float(res))
 

@@ -1,6 +1,7 @@
 """Discrete elliptic operator assembly and the Dirichlet solve contract."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -301,11 +302,11 @@ def test_residual_contract_holds_on_both_solver_paths():
         rhs = op.boundary_coupling @ bc
         res = np.abs(op.apply(u)).max()
         assert res <= rtol * np.abs(rhs).max()
-        assert info.method == ("cg-sine" if op.spd else "lu")
+        assert info.method == ("cg-sine" if op.spd else "minres")
         assert info.residual_inf == pytest.approx(res, rel=1e-6, abs=1e-30)
 
 
-@pytest.mark.parametrize("method", ["dst", "cg-sine", "lu"])
+@pytest.mark.parametrize("method", ["dst", "cg-sine", "minres"])
 def test_a_solve_whose_data_and_forcing_cancel_meets_the_contract(method):
     # Data of size 1e6 on the ring and a forcing that cancels their coupling
     # b up to an O(1) interior field: b + f is ~1e-7 of |b| and |f|, so a
@@ -313,8 +314,8 @@ def test_a_solve_whose_data_and_forcing_cancel_meets_the_contract(method):
     g = build_grid(17)
     coeff = {"dst": CoefficientField.isotropic(g),
              "cg-sine": CoefficientField.isotropic(g, smooth_a(g)),
-             "lu": CoefficientField.anisotropic(g, 1.0 + 0.2 * g.X, 0.1 * g.X * g.Y,
-                                                1.1 + 0.1 * g.Y)}[method]
+             "minres": CoefficientField.anisotropic(g, 1.0 + 0.2 * g.X, 0.1 * g.X * g.Y,
+                                                    1.1 + 0.1 * g.Y)}[method]
     op = assemble(g, coeff)
     inside = np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)
     u_star = np.where(g.boundary_mask, 1e6 * (1.0 + g.X + g.Y), inside)
@@ -326,21 +327,110 @@ def test_a_solve_whose_data_and_forcing_cancel_meets_the_contract(method):
     assert info.method == method
     b, f = op.boundary_coupling @ bc, forcing[1:-1, 1:-1].reshape(-1)
     assert np.abs(b + f).max() < 1e-6 * np.abs(b).max()
-    assert info.residual_inf == np.abs(op.apply(u) - forcing[1:-1, 1:-1]).max()
-    assert info.residual_inf <= rtol * (np.abs(b).max() + np.abs(f).max())
-    np.testing.assert_allclose(u[1:-1, 1:-1], inside[1:-1, 1:-1], rtol=0, atol=1e-2)
+    residual = np.abs(op.apply(u) - forcing[1:-1, 1:-1]).max()
+    if method == "minres":
+        # MINRES reports its own rhs - A x, summed in another order than apply
+        assert info.residual_inf == pytest.approx(residual, rel=1e-6)
+    else:
+        assert info.residual_inf == residual
+    assert max(info.residual_inf, residual) <= rtol * (np.abs(b).max() + np.abs(f).max())
+    # MINRES stops at an interior error of 1.5e-4 here, CG at 1.6e-3
+    atol = 1e-3 if method == "minres" else 1e-2
+    np.testing.assert_allclose(u[1:-1, 1:-1], inside[1:-1, 1:-1], rtol=0, atol=atol)
 
 
-def test_cg_and_lu_paths_agree_on_the_same_equation():
+def dense_spectrum(op) -> np.ndarray:
+    """The eigenvalues of op's matrix over the unknowns, ascending."""
+    return np.linalg.eigvalsh(op.matrix.tocsr().toarray())
+
+
+INDEFINITE_DIFFUSIONS = {
+    "scalar": lambda g, q: CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, q),
+    "matrix": lambda g, q: CoefficientField.anisotropic(g, 1.0 + 0.2 * g.X, 0.1 * g.X * g.Y,
+                                                        1.0 + 0.1 * g.Y, q),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INDEFINITE_DIFFUSIONS))
+def test_minres_solves_potentials_between_the_first_eigenvalues(kind):
+    # q = -lambda between consecutive eigenvalues lambda_k < lambda_k+1 of
+    # -div(a grad) makes L indefinite with k negative eigenvalues
+    g = build_grid(33)
+    make = INDEFINITE_DIFFUSIONS[kind]
+    lam = dense_spectrum(assemble(g, make(g, 0.0)))[:4]
+    rtol, bc = 1e-10, np.cos(3.0 * g.boundary_s)
+    for q in -0.5 * (lam[:-1] + lam[1:]):
+        op = assemble(g, make(g, q))
+        u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
+        assert info.method == "minres"
+        b = op.boundary_coupling @ bc
+        assert np.abs(op.apply(u)).max() <= rtol * np.abs(b).max()
+        x = np.linalg.solve(op.matrix.tocsr().toarray(), b)
+        assert np.abs(u[1:-1, 1:-1].reshape(-1) - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n, factor", [
+    (33, 1000.0), (65, 1000.0), (129, 1000.0), (65, 4096.0), (129, 4096.0)])
+def test_minres_solves_strongly_indefinite_potentials_within_the_default_cap(n, factor):
+    # q = -factor (1 + x) passes hundreds of eigenvalues of -div(a grad); the
+    # preconditioner's modulus of the constant-coefficient model keeps MINRES
+    # below the default 20 n iterations (about 100 and 400-500), so LU never
+    # takes over
+    g = build_grid(n)
+    op = assemble(g, CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, -factor * (1.0 + g.X)))
+    bc, rtol = np.cos(3.0 * g.boundary_s), 1e-10
+    u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
+    assert info.method == "minres"
+    b = op.boundary_coupling @ bc
+    assert np.abs(op.apply(u)).max() <= rtol * np.abs(b).max()
+    x = spla.spsolve(op.matrix.tocsc(), b)
+    assert np.abs(u[1:-1, 1:-1].reshape(-1) - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("q_fn, maxiter", [
+    (lambda g: np.full_like(g.X, -30.0), 2),
+    (lambda g: -4096.0 * (1.0 + g.X), None),
+], ids=["maxiter=2", "past-the-default-cap"])
+def test_lu_takes_over_where_minres_misses_the_target(q_fn, maxiter):
+    # q = -4096 (1 + x) at n = 33 needs about 1,100 MINRES iterations, past
+    # the default 660; sparse LU then solves it as it did before MINRES
+    g = build_grid(33)
+    op = assemble(g, CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, q_fn(g)))
+    bc, rtol = np.cos(3.0 * g.boundary_s), 1e-10
+    u, info = solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter, want_info=True)
+    assert info.method == "lu"
+    b = op.boundary_coupling @ bc
+    residual = np.abs(op.apply(u)).max()
+    assert residual <= rtol * np.abs(b).max()
+    assert info.residual_inf == pytest.approx(residual, rel=1e-6)
+    x = np.linalg.solve(op.matrix.tocsr().toarray(), b)
+    assert np.abs(u[1:-1, 1:-1].reshape(-1) - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("kind", sorted(INDEFINITE_DIFFUSIONS))
+def test_a_potential_at_the_first_eigenvalue_raises_a_solver_error(kind):
+    # MINRES stalls at the cap, then the LU backstop misses the target
+    g = build_grid(33)
+    make = INDEFINITE_DIFFUSIONS[kind]
+    lam1 = dense_spectrum(assemble(g, make(g, 0.0)))[0]
+    op = assemble(g, make(g, -lam1))
+    with pytest.raises(SolverError, match="^MINRES stalled after 660 iterations: .*; "
+                                          "direct solve residual") as ei:
+        solve_dirichlet(op, np.cos(3.0 * g.boundary_s))
+    assert ei.value.iterations == 3
+    assert ei.value.residual > 0
+
+
+def test_cg_and_minres_paths_agree_on_the_same_equation():
     # a12 = 0 keeps the continuous problem identical; the nine point and
     # five point stencils then agree to discretization accuracy
     g = build_grid(33)
     a = smooth_a(g)
     bc = np.sin(2.0 * np.pi * g.boundary_s / 4.0)
     u_cg = solve_dirichlet(assemble(g, CoefficientField.isotropic(g, a)), bc)
-    u_lu = solve_dirichlet(
+    u_minres = solve_dirichlet(
         assemble(g, CoefficientField.anisotropic(g, a, np.zeros_like(a), a)), bc)
-    assert np.abs(u_cg - u_lu).max() <= 5e-3
+    assert np.abs(u_cg - u_minres).max() <= 5e-3
 
 
 def test_discrete_maximum_principle_for_zero_order_free_equation():
@@ -352,6 +442,15 @@ def test_discrete_maximum_principle_for_zero_order_free_equation():
     u = solve_dirichlet(op, bc)
     assert u.min() >= bc.min() - 1e-9
     assert u.max() <= bc.max() + 1e-9
+
+
+def zero_one_diagonal_weight(g, a):
+    """q that makes the diagonal weight of a's stencil exactly zero at the
+    centre node and leaves q = 0 elsewhere."""
+    center = assemble(g, CoefficientField.isotropic(g, a)).matrix.center.reshape(g.n, g.n)
+    q = np.zeros_like(a)
+    q[g.n // 2, g.n // 2] = -center[g.n // 2, g.n // 2]
+    return q
 
 
 def disk_a(g):
@@ -604,8 +703,14 @@ def test_bound_is_attained_for_unit_diffusion_and_constant_potential(n):
 @pytest.mark.parametrize("a_fn, q_fn", [
     (lambda g: np.exp(g.X), lambda g, a: 1.001 * q_threshold(g, a)),
     (disk_a, lambda g, a: -5.0),
-], ids=["exp-past-threshold", "disk-q=-5"])
-def test_uncertified_potentials_keep_the_lu_path(a_fn, q_fn):
+    # q makes diagonal weights negative, or one exactly zero: the
+    # preconditioner's scaling reads the diffusion part of diag A, so that
+    # it stays SPD and finite
+    (lambda g: 1.0 + 0.5 * g.X, lambda g, a: -1e5 * (1.0 + g.X)),
+    (lambda g: 1.0 + g.X, lambda g, a: zero_one_diagonal_weight(g, a)),
+], ids=["exp-past-threshold", "disk-q=-5", "negative-diagonal", "zero-diagonal"])
+def test_uncertified_potentials_take_minres(a_fn, q_fn):
+    # a RuntimeWarning is an error here (pyproject's filterwarnings)
     g = build_grid(33)
     a = a_fn(g)
     op = assemble(g, CoefficientField.isotropic(g, a, q_fn(g, a)))
@@ -613,7 +718,7 @@ def test_uncertified_potentials_keep_the_lu_path(a_fn, q_fn):
     rtol = 1e-10
     bc = np.cos(3.0 * g.boundary_s)
     u, info = solve_dirichlet(op, bc, rtol=rtol, want_info=True)
-    assert info.method == "lu"
+    assert info.method == "minres"
     assert np.abs(op.apply(u)).max() <= rtol * np.abs(op.boundary_coupling @ bc).max()
 
 
@@ -822,7 +927,7 @@ def test_variable_or_matrix_coefficients_are_not_constant_stencils(make):
         assert np.ptp(op.matrix.tocsr().diagonal()) == 0.0
     assert op.stencil is None
     u, info = solve_dirichlet(op, np.cos(g.boundary_s), want_info=True)
-    assert info.method == ("cg-sine" if op.spd else "lu")
+    assert info.method == ("cg-sine" if op.spd else "minres")
 
 
 def test_weights_that_round_to_one_value_are_not_a_constant_stencil():
@@ -993,12 +1098,49 @@ def test_non_finite_sine_transform_result_raises():
 
 
 def test_importing_the_cli_does_not_load_scipy_fft(block_scipy, modules_loaded_by):
-    # numpy.fft carries the sine transform, and only the LU path imports
-    # scipy: importing it would add about 0.25 s to every command
+    # numpy.fft carries the sine transform, and no solve imports scipy:
+    # importing it would add about 0.25 s to every command
     loaded = modules_loaded_by("randbc.cli")
     assert sorted(m for m in loaded if m.partition(".")[0] == "scipy") == []
     blocked = block_scipy("import randbc.cli")
     assert blocked.returncode == 0, blocked.stderr
+
+
+def test_uncertified_solves_run_without_scipy(block_scipy, tmp_path):
+    # the CLI's variable a with q below the certificate, and a library
+    # matrix-a solve, in an interpreter where importing scipy raises
+    out = str(tmp_path / "o")
+    code = f"""
+import json
+import numpy as np
+import randbc.cli
+from randbc.solver import (CoefficientField, assemble, load_field_csv,
+                           solve_dirichlet)
+
+
+def contract_ratio(op, u, bc):
+    return float(np.abs(op.apply(u)).max()
+                 / (1e-10 * np.abs(op.boundary_coupling @ bc).max()))
+
+
+rc = randbc.cli.run(["solve", "--out", {out!r}, "--set", "grid.n=33",
+                     "--set", "coeff.a=1+x/2", "--set", "coeff.q=-30"])
+g, u = load_field_csv({out!r} + "/solution.csv")
+bc = g.boundary_values(u)
+cli = contract_ratio(assemble(g, CoefficientField.isotropic(g, 1 + g.X / 2, -30.0)), u, bc)
+op = assemble(g, CoefficientField.anisotropic(g, 1 + 0.2 * g.X, 0.1 * g.X * g.Y,
+                                              1 + 0.1 * g.Y))
+v, info = solve_dirichlet(op, bc, want_info=True)
+print(json.dumps([rc, cli, info.method, contract_ratio(op, v, bc),
+                  sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+    proc = block_scipy(code)
+    assert proc.returncode == 0, proc.stderr
+    rc, cli, method, library, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rc == 0, proc.stderr
+    assert 0.0 < cli <= 1.0 and 0.0 < library <= 1.0, (cli, library)
+    assert method == "minres"
+    assert scipy_modules == []
 
 
 def test_importing_the_cli_does_not_load_openssl(modules_loaded_by):
@@ -1101,7 +1243,7 @@ def test_sine_transform_residual_is_the_residual_over_the_unknowns(a, q, with_fo
     if with_forcing:
         f = forcing[1:-1, 1:-1]
         rhs = rhs + f.reshape(-1)
-    assert info.residual_inf == np.abs(op.apply(u) - f).max()    # L_h u - f, as LU checks
+    assert info.residual_inf == np.abs(op.apply(u) - f).max()    # L_h u - f, as apply reads it
     assert info.residual_inf <= rtol * np.abs(rhs).max()
     np.testing.assert_array_equal(g.boundary_values(u), bc)
 
@@ -1120,8 +1262,8 @@ def test_poisson_solve_with_forcing_meets_the_contract():
 POISSON_OPERATORS = {
     "dst": lambda g: CoefficientField.isotropic(g, 0.5, -3.0),
     "cg-sine": lambda g: CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, 1.0),
-    "lu-scalar": lambda g: CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, -60.0),
-    "lu-matrix": lambda g: CoefficientField.anisotropic(g, 1.0 + 0.5 * g.X, 0.2 * g.Y, 1.5),
+    "minres-scalar": lambda g: CoefficientField.isotropic(g, 1.0 + 0.5 * g.X, -60.0),
+    "minres-matrix": lambda g: CoefficientField.anisotropic(g, 1.0 + 0.5 * g.X, 0.2 * g.Y, 1.5),
 }
 
 
