@@ -29,7 +29,7 @@ from .inverse import (ConductivityData, ConductivityResult, QpatData,
                       qpat_reconstruct_multi)
 from .runge import (Dictionary, LocalTarget, RungeResult, approximate,
                     build_dictionary, make_target, tradeoff_curve)
-from .solver import (CoefficientField, DiscreteOperator, FieldNorms,
+from .solver import (CoefficientField, DiscreteOperator, FieldNorms, OnDemand,
                      ScalarField, SolveInfo, assemble, gradient, laplacian,
                      load_field_csv, norms, save_field_csv, solve_dirichlet,
                      solve_poisson)

@@ -15,7 +15,6 @@ frequency) drive the tail and concentration experiments.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,22 +147,6 @@ def evaluate(bf: BoundaryFunction, grid: Grid2D) -> np.ndarray:
     coeffs = np.asarray(bf.coeffs, dtype=float)
     basis = BoundaryBasis(coeffs.shape[0])
     return coeffs @ basis.evaluate(grid)
-
-
-class SampledTraces(Sequence):
-    """The boundary-walk values of (count, K) coefficient rows, evaluated on
-    access: self[i] is evaluate(BoundaryFunction(coeffs[i]), grid), and no
-    trace is kept."""
-
-    def __init__(self, coeffs: np.ndarray, grid: Grid2D):
-        self.coeffs = coeffs
-        self.grid = grid
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return evaluate(BoundaryFunction(coeffs=self.coeffs[i]), self.grid)
 
 
 def sigma_norm(bf: BoundaryFunction, model: RandomBoundaryModel) -> float:

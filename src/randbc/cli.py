@@ -20,9 +20,9 @@ Every run writes its CSV artifacts plus manifest.json (resolved config,
 sha256 of each output and, for constraint-experiment, the number of workers
 that ran) into --out.  The digests are streamed from each written file, in
 fixed-size chunks, after the run.  Exit status: 0 success, 1 runtime/domain
-failure or exhausted memory, 2 configuration error.  RANDBC_THREADS sets the
-worker count when --threads/threads is 0 (auto); at most one worker runs per
-CPU the process may use, and thread count never changes emitted numbers.
+failure or exhausted memory, 2 configuration error.  --threads/threads is the
+worker count, 0 and 1 both meaning one worker; at most one worker runs per CPU
+the process may use, and thread count never changes emitted numbers.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import sys
 
 import numpy as np
 
-from .boundary import (FAMILIES, BoundaryFunction, RandomBoundaryModel, SampledTraces,
-                       sample_coeffs, sigma_norm, surrogate_h12_norm)
+from .boundary import (FAMILIES, BoundaryFunction, RandomBoundaryModel, sample_coeffs,
+                       sigma_norm, surrogate_h12_norm)
 from .constraints import KIND_ARITY, ConstraintMap, extract_cover, save_cover_csv
 from .errors import ConfigError, DomainError
 from .experiments import (TrialConfig, success_curve, tail_check,
@@ -46,7 +46,7 @@ from .grid import build_grid, disk_mask, rect_mask
 from .inverse import (conductivity_forward, conductivity_reconstruct,
                       qpat_forward, qpat_reconstruct_multi)
 from .runge import TARGET_KINDS, build_dictionary, make_target, tradeoff_curve
-from .solver import CoefficientField, assemble, save_field_csv, solve_dirichlet
+from .solver import CoefficientField, OnDemand, assemble, save_field_csv, solve_dirichlet
 from .streams import derive_rng
 
 
@@ -251,7 +251,7 @@ def _shared_options(after_command: bool) -> argparse.ArgumentParser:
                         help="key = value file or a manifest.json to replay")
     common.add_argument("--seed", default=default, help="master seed (nonnegative integer)")
     common.add_argument("--threads", default=default,
-                        help="worker threads; 0 = RANDBC_THREADS or 1")
+                        help="worker threads (0 or 1: one worker)")
     common.add_argument("--out", default=default, help="output directory (default .)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         dest="set_after" if after_command else "set",
@@ -385,22 +385,6 @@ class OutputWriter:
             fh.write("\n")
 
 
-def _threads(cfg: RunConfig) -> int:
-    t = cfg["threads"]
-    if t == 0:
-        env = os.environ.get("RANDBC_THREADS", "").strip()
-        if env:
-            try:
-                t = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"RANDBC_THREADS={env!r} is not an integer") from exc
-            if t < 1:
-                raise ConfigError(f"RANDBC_THREADS must be >= 1, got {t}")
-        else:
-            t = 1
-    return t
-
-
 def _grid(cfg: RunConfig):
     return build_grid(cfg["grid.n"])
 
@@ -473,7 +457,7 @@ def cmd_constraint_experiment(cfg: RunConfig, out: OutputWriter) -> None:
     N_list = cfg["N_list"]
     trial = _trial_config(cfg, grid, max(N_list))
     result = success_curve(trial, N_list, cfg["M"], tau=cfg["tau"],
-                           master_seed=cfg["seed"], threads=_threads(cfg))
+                           master_seed=cfg["seed"], threads=cfg["threads"])
     out.workers = result.workers
     rows = [(r.N, r.successes, r.M, r.rate, r.lo95, r.hi95, r.tau)
             for r in result.rows]
@@ -548,14 +532,17 @@ def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
     bc_spec = cfg["qpat.bc"]
     # N traces that keep one boundary walk's values, or none for random ones.
     if bc_spec == "random":
-        bcs = SampledTraces(sample_coeffs(_model(cfg), derive_rng(cfg["seed"], 0), N), grid)
+        model = _model(cfg)
+        coeffs = sample_coeffs(model, derive_rng(cfg["seed"], 0), N)
+        basis = model.basis.evaluate(grid)
+        bcs = OnDemand(lambda i: coeffs[i] @ basis, range(N))
     else:
         trace = (float(bc_spec.split(":", 1)[1]) if bc_spec.startswith("const:")
                  else _boundary_expr(bc_spec, grid, "qpat.bc"))
         bcs = np.broadcast_to(trace, (N, grid.boundary_count))
     datasets = qpat_forward(grid, mu, bcs, rtol=rtol, maxiter=maxiter)
     tau = cfg["qpat.tau"]
-    recon = qpat_reconstruct_multi(datasets, tau, window=window, rtol=rtol,
+    recon = qpat_reconstruct_multi(grid, datasets, tau, window=window, rtol=rtol,
                                    maxiter=maxiter)
     valid, mu_hat = recon.mask_valid, recon.mu_hat
     out.field("mu_hat.csv", grid, mu_hat)

@@ -190,18 +190,18 @@ def witness_check(cmap: ConstraintMap, grid: Grid2D, mask: SubdomainMask) -> flo
     return float(cf.values.min())
 
 
-def holder_seminorm(cfield: ConstraintField, grid: Grid2D, alpha: float = 0.5,
-                    max_nodes: int = 1500) -> float:
+def holder_seminorm(cfield: ConstraintField, grid: Grid2D, alpha: float = 0.5) -> float:
     """Empirical C^alpha seminorm sup |z(x)-z(y)| / |x-y|_inf^alpha (diagnostic).
 
-    Subsamples the mask deterministically when it is large.
+    Subsamples the mask deterministically to at most 1500 nodes, so that its
+    pairwise tables hold at most 1500^2 values.
     """
     if not (0.0 < alpha <= 1.0):
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     ix, iy = cfield.mask.indices
     v = cfield.values
-    if ix.size > max_nodes:
-        step = int(np.ceil(ix.size / max_nodes))
+    if ix.size > 1500:
+        step = int(np.ceil(ix.size / 1500))
         ix, iy, v = ix[::step], iy[::step], v[::step]
     x = ix * grid.h
     y = iy * grid.h

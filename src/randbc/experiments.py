@@ -208,8 +208,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     empirical 5% quantile (floor(0.05 M)-th smallest) of min-max at the
     largest N.
 
-    Repetitions run in min(threads, M, usable CPUs) contiguous blocks, one per
-    worker (os.sched_getaffinity where the platform has it); the result's
+    Repetitions run in max(1, min(threads, M, usable CPUs)) contiguous blocks,
+    one per worker (os.sched_getaffinity where the platform has it); the result's
     workers field records that count.  A worker allocates its (N_max, m)
     products once, evaluates the map in place in them, and merges the maxima
     of |zeta| over [N_{j-1}, N_j) into a running maximum.  Max is exact and
@@ -278,7 +278,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
 DEFAULT_PROBE_FRACTIONS = (0.3125, 0.5, 0.6875)
 
 
-def default_probes(grid: Grid2D) -> list[tuple[float, float]]:
+def default_probes() -> list[tuple[float, float]]:
     """3 x 3 probe lattice inside the standard window (exact nodes for dyadic n)."""
     return [(fx, fy) for fx in DEFAULT_PROBE_FRACTIONS for fy in DEFAULT_PROBE_FRACTIONS]
 
@@ -320,7 +320,7 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
 
     dictionary = ensure_dictionary(cfg)
     ixs, iys = [], []
-    for p in default_probes(cfg.grid):
+    for p in default_probes():
         ix, iy = cfg.grid.nearest_node(p)
         if not cfg.mask.member[ix, iy]:
             raise ConfigError(f"probe {p!r} snaps to ({ix}, {iy}) outside the window")

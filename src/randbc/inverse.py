@@ -6,8 +6,9 @@ measured interior energy is H = mu u; since Delta u = H, one Poisson solve
 recovers u and then mu = H / u wherever |u| clears a threshold.  The Poisson
 solve is a sign-flipped solve_dirichlet (solver.solve_poisson), so it meets
 the same contract and a traced run counts it with the forward solves.  With
-several illuminations every node keeps the largest |u| so far; each
-illumination's H is solved when it is read, so one H is held at a time.
+several illuminations every node keeps the largest |u| so far; qpat_forward
+returns an OnDemand whose items solve their illumination's H when read, so
+qpat_reconstruct_multi holds one H at a time.
 
 Conductivity: for fields u_i of -div(a grad u_i) = 0, the log-gradient
 g = grad log a solves the 2x2 system  [grad u_i] . g = -Delta u_i  nodewise;
@@ -24,14 +25,13 @@ the integration on the component's bounding box, to bound memory.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask, default_window
-from .solver import (CoefficientField, DiscreteOperator, ScalarField, SolveInfo, Stencil,
+from .solver import (CoefficientField, OnDemand, ScalarField, SolveInfo, Stencil,
                      assemble, conjugate_gradients, default_maxiter, gradient,
                      laplace_operator, laplacian, neighbor_field, solve_dirichlet,
                      solve_poisson)
@@ -46,48 +46,11 @@ class QpatData:
     boundary_u: np.ndarray
 
 
-class QpatMeasurements(Sequence):
-    """The photoacoustic measurements of one absorption, solved on access:
-    self[i] solves illumination i on the one forward operator and returns a
-    new QpatData, whose H is the solve's own field.
-
-    Nothing of size n^2 is kept per illumination, and traces are read when
-    their measurement is.  Slices are measurements too, and iterating keeps
-    no reference to a measurement once it is handed out, so a reader that
-    drops each one holds one H at a time.
-    """
-
-    def __init__(self, op: DiscreteOperator, mu: np.ndarray, traces, rtol: float, maxiter,
-                 indices: range | None = None):
-        self.operator = op
-        self.mu = mu
-        self.traces = traces        # sequence of boundary traces
-        self.rtol = rtol
-        self.maxiter = maxiter
-        self._indices = range(len(traces)) if indices is None else indices
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return QpatMeasurements(self.operator, self.mu, self.traces, self.rtol,
-                                    self.maxiter, self._indices[i])
-        bc = np.array(self.traces[self._indices[i]], dtype=float)
-        u = solve_dirichlet(self.operator, bc, rtol=self.rtol, maxiter=self.maxiter)
-        np.multiply(self.mu, u, out=u)      # H = mu u, in the solve's own field
-        return QpatData(grid=self.operator.grid, H=u, boundary_u=bc)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-
 def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
-                 maxiter=None) -> QpatMeasurements:
-    """Forward photoacoustic measurements for absorption mu, one per illumination
-    trace in the sequence bcs, each solved when it is read; the operator is
-    assembled once for all of them."""
+                 maxiter=None) -> OnDemand:
+    """Forward photoacoustic measurements for absorption mu, one QpatData per
+    illumination trace in the sequence bcs, each solved when it is read; the
+    operator is assembled once for all of them."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (grid.n, grid.n):
         raise ConfigError(f"mu must have shape {(grid.n, grid.n)}, got {mu.shape}")
@@ -96,7 +59,14 @@ def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
     if np.any(mu < 0.0):
         raise ConfigError("absorption must be nonnegative")
     op = assemble(grid, CoefficientField.isotropic(grid, a=1.0, q=mu))
-    return QpatMeasurements(op, mu, bcs, rtol, maxiter)
+
+    def measure(i):
+        bc = np.array(bcs[i], dtype=float)
+        u = solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter)
+        np.multiply(mu, u, out=u)      # H = mu u, in the solve's own field
+        return QpatData(grid=grid, H=u, boundary_u=bc)
+
+    return OnDemand(measure, range(len(bcs)))
 
 
 @dataclass(eq=False)
@@ -107,20 +77,18 @@ class QpatMultiResult:
     complete: bool               # all of the window is valid
 
 
-def qpat_reconstruct_multi(datasets, tau: float, window: SubdomainMask | None = None,
-                           rtol: float = 1e-10, maxiter=None) -> QpatMultiResult:
-    """Multi-illumination absorption from a sequence of QpatData, such as
-    qpat_forward's: each node uses its largest |u| measurement, the first of
+def qpat_reconstruct_multi(grid: Grid2D, datasets, tau: float,
+                           window: SubdomainMask | None = None, rtol: float = 1e-10,
+                           maxiter=None) -> QpatMultiResult:
+    """Multi-illumination absorption from a sequence of QpatData on grid, such
+    as qpat_forward's: each node uses its largest |u| measurement, the first of
     equal ones (DomainError when no node's |u| clears tau).  The measurements
     are read once, in order, and each is dropped before the next is read, so
-    a QpatMeasurements is solved one illumination at a time."""
+    qpat_forward's are solved one illumination at a time."""
     if len(datasets) == 0:
         raise ConfigError("need at least one measurement")
     if not (tau > 0.0):
         raise ConfigError(f"threshold must be positive, got tau={tau}")
-    # A QpatMeasurements' grid, read without solving its first measurement.
-    grid = (datasets.operator if isinstance(datasets, QpatMeasurements)
-            else datasets[0]).grid
     if window is None:
         window = default_window(grid)
     if window.grid_n != grid.n:

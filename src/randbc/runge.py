@@ -2,11 +2,12 @@
 
 A dictionary gives the solutions z_k of L z_k = 0 whose boundary data are the
 basis elements e_k.  build_dictionary() assembles the operator once and keeps
-no solution field: z[k] solves mode k when it is read, into temporaries the
-dictionary reuses, and returns a new field, so each reader reduces the K
-fields as it goes (the disk block of the normal equations, a target's one
-member) and memory does not grow with K n^2.  Given a local target h solving
-the same equation on a disk D, approximate() finds coefficients c minimizing
+no solution field: z is an OnDemand whose z[k] solves mode k when it is read,
+into temporaries each reading thread reuses, and returns a new field, so each
+reader reduces the K fields as it goes (the disk block of the normal
+equations, a target's one member) and memory does not grow with K n^2.  Given
+a local target h solving the same equation on a disk D, approximate() finds
+coefficients c minimizing
 
     || sum_k c_k z_k - h ||_{L2(D)}^2 + lambda * sum_k c_k^2 / sigma_k^2,
 
@@ -27,49 +28,24 @@ import numpy as np
 from .boundary import RandomBoundaryModel
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask
-from .solver import (CoefficientField, DiscreteOperator, assemble, laplacian,
+from .solver import (CoefficientField, DiscreteOperator, OnDemand, assemble, laplacian,
                      norms, solve_dirichlet)
 
 TARGET_KINDS = ("dictionary_member", "fundamental_solution", "harmonic_poly")
-
-
-class BasisSolutions(Sequence):
-    """The K basis solutions of one operator, solved on access: self[k] solves
-    the PDE with boundary data e_{k+1} and returns a new (n, n) field.
-
-    Nothing of size n^2 is kept per mode.  The solves of one thread share one
-    set of transform and product temporaries, kept here per thread, so
-    reading all K modes allocates them once and threads may read at once.
-    """
-
-    def __init__(self, op: DiscreteOperator, data: np.ndarray, rtol: float):
-        self.operator = op
-        self.data = data            # (K, boundary_count) boundary values e_k
-        self.rtol = rtol
-        self._local = threading.local()     # .work: this thread's temporaries
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
-    def __getitem__(self, k) -> np.ndarray:
-        work = getattr(self._local, "work", None)
-        if work is None:
-            work = self._local.work = {}
-        return solve_dirichlet(self.operator, self.data[k], rtol=self.rtol, work=work)
 
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
     """Basis solutions: z[k] solves the PDE with boundary data e_{k+1}.
 
-    z is a BasisSolutions from build_dictionary, or any (K, n, n) array of
-    solved fields; every reader takes z[k] once per k.
+    z is an OnDemand from build_dictionary, or a (K, n, n) array of solved
+    fields; every reader takes z[k] once per k.
     """
 
     grid: Grid2D
     coeff: CoefficientField
     model: RandomBoundaryModel
-    z: Sequence                 # BasisSolutions, or a (K, n, n) array
+    z: Sequence                 # OnDemand, or a (K, n, n) array
     operator: DiscreteOperator
 
     @property
@@ -86,8 +62,17 @@ def build_dictionary(grid: Grid2D, coeff: CoefficientField,
         K = model.K
     model = model.truncate(int(K))
     op = assemble(grid, coeff)
-    z = BasisSolutions(op, model.basis.evaluate(grid), rtol)
-    return Dictionary(grid=grid, coeff=coeff, model=model, z=z, operator=op)
+    data = model.basis.evaluate(grid)       # (K, boundary_count) boundary values e_k
+    local = threading.local()               # .work: this thread's solve temporaries
+
+    def solve_k(k):
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = {}
+        return solve_dirichlet(op, data[k], rtol=rtol, work=work)
+
+    return Dictionary(grid=grid, coeff=coeff, model=model,
+                      z=OnDemand(solve_k, range(model.K)), operator=op)
 
 
 @dataclass(frozen=True, eq=False)

@@ -93,11 +93,13 @@ and LU solves are direct.
 solve_dirichlet is the one solve entry: solve_poisson (Delta u = rhs, so
 L u = -rhs for L = -Delta) returns -v for the solve of L v = rhs with trace -g,
 bitwise the same u, as every step of the three paths is odd in (g, forcing).
+OnDemand is the sequence of solves that are made when read (a dictionary's
+basis solutions, a set of illuminations): nothing of size n^2 is kept per item.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -794,6 +796,31 @@ def solve_poisson(grid: Grid2D, rhs, g, rtol: float = 1e-10, maxiter=None,
     u = solve_dirichlet(op or laplace_operator(grid), -np.asarray(g, dtype=float), rtol,
                         maxiter, forcing=rhs)
     return np.negative(u, out=u)
+
+
+class OnDemand(Sequence):
+    """make(i) for each i of indices, made when read and never kept.
+
+    Integer indices, negative ones too, index indices; a slice is an
+    OnDemand over the sliced range.  Each read makes a new item, and
+    iteration keeps no reference to an item once it is handed out.
+    """
+
+    def __init__(self, make: Callable, indices: range):
+        self.make = make
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OnDemand(self.make, self.indices[i])
+        return self.make(self.indices[i])
+
+    def __iter__(self):
+        for i in self.indices:
+            yield self.make(i)
 
 
 def gradient(grid: Grid2D, field: ScalarField) -> tuple[np.ndarray, np.ndarray]:

@@ -182,7 +182,7 @@ def test_acceptance_09_absorption_round_trip():
     g = build_grid(129)
     mu = 1.0 + 0.5 * np.exp(-50.0 * ((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2))
     [data] = qpat_forward(g, mu, [np.ones(g.boundary_s.shape[0])])
-    res = qpat_reconstruct_multi([data], tau=0.1)
+    res = qpat_reconstruct_multi(g, [data], tau=0.1)
     w = default_window(g)
     covered = bool(np.all(res.mask_valid[w.member]))
     err = res.mu_hat[res.mask_valid] - mu[res.mask_valid]

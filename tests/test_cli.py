@@ -526,15 +526,21 @@ def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path):
     assert labels <= {1, 2}
 
 
-def test_worker_env_fallback_matches_serial_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("env", [None, "3"], ids=["unset", "set"])
+def test_zero_threads_matches_the_serial_run(env, tmp_path, monkeypatch):
+    # threads=0 runs one worker; the environment sets no worker count.
     serial = tmp_path / "serial"
     args = ["constraint-experiment", "--set", "grid.n=17", "--set", "bc.K=9",
             "--set", "N_list=1,2", "--set", "M=50", "--seed", "6"]
     assert run(args + ["--out", str(serial), "--threads", "1"]) == 0
-    monkeypatch.setenv("RANDBC_THREADS", "3")
-    enviro = tmp_path / "env"
-    assert run(args + ["--out", str(enviro), "--threads", "0"]) == 0
-    assert manifest(serial)["outputs"] == manifest(enviro)["outputs"]
+    if env is None:
+        monkeypatch.delenv("RANDBC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RANDBC_THREADS", env)
+    zero = tmp_path / "zero"
+    assert run(args + ["--out", str(zero), "--threads", "0"]) == 0
+    assert manifest(serial)["outputs"] == manifest(zero)["outputs"]
+    assert manifest(zero)["workers"] == manifest(serial)["workers"] == 1
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -279,10 +279,12 @@ def test_cover_complete_count_matches_labeling_every_repetition(kind, grid17, id
 
 
 def test_default_probes_snap_to_window_nodes(grid17):
-    pts = default_probes(grid17)
+    pts = default_probes()
     assert len(pts) == 9
     for x, y in pts:
         assert 0.25 <= x <= 0.75 and 0.25 <= y <= 0.75
+        ix, iy = grid17.nearest_node((x, y))
+        assert (grid17.xs[ix], grid17.xs[iy]) == (x, y)
 
 
 def test_variance_identity_on_the_small_model(cfg17):
@@ -312,7 +314,7 @@ def test_variance_identity_for_every_map_and_size(kind, K, grid17, ident17):
 
 
 def _probe_parts(cfg):
-    nodes = [cfg.grid.nearest_node(p) for p in default_probes(cfg.grid)]
+    nodes = [cfg.grid.nearest_node(p) for p in default_probes()]
     ixs = np.array([ix for ix, _ in nodes])
     iys = np.array([iy for _, iy in nodes])
     return restrict(cfg.grid, ensure_dictionary(cfg).z, ixs, iys)

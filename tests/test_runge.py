@@ -153,15 +153,11 @@ def _dense(dictionary):
 
 
 def test_members_are_solved_on_access_into_new_arrays(dict65):
-    first, again = dict65.z[4], dict65.z[4]
-    assert first is not again
-    np.testing.assert_array_equal(first, again)
+    # Indexing and slicing z: test_solver's on-demand sequence test.
+    first = dict65.z[4]
     first[:] = 0.0                      # a reader may keep and change what it got
     assert np.any(dict65.z[4] != 0.0)
     assert dict65.K == len(dict65.z) == 33
-    np.testing.assert_array_equal(dict65.z[-1], dict65.z[32])
-    with pytest.raises(IndexError):
-        dict65.z[33]
 
 
 def test_threads_reading_one_dictionary_get_the_serial_fields(dict65):

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from scipy.sparse import linalg as spla
 
+import randbc.cli
 import randbc.solver
-from randbc.boundary import RandomBoundaryModel
+from randbc.boundary import BoundaryFunction, RandomBoundaryModel, evaluate, sample_coeffs
 from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
+from randbc.inverse import qpat_forward
 from randbc.runge import build_dictionary
-from randbc.solver import (FORWARD, CoefficientField, Stencil, assemble,
+from randbc.solver import (FORWARD, CoefficientField, OnDemand, Stencil, assemble,
                            conjugate_gradients, gradient, laplacian, laplacian_floor,
                            load_field_csv, neighbor_field, norms, save_field_csv,
                            solve_dirichlet, solve_poisson)
+from randbc.streams import derive_rng
 
 from conftest import lattice_operator
 
@@ -1337,3 +1340,57 @@ def test_solve_into_a_non_contiguous_buffer_is_a_config_error():
     op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
     with pytest.raises(ConfigError, match="C-contiguous"):
         solve_dirichlet(op, np.cos(g.boundary_s), out=np.zeros((g.n, g.n)).T)
+
+
+def _cli_random_traces(monkeypatch, tmp_path):
+    """The random illumination traces cmd_qpat hands to qpat_forward (n=17,
+    K=9, N=5, seed 3), checked against evaluate on the command's draws."""
+    seen = []
+    forward = randbc.cli.qpat_forward
+
+    def capture(grid, mu, bcs, **kwargs):
+        seen.append((grid, bcs))
+        return forward(grid, mu, bcs, **kwargs)
+
+    monkeypatch.setattr(randbc.cli, "qpat_forward", capture)
+    argv = ["qpat", "--set", "grid.n=17", "--set", "bc.K=9", "--set", "N=5",
+            "--set", "qpat.bc=random", "--seed", "3", "--out", str(tmp_path / "qpat")]
+    assert randbc.cli.run(argv) == 0
+    [(grid, traces)] = seen
+    coeffs = sample_coeffs(RandomBoundaryModel.power_law(K=9), derive_rng(3, 0), 5)
+    assert [t.tobytes() for t in traces] == [
+        evaluate(BoundaryFunction(coeffs=c), grid).tobytes() for c in coeffs]
+    return traces
+
+
+@pytest.mark.parametrize("kind", ["dictionary", "qpat", "traces"])
+def test_on_demand_sequences_index_and_slice_as_their_listed_items(
+        kind, dict65, grid65, monkeypatch, tmp_path):
+    if kind == "dictionary":
+        seq, key, field = dict65.z, np.ndarray.tobytes, lambda z: z
+    elif kind == "qpat":
+        mu = 1.0 + 0.5 * np.exp(-50.0 * ((grid65.X - 0.5) ** 2 + (grid65.Y - 0.5) ** 2))
+        s = grid65.boundary_s
+        seq = qpat_forward(grid65, mu, [1.5 + np.cos(k * s) for k in range(4)])
+        key, field = (lambda d: (d.H.tobytes(), d.boundary_u.tobytes())), (lambda d: d.H)
+    else:
+        seq = _cli_random_traces(monkeypatch, tmp_path)
+        key, field = np.ndarray.tobytes, lambda t: t
+    assert isinstance(seq, OnDemand)
+    n = len(seq)
+    listed = [key(item) for item in seq]
+    assert len(listed) == n
+    assert [key(seq[i]) for i in range(-n, n)] == listed + listed
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+    for part in (np.s_[1:3], np.s_[::-2], np.s_[1:], np.s_[2:0:-1], np.s_[n + 1:]):
+        view = seq[part]
+        assert isinstance(view, OnDemand) and len(view) == len(listed[part])
+        assert [key(item) for item in view] == listed[part]
+        assert [key(view[i]) for i in range(-len(view), 0)] == listed[part]
+    assert [key(item) for item in seq[::-1][1:3]] == listed[::-1][1:3]   # a slice of a slice
+    assert [key(item) for item in seq[1:][::-2]] == listed[1:][::-2]
+    for i in (2, -1):
+        first, again = seq[i], seq[i]
+        assert key(first) == key(again) and field(first) is not field(again)
