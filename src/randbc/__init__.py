@@ -9,13 +9,12 @@ import os as _os
 _os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS"), "1"))
 
-from .boundary import (BoundaryBasis, BoundaryFunction, CovarianceSummary,
-                       RandomBoundaryModel, empirical_covariance, evaluate,
-                       sample, sample_coeffs, sigma_norm, surrogate_h12_norm)
-from .constraints import (ConstraintField, ConstraintMap, CoverLabeling,
-                          extract_cover, holder_seminorm, restrict,
-                          save_cover_csv, witness_check, witness_fields,
-                          zeta_eval)
+from .boundary import (BoundaryBasis, CovarianceSummary, RandomBoundaryModel,
+                       empirical_covariance, sample_coeffs, sigma_norm,
+                       surrogate_h12_norm)
+from .constraints import (ConstraintMap, CoverLabeling, extract_cover,
+                          holder_seminorm, restrict, save_cover_csv,
+                          witness_check, witness_fields, zeta_eval)
 from .errors import ConfigError, DomainError, RandbcError, SolverError
 from .experiments import (ConcentrationReport, SuccessCurveResult, TailReport,
                           TrialConfig, concentration_check, success_curve,

@@ -110,17 +110,6 @@ class RandomBoundaryModel:
                                    family=self.family)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryFunction:
-    """One realized boundary datum, stored by its basis coefficients."""
-
-    coeffs: np.ndarray
-
-    @property
-    def K(self) -> int:
-        return self.coeffs.shape[-1]
-
-
 def sample_coeffs(model: RandomBoundaryModel, rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """(count, K) i.i.d. coefficient rows a_k = sigma_k xi_k."""
@@ -137,42 +126,35 @@ def sample_coeffs(model: RandomBoundaryModel, rng: np.random.Generator,
     return xi * model.sigma
 
 
-def sample(model: RandomBoundaryModel, rng: np.random.Generator) -> BoundaryFunction:
-    """Draw one boundary function."""
-    return BoundaryFunction(coeffs=sample_coeffs(model, rng, 1)[0])
-
-
-def evaluate(bf: BoundaryFunction, grid: Grid2D) -> np.ndarray:
-    """Values of the boundary function along the grid's boundary walk."""
-    coeffs = np.asarray(bf.coeffs, dtype=float)
-    basis = BoundaryBasis(coeffs.shape[0])
-    return coeffs @ basis.evaluate(grid)
-
-
-def sigma_norm(bf: BoundaryFunction, model: RandomBoundaryModel) -> float:
-    """Weighted coefficient norm (sum a_k^2 / sigma_k^2)^{1/2}; +inf if a
-    coefficient sits on a zero weight."""
-    a = np.asarray(bf.coeffs, dtype=float)
-    if a.shape != (model.K,):
+def sigma_norm(coeffs, model: RandomBoundaryModel) -> np.ndarray:
+    """Weighted coefficient norm (sum a_k^2 / sigma_k^2)^{1/2} of each (..., K)
+    row; +inf for a row with a coefficient on a zero weight."""
+    a = np.asarray(coeffs, dtype=float)
+    if a.shape[-1:] != (model.K,):
         raise ConfigError(f"coefficients have shape {a.shape}, model has K={model.K}")
     live = model.sigma > 0.0
-    if np.any(a[~live] != 0.0):
-        return float("inf")
-    return float(np.sqrt(np.sum((a[live] / model.sigma[live]) ** 2)))
+    q = np.compress(live, a, axis=-1)   # C-contiguous: each row sums in 1-D order
+    np.square(np.divide(q, model.sigma[live], out=q), out=q)
+    off = np.any(np.compress(~live, a, axis=-1) != 0.0, axis=-1)
+    return np.where(off, np.inf, np.sqrt(np.sum(q, axis=-1)))
 
 
-def surrogate_h12_norm(bf: BoundaryFunction) -> float:
-    """Spectral H^{1/2} surrogate (sum sqrt(1 + m_k^2) a_k^2)^{1/2}."""
-    a = np.asarray(bf.coeffs, dtype=float)
-    m = mode_frequencies(a.shape[0]).astype(float)
+def surrogate_h12_norm(coeffs) -> np.ndarray:
+    """Spectral H^{1/2} surrogate (sum sqrt(1 + m_k^2) a_k^2)^{1/2} of each
+    (..., K) row."""
+    a = np.asarray(coeffs, dtype=float)
+    m = mode_frequencies(a.shape[-1]).astype(float)
     weights = np.sqrt(1.0 + m * m)
+    a = a.reshape(-1, m.size)
     with np.errstate(over="ignore"):
-        total = np.sum(weights * a * a)
-    if np.isfinite(total):
-        return float(np.sqrt(total))
-    top = np.abs(a).max()       # a * a overflows above about 1e154: rescale first
-    a = a / top
-    return float(top * np.sqrt(np.sum(weights * a * a)))
+        t = weights * a
+        norm = np.sqrt(np.sum(np.multiply(t, a, out=t), axis=-1))
+    big = ~np.isfinite(norm)
+    if big.any():               # a * a overflows above about 1e154: rescale first
+        top = np.abs(a[big]).max(axis=-1)
+        r = a[big] / top[:, None]
+        norm[big] = top * np.sqrt(np.sum(weights * r * r, axis=-1))
+    return norm.reshape(np.shape(coeffs)[:-1])
 
 
 @dataclass(frozen=True)
@@ -182,14 +164,9 @@ class CovarianceSummary:
 
 
 def empirical_covariance(samples) -> CovarianceSummary:
-    """Per-mode sample variances and the largest |off-diagonal correlation|.
-
-    samples: (M, K) coefficient array or a sequence of BoundaryFunction.
-    """
-    if isinstance(samples, np.ndarray):
-        A = np.asarray(samples, dtype=float)
-    else:
-        A = np.stack([np.asarray(s.coeffs, dtype=float) for s in samples])
+    """Per-mode sample variances and the largest |off-diagonal correlation| of
+    an (M, K) coefficient array."""
+    A = np.asarray(samples, dtype=float)
     if A.ndim != 2 or A.shape[0] < 2:
         raise DomainError("empirical covariance needs at least two samples")
     variances = A.var(axis=0, ddof=1)

@@ -28,6 +28,7 @@ the process may use, and thread count never changes emitted numbers.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -35,8 +36,8 @@ import sys
 
 import numpy as np
 
-from .boundary import (FAMILIES, BoundaryFunction, RandomBoundaryModel, sample_coeffs,
-                       sigma_norm, surrogate_h12_norm)
+from .boundary import (FAMILIES, RandomBoundaryModel, sample_coeffs, sigma_norm,
+                       surrogate_h12_norm)
 from .constraints import KIND_ARITY, ConstraintMap, extract_cover, save_cover_csv
 from .errors import ConfigError, DomainError
 from .experiments import (TrialConfig, success_curve, tail_check,
@@ -313,6 +314,7 @@ def _fmt(value) -> str:
 
 
 _DIGEST_CHUNK = 1 << 16     # bytes of an output read at once to digest it
+_CSV_BLOCK = 1 << 12        # rows of a table formatted and written at once
 
 
 class OutputWriter:
@@ -339,10 +341,13 @@ class OutputWriter:
 
     def csv(self, name: str, header, rows) -> None:
         # The bytes csv.writer would emit: every field is a number or a fixed
-        # identifier, so none needs quoting; "\r\n" line ends.
+        # identifier, so none needs quoting; "\r\n" line ends.  rows may be
+        # any iterable; it is read _CSV_BLOCK rows at a time.
+        lines = (",".join([_fmt(v) for v in row]) + "\r\n"
+                 for row in itertools.chain([header], rows))
         with open(self.path(name), "w", newline="") as fh:
-            fh.write("".join([",".join([_fmt(v) for v in row]) + "\r\n"
-                              for row in [header, *rows]]))
+            while block := list(itertools.islice(lines, _CSV_BLOCK)):
+                fh.write("".join(block))
         self.written.append(name)
 
     def field(self, name: str, grid, field) -> None:
@@ -442,14 +447,11 @@ def cmd_sample(cfg: RunConfig, out: OutputWriter) -> None:
     model = _model(cfg)
     count = cfg["sample.count"]
     coeffs = sample_coeffs(model, derive_rng(cfg["seed"], 0), count)
-    rows = [(i, k + 1, coeffs[i, k])
-            for i in range(count) for k in range(model.K)]
-    out.csv("samples.csv", ["sample", "k", "coeff"], rows)
-    norm_rows = []
-    for i in range(count):
-        bf = BoundaryFunction(coeffs=coeffs[i])
-        norm_rows.append((i, sigma_norm(bf, model), surrogate_h12_norm(bf)))
-    out.csv("sample_norms.csv", ["sample", "sigma_norm", "h12_surrogate"], norm_rows)
+    out.csv("samples.csv", ["sample", "k", "coeff"],
+            ((i, k, a) for i, row in enumerate(coeffs)
+             for k, a in enumerate(row.tolist(), start=1)))
+    out.csv("sample_norms.csv", ["sample", "sigma_norm", "h12_surrogate"],
+            zip(range(count), sigma_norm(coeffs, model), surrogate_h12_norm(coeffs)))
 
 
 def cmd_constraint_experiment(cfg: RunConfig, out: OutputWriter) -> None:

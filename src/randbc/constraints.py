@@ -53,14 +53,6 @@ class ConstraintMap:
         return KIND_ARITY[self.kind]
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintField:
-    """zeta evaluated at every node of a mask (values align with mask.indices)."""
-
-    values: np.ndarray
-    mask: SubdomainMask
-
-
 def feature_rows(cmap: ConstraintMap, vals, gxs, gys) -> list:
     """The map's d feature rows; each row is indexed by argument slot."""
     if cmap.kind == "nodal":
@@ -112,8 +104,9 @@ def restrict(grid: Grid2D, fields, ix, iy):
 
 
 def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
-              mask: SubdomainMask) -> ConstraintField:
-    """Evaluate the map on a tuple of full-grid fields over a mask."""
+              mask: SubdomainMask) -> np.ndarray:
+    """The map's values on a tuple of full-grid fields at the mask's nodes,
+    in mask.indices order."""
     fields = tuple(np.asarray(f, dtype=float) for f in fields)
     if len(fields) != cmap.arity:
         raise ConfigError(
@@ -121,7 +114,7 @@ def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
     if mask.grid_n != grid.n:
         raise ConfigError(f"mask was built for n={mask.grid_n}, grid has n={grid.n}")
     parts = restrict(grid, fields, *mask.indices)
-    return ConstraintField(values=det(feature_rows(cmap, *parts)), mask=mask)
+    return det(feature_rows(cmap, *parts))
 
 
 @dataclass(frozen=True)
@@ -186,20 +179,23 @@ def witness_fields(cmap: ConstraintMap, grid: Grid2D):
 
 def witness_check(cmap: ConstraintMap, grid: Grid2D, mask: SubdomainMask) -> float:
     """Minimum of zeta over the mask on the witness tuple (should be ~1)."""
-    cf = zeta_eval(cmap, witness_fields(cmap, grid), grid, mask)
-    return float(cf.values.min())
+    return float(zeta_eval(cmap, witness_fields(cmap, grid), grid, mask).min())
 
 
-def holder_seminorm(cfield: ConstraintField, grid: Grid2D, alpha: float = 0.5) -> float:
-    """Empirical C^alpha seminorm sup |z(x)-z(y)| / |x-y|_inf^alpha (diagnostic).
+def holder_seminorm(values, mask: SubdomainMask, grid: Grid2D,
+                    alpha: float = 0.5) -> float:
+    """Empirical C^alpha seminorm sup |z(x)-z(y)| / |x-y|_inf^alpha (diagnostic)
+    of values at the mask's nodes, in mask.indices order (as zeta_eval gives).
 
     Subsamples the mask deterministically to at most 1500 nodes, so that its
     pairwise tables hold at most 1500^2 values.
     """
     if not (0.0 < alpha <= 1.0):
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    ix, iy = cfield.mask.indices
-    v = cfield.values
+    v = np.asarray(values, dtype=float)
+    if v.shape != (mask.count,):
+        raise ConfigError(f"{v.shape} values for a mask of {mask.count} nodes")
+    ix, iy = mask.indices
     if ix.size > 1500:
         step = int(np.ceil(ix.size / 1500))
         ix, iy, v = ix[::step], iy[::step], v[::step]

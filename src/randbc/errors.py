@@ -1,9 +1,10 @@
 """Exception taxonomy.
 
 ConfigError means the request itself is malformed (bad sizes, unknown keys,
-out-of-range parameters) and maps to CLI exit status 2.  DomainError means a
-well-formed request failed at run time (non-finite data, empty regions,
-solver breakdown) and maps to exit status 1.
+out-of-range parameters, non-finite inputs) and maps to CLI exit status 2.
+DomainError means a well-formed request failed at run time (non-finite data
+that the run computed, empty regions, solver breakdown) and maps to exit
+status 1.
 """
 
 

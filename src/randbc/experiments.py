@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,10 @@ Z95 = 1.959963984540054
 _CHUNK = 2048       # samples per streamed chunk; a multiple of 64 rows
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TrialConfig:
-    """One experiment setting: equation, boundary law, map, window, N draws."""
+    """One experiment setting: equation, boundary law, map, window, N draws;
+    its dictionary and window_parts are made on first use and kept."""
 
     grid: Grid2D
     coeff: CoefficientField
@@ -66,42 +68,29 @@ class TrialConfig:
     cmap: ConstraintMap
     N: int
     mask: SubdomainMask | None = None
-    dictionary: Dictionary | None = None
-    # (dictionary, mask, restrict's (vals, gxs, gys)) of the last _window_parts
-    _window: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
             raise ConfigError(f"N must be an integer, got {self.N!r}")
-        self.N = int(self.N)
+        object.__setattr__(self, "N", int(self.N))
         if self.N < 1:
             raise ConfigError(f"need at least one measurement, got N={self.N}")
         if self.mask is None:
-            self.mask = default_window(self.grid)
+            object.__setattr__(self, "mask", default_window(self.grid))
         if self.mask.grid_n != self.grid.n:
             raise ConfigError("mask grid size does not match the experiment grid")
         if self.mask.count == 0:
             raise DomainError("observation window contains no grid nodes")
 
+    @cached_property
+    def dictionary(self) -> Dictionary:
+        """The basis dictionary; each of its readers solves the K modes once."""
+        return build_dictionary(self.grid, self.coeff, self.model)
 
-def ensure_dictionary(cfg: TrialConfig) -> Dictionary:
-    """Build (once) and cache the basis dictionary on the config; sharing one
-    saves its assembly, while each reader solves the K modes once."""
-    if cfg.dictionary is None:
-        cfg.dictionary = build_dictionary(cfg.grid, cfg.coeff, cfg.model)
-    if cfg.dictionary.K != cfg.model.K:
-        raise ConfigError(
-            f"dictionary has K={cfg.dictionary.K}, model has K={cfg.model.K}")
-    return cfg.dictionary
-
-
-def _window_parts(cfg: TrialConfig) -> tuple:
-    """The dictionary's (vals, gxs, gys) on the window, computed once per
-    dictionary and mask and kept on cfg."""
-    d = ensure_dictionary(cfg)
-    if cfg._window is None or cfg._window[0] is not d or cfg._window[1] is not cfg.mask:
-        cfg._window = (d, cfg.mask, restrict(d.grid, d.z, *cfg.mask.indices))
-    return cfg._window[2]
+    @cached_property
+    def window_parts(self) -> tuple:
+        """restrict's (vals, gxs, gys) of the dictionary's modes on the window."""
+        return restrict(self.grid, self.dictionary.z, *self.mask.indices)
 
 
 def _constraint_rows(feats: list, coeffs: np.ndarray, out=None) -> np.ndarray:
@@ -146,7 +135,7 @@ def trial_fields(cfg: TrialConfig, trial_seed: int) -> np.ndarray:
     """Draw one trial's N measurements: their (N, m) constraint values on the
     window's nodes (cfg.mask.indices order), kept for inspection."""
     coeffs = sample_coeffs(cfg.model, derive_rng(trial_seed), cfg.N * cfg.cmap.arity)
-    return _constraint_rows(feature_rows(cfg.cmap, *_window_parts(cfg)),
+    return _constraint_rows(feature_rows(cfg.cmap, *cfg.window_parts),
                             coeffs.reshape(cfg.N, cfg.cmap.arity, cfg.model.K))
 
 
@@ -226,7 +215,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         raise ConfigError(f"measurement counts must be >= 1, got {Ns[0]}")
     N_max = Ns[-1]
     arity = cfg.cmap.arity
-    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
+    feats = feature_rows(cfg.cmap, *cfg.window_parts)
     K, m = cfg.model.K, cfg.mask.count
     blocks = list(zip([0] + Ns[:-1], Ns))             # [N_{j-1}, N_j)
     min_max = np.empty((M, len(Ns)))
@@ -318,7 +307,6 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
         raise ConfigError(f"need at least two samples, got M={M!r}")
     M = int(M)
 
-    dictionary = ensure_dictionary(cfg)
     ixs, iys = [], []
     for p in default_probes():
         ix, iy = cfg.grid.nearest_node(p)
@@ -326,7 +314,7 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
             raise ConfigError(f"probe {p!r} snaps to ({ix}, {iy}) outside the window")
         ixs.append(ix)
         iys.append(iy)
-    feats = feature_rows(cfg.cmap, *restrict(dictionary.grid, dictionary.z, ixs, iys))
+    feats = feature_rows(cfg.cmap, *restrict(cfg.grid, cfg.dictionary.z, ixs, iys))
     with np.errstate(over="ignore", invalid="ignore"):
         series = _second_moment_series(feats, cfg.model.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
@@ -457,11 +445,10 @@ def concentration_check(cfg: TrialConfig, N_values, M: int,
     if not Ns or Ns[0] < 1:
         raise ConfigError(f"bad N_values {N_values!r}")
 
-    dictionary = ensure_dictionary(cfg)
     ix, iy = cfg.grid.nearest_node((0.5, 0.5))
     if not cfg.mask.member[ix, iy]:
         raise ConfigError("probe (0.5, 0.5) lies outside the window")
-    feats = feature_rows(cfg.cmap, *restrict(dictionary.grid, dictionary.z, [ix], [iy]))
+    feats = feature_rows(cfg.cmap, *restrict(cfg.grid, cfg.dictionary.z, [ix], [iy]))
     w = feats[0][:, 0]
     mu = float(_second_moment_series(feats, cfg.model.sigma ** 2)[0])
 

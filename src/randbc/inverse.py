@@ -51,14 +51,11 @@ def qpat_forward(grid: Grid2D, mu, bcs, rtol: float = 1e-10,
     """Forward photoacoustic measurements for absorption mu, one QpatData per
     illumination trace in the sequence bcs, each solved when it is read; the
     operator is assembled once for all of them."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (grid.n, grid.n):
-        raise ConfigError(f"mu must have shape {(grid.n, grid.n)}, got {mu.shape}")
-    if not np.all(np.isfinite(mu)):
-        raise DomainError("absorption must be finite")
+    coeff = CoefficientField.isotropic(grid, a=1.0, q=mu)
+    mu = coeff.q
     if np.any(mu < 0.0):
         raise ConfigError("absorption must be nonnegative")
-    op = assemble(grid, CoefficientField.isotropic(grid, a=1.0, q=mu))
+    op = assemble(grid, coeff)
 
     def measure(i):
         bc = np.array(bcs[i], dtype=float)
@@ -129,22 +126,16 @@ class ConductivityData:
 def conductivity_forward(grid: Grid2D, a, bcs=None, rtol: float = 1e-10,
                          maxiter=None) -> ConductivityData:
     """Solve the two measurement fields; default boundary traces are x1 and x2."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (grid.n, grid.n):
-        raise ConfigError(f"a must have shape {(grid.n, grid.n)}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("conductivity must be finite")
-    if np.any(a <= 0.0):
-        raise ConfigError("conductivity must be strictly positive")
+    coeff = CoefficientField.isotropic(grid, a=a, q=0.0)
     if bcs is None:
         bcs = (grid.xs[grid.boundary_ix], grid.xs[grid.boundary_iy])
     if len(bcs) != 2:
         raise ConfigError("exactly two boundary traces are required")
-    op = assemble(grid, CoefficientField.isotropic(grid, a=a, q=0.0))
+    op = assemble(grid, coeff)
     u = np.empty((2, grid.n, grid.n))
     for field, bc in zip(u, bcs):
         solve_dirichlet(op, bc, rtol=rtol, maxiter=maxiter, out=field)
-    return ConductivityData(grid=grid, u=u, a_true=a)
+    return ConductivityData(grid=grid, u=u, a_true=coeff.a)
 
 
 @dataclass(eq=False)

@@ -757,14 +757,14 @@ def solve_dirichlet(op: DiscreteOperator, g, rtol: float = 1e-10, maxiter=None,
         if forcing.shape != (grid.n, grid.n):
             raise ConfigError(f"forcing must have shape {(grid.n, grid.n)}")
         if not np.all(np.isfinite(forcing)):
-            raise DomainError("forcing must be finite")
+            raise ConfigError("forcing must be finite")
         forcing = forcing[1:-1, 1:-1]
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.boundary_count,):
         raise ConfigError(
             f"boundary data must have shape ({grid.boundary_count},), got {g.shape}")
     if not np.all(np.isfinite(g)):
-        raise DomainError("boundary data must be finite")
+        raise ConfigError("boundary data must be finite")
     if not (0.0 < rtol < 1.0):
         raise ConfigError(f"rtol must lie in (0, 1), got {rtol}")
     if out is None:

@@ -18,7 +18,7 @@ from randbc.experiments import (TrialConfig, success_curve, tail_check,
 from randbc.grid import build_grid, default_window, disk_mask
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct_multi)
-from randbc.runge import approximate, build_dictionary, make_target, tradeoff_curve
+from randbc.runge import approximate, make_target, tradeoff_curve
 from randbc.solver import CoefficientField, assemble, solve_dirichlet
 from randbc.streams import derive_rng
 
@@ -36,9 +36,8 @@ def curves33(grid33, ident33):
     out = {}
     for family in ("gaussian", "rademacher", "uniform"):
         model = RandomBoundaryModel.power_law(K=33, c=1.0, s=1.5, family=family)
-        d = build_dictionary(grid33, ident33, model)
         cfg = TrialConfig(grid=grid33, coeff=ident33, model=model,
-                          cmap=ConstraintMap("critical"), N=16, dictionary=d)
+                          cmap=ConstraintMap("critical"), N=16)
         out[family] = success_curve(cfg, [1, 2, 4, 8, 16], M=200,
                                     tau="auto", master_seed=0)
     return out
@@ -110,11 +109,10 @@ def test_acceptance_03_multilinearity_antisymmetry(grid17):
 def test_acceptance_04_variance_identity(grid33, ident33):
     t0 = time.perf_counter()
     model = RandomBoundaryModel.power_law(K=17, c=1.0, s=1.5, family="gaussian")
-    d = build_dictionary(grid33, ident33, model)
     zs = []
     for kind in ("nodal", "critical"):
         cfg = TrialConfig(grid=grid33, coeff=ident33, model=model,
-                          cmap=ConstraintMap(kind), N=1, dictionary=d)
+                          cmap=ConstraintMap(kind), N=1)
         rows = variance_identity_check(cfg, M=10000, master_seed=0)
         zs.extend(abs(r.z) for r in rows)
     elapsed = time.perf_counter() - t0

@@ -260,6 +260,21 @@ def test_overflowing_coefficients_exit_with_the_config_code_and_no_warning(key, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, pair", [
+    ("solve", "coeff.a=1/x"), ("solve", "coeff.q=1/x"), ("qpat", "qpat.mu=1/x"),
+    ("conductivity", "cond.a=1/x"), ("solve", "solve.bc=1/x"), ("qpat", "qpat.bc=1/x"),
+    ("conductivity", "cond.bc=1/x;y"),
+])
+def test_a_non_finite_input_field_exits_with_the_config_code(command, pair, tmp_path,
+                                                             capsys):
+    out = tmp_path / "o"
+    rc = run([command, "--out", str(out), "--set", "grid.n=17", "--set", pair])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_diffusion_scale_just_above_the_underflow_bound_still_solves(tmp_path):
     outs = [tmp_path / "unit", tmp_path / "tiny"]
     for out, a in zip(outs, ["1+x", "1e-150*(1+x)"]):
@@ -503,6 +518,15 @@ def test_sample_writes_draws_and_norms(tmp_path):
     assert rc == 0
     assert (out / "samples.csv").exists()
     assert (out / "sample_norms.csv").exists()
+
+
+def test_sample_memory_grows_by_at_most_32_bytes_per_coefficient(tmp_path,
+                                                                 traced_memory):
+    def peak(count):
+        return traced_run_peak(["sample", "--set", f"sample.count={count}"],
+                               tmp_path / str(count), traced_memory, warm_argv=["sample"])
+    K = int(REGISTRY["bc.K"][1])
+    assert peak(8000) - peak(2000) <= 32 * 6000 * K
 
 
 def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path):

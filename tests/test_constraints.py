@@ -7,10 +7,10 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from randbc.constraints import (KIND_ARITY, ConstraintField, ConstraintMap,
-                                CoverLabeling, det, extract_cover, feature_rows,
-                                holder_seminorm, restrict, save_cover_csv,
-                                witness_check, witness_fields, zeta_eval)
+from randbc.constraints import (KIND_ARITY, ConstraintMap, CoverLabeling, det,
+                                extract_cover, feature_rows, holder_seminorm,
+                                restrict, save_cover_csv, witness_check,
+                                witness_fields, zeta_eval)
 from randbc.errors import ConfigError, DomainError
 from randbc.grid import build_grid, default_window
 from randbc.solver import gradient
@@ -51,11 +51,11 @@ def test_nodal_and_critical_values(grid17):
     g = grid17
     w = default_window(g)
     f = 2.0 * g.X - g.Y
-    cf = zeta_eval(ConstraintMap("nodal"), [f], g, w)
-    np.testing.assert_allclose(cf.values, (2.0 * g.X - g.Y)[w.member].ravel(),
+    values = zeta_eval(ConstraintMap("nodal"), [f], g, w)
+    np.testing.assert_allclose(values, (2.0 * g.X - g.Y)[w.member].ravel(),
                                rtol=0, atol=1e-14)
-    cf2 = zeta_eval(ConstraintMap("critical", direction=(0.0, 1.0)), [f], g, w)
-    np.testing.assert_allclose(cf2.values, -1.0, rtol=0, atol=1e-12)
+    values = zeta_eval(ConstraintMap("critical", direction=(0.0, 1.0)), [f], g, w)
+    np.testing.assert_allclose(values, -1.0, rtol=0, atol=1e-12)
 
 
 def test_arity_mismatch_is_rejected(grid17):
@@ -233,7 +233,8 @@ def test_save_cover_csv_bytes_match_the_csv_module(tmp_path):
 
 def test_holder_seminorm_vanishes_on_constants(grid17):
     w = default_window(grid17)
-    const = ConstraintField(values=np.ones(w.count), mask=w)
-    assert holder_seminorm(const, grid17) == 0.0
+    assert holder_seminorm(np.ones(w.count), w, grid17) == 0.0
     lin = zeta_eval(ConstraintMap("nodal"), [grid17.X], grid17, w)
-    assert holder_seminorm(lin, grid17) > 0.0
+    assert holder_seminorm(lin, w, grid17) > 0.0
+    with pytest.raises(ConfigError):
+        holder_seminorm(lin[1:], w, grid17)

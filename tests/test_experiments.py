@@ -1,6 +1,7 @@
 """Monte Carlo studies over the random boundary model."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,21 +11,20 @@ import randbc.runge
 from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
 from randbc.constraints import ConstraintMap, extract_cover, feature_rows, restrict, zeta_eval
 from randbc.errors import ConfigError
-from randbc.grid import default_window
+from randbc.grid import rect_mask
 from randbc.runge import Dictionary
 from randbc.experiments import (_CHUNK, TrialConfig, _constraint_rows,
-                                _spans, _survival, _window_parts,
-                                concentration_check, default_probes,
-                                ensure_dictionary, success_curve, tail_check,
+                                _spans, _survival, concentration_check,
+                                default_probes, success_curve, tail_check,
                                 trial_fields, variance_identity_check,
                                 wilson_interval)
 from randbc.streams import derive_rng
 
 
 @pytest.fixture()
-def cfg17(grid17, ident17, model9, dict17):
+def cfg17(grid17, ident17, model9):
     return TrialConfig(grid=grid17, coeff=ident17, model=model9,
-                       cmap=ConstraintMap("nodal"), N=4, dictionary=dict17)
+                       cmap=ConstraintMap("nodal"), N=4)
 
 
 def test_wilson_interval_frozen_values():
@@ -48,9 +48,9 @@ def test_wilson_interval_endpoints_are_exact(M):
 
 def test_injected_constant_field_gives_its_magnitude_exactly(cfg17, grid17):
     c = 3.25
-    field = zeta_eval(ConstraintMap("nodal"), (np.full(grid17.X.shape, c),),
-                      grid17, cfg17.mask)
-    assert extract_cover(field.values[None], 1.0).value.min() == c
+    values = zeta_eval(ConstraintMap("nodal"), (np.full(grid17.X.shape, c),),
+                       grid17, cfg17.mask)
+    assert extract_cover(values[None], 1.0).value.min() == c
 
 
 def test_trial_labels_appear_at_a_reference_threshold(cfg17):
@@ -68,13 +68,13 @@ def test_trial_fields_are_the_rows_of_the_trial_seeds_stream(cfg17):
     rows = trial_fields(cfg17, 7)
     assert rows.shape == (cfg17.N, cfg17.mask.count)
     coeffs = sample_coeffs(cfg17.model, derive_rng(7), cfg17.N)
-    np.testing.assert_array_equal(rows, coeffs @ _window_parts(cfg17)[0])
+    np.testing.assert_array_equal(rows, coeffs @ cfg17.window_parts[0])
     # the values of the synthesized fields, up to rounding
     z = cfg17.dictionary.z
     u = np.tensordot(coeffs, np.stack([z[k] for k in range(len(z))]), 1)
     for l in range(cfg17.N):
-        np.testing.assert_allclose(zeta_eval(cfg17.cmap, [u[l]], cfg17.grid,
-                                             cfg17.mask).values, rows[l], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(zeta_eval(cfg17.cmap, [u[l]], cfg17.grid, cfg17.mask),
+                                   rows[l], rtol=0, atol=1e-12)
 
 
 def test_trials_are_reproducible_and_seed_sensitive(cfg17):
@@ -212,23 +212,27 @@ def test_a_config_solves_its_window_modes_once(grid17, ident17, model9, monkeypa
     monkeypatch.setattr(randbc.runge, "solve_dirichlet", counting)
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
                       cmap=ConstraintMap("critical"), N=2)
-    parts = _window_parts(cfg)
     success_curve(cfg, [1, 2], M=50)
     trial_fields(cfg, 3)
-    assert _window_parts(cfg) is parts
     assert len(solved) == model9.K
-    cfg.mask = default_window(grid17)       # a new window is restricted anew
-    assert _window_parts(cfg) is not parts
+    parts = cfg.window_parts
+    assert cfg.window_parts is parts
+    quarter = rect_mask(grid17, (0.25, 0.25), (0.5, 0.5))
+    with pytest.raises(FrozenInstanceError):
+        cfg.mask = quarter
+    other = TrialConfig(grid=grid17, coeff=ident17, model=model9,
+                        cmap=ConstraintMap("critical"), N=2, mask=quarter)
+    trial_fields(other, 3)
     assert len(solved) == 2 * model9.K
+    assert other.window_parts[0].shape == (model9.K, other.mask.count)
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
 def test_batched_augmented_rows_flip_sign_exactly_under_transpositions(perm, grid17,
-                                                                       ident17, model9,
-                                                                       dict17):
+                                                                       ident17, model9):
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
-                      cmap=ConstraintMap("augmented"), N=8, dictionary=dict17)
-    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
+                      cmap=ConstraintMap("augmented"), N=8)
+    feats = feature_rows(cfg.cmap, *cfg.window_parts)
     coeffs = sample_coeffs(model9, derive_rng(31, 0), 8 * 3).reshape(8, 3, model9.K)
     rows = _constraint_rows(feats, coeffs)
     assert rows.shape == (8, cfg.mask.count)
@@ -238,7 +242,7 @@ def test_batched_augmented_rows_flip_sign_exactly_under_transpositions(perm, gri
 def _reference_complete_count(cfg, N_max, M, tau, master_seed):
     """Covers complete at tau, counted the long way: redraw each repetition's
     N_max constraint rows and label them with extract_cover."""
-    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
+    feats = feature_rows(cfg.cmap, *cfg.window_parts)
     arity, K = cfg.cmap.arity, cfg.model.K
     complete = 0
     for rep in range(M):
@@ -250,7 +254,7 @@ def _reference_complete_count(cfg, N_max, M, tau, master_seed):
 
 def _reference_min_max(cfg, Ns, M, master_seed):
     """min over nodes of max_{l < N_j} |zeta^l|, from each repetition's full rows."""
-    feats = feature_rows(cfg.cmap, *_window_parts(cfg))
+    feats = feature_rows(cfg.cmap, *cfg.window_parts)
     arity, K = cfg.cmap.arity, cfg.model.K
     out = np.empty((M, len(Ns)))
     for rep in range(M):
@@ -262,10 +266,10 @@ def _reference_min_max(cfg, Ns, M, master_seed):
 
 @pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
 def test_cover_complete_count_matches_labeling_every_repetition(kind, grid17, ident17,
-                                                                model9, dict17):
+                                                                model9):
     Ns = [1, 3, 4]
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
-                      cmap=ConstraintMap(kind), N=4, dictionary=dict17)
+                      cmap=ConstraintMap(kind), N=4)
     auto = success_curve(cfg, Ns, M=50, tau="auto", master_seed=5)
     explicit_tau = float(np.median(auto.min_max[:, -1]))
     explicit = success_curve(cfg, Ns, M=50, tau=explicit_tau, master_seed=5)
@@ -317,7 +321,7 @@ def _probe_parts(cfg):
     nodes = [cfg.grid.nearest_node(p) for p in default_probes()]
     ixs = np.array([ix for ix, _ in nodes])
     iys = np.array([iy for _, iy in nodes])
-    return restrict(cfg.grid, ensure_dictionary(cfg).z, ixs, iys)
+    return restrict(cfg.grid, cfg.dictionary.z, ixs, iys)
 
 
 def test_series_matches_brute_force_sums_over_modes(grid17, ident17):
@@ -351,7 +355,7 @@ def test_series_matches_brute_force_sums_over_modes(grid17, ident17):
                                   ConstraintMap("critical", direction=(1.0, 2.0))])
 def test_single_argument_series_is_the_weighted_square_sum(cmap, cfg17):
     cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
-                      cmap=cmap, N=1, dictionary=cfg17.dictionary)
+                      cmap=cmap, N=1)
     series = np.array([r.series for r in variance_identity_check(cfg, M=2)])
     vals, gxs, gys = _probe_parts(cfg)
     if cmap.kind == "nodal":
@@ -418,10 +422,10 @@ def test_survival_counts_equal_the_mask_means():
 @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
 @pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
 def test_streamed_variance_reductions_equal_the_one_shot_ones(kind, family, grid17,
-                                                              ident17, dict17):
+                                                              ident17):
     model = RandomBoundaryModel.power_law(K=9, family=family)
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model,
-                      cmap=ConstraintMap(kind), N=1, dictionary=dict17)
+                      cmap=ConstraintMap(kind), N=1)
     M = 5 * _CHUNK // 2
     rows = variance_identity_check(cfg, M=M, master_seed=3)
 
@@ -447,9 +451,9 @@ def _peak_growth(traced_memory, check) -> int:
 
 @pytest.mark.parametrize("kind", ["nodal", "critical", "jacobian", "augmented"])
 def test_variance_check_memory_does_not_grow_with_M(kind, grid17, ident17, model9,
-                                                    dict17, traced_memory):
+                                                    traced_memory):
     cfg = TrialConfig(grid=grid17, coeff=ident17, model=model9,
-                      cmap=ConstraintMap(kind), N=1, dictionary=dict17)
+                      cmap=ConstraintMap(kind), N=1)
     assert _peak_growth(traced_memory,
                         lambda M: variance_identity_check(cfg, M=M)) <= 64 * 1024
 
@@ -457,8 +461,7 @@ def test_variance_check_memory_does_not_grow_with_M(kind, grid17, ident17, model
 def test_tail_and_concentration_memory_grow_by_at_most_8_bytes_per_sample(cfg17,
                                                                          traced_memory):
     cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
-                      cmap=ConstraintMap("critical"), N=1,
-                      dictionary=cfg17.dictionary)
+                      cmap=ConstraintMap("critical"), N=1)
     bound = 8 * 27 * _CHUNK + 64 * 1024
     assert _peak_growth(traced_memory, lambda M: tail_check(cfg.model, M)) <= bound
     assert _peak_growth(traced_memory,
@@ -482,8 +485,7 @@ def test_tail_check_requires_enough_samples(model9):
 
 def test_concentration_of_empirical_means(cfg17):
     cfg = TrialConfig(grid=cfg17.grid, coeff=cfg17.coeff, model=cfg17.model,
-                      cmap=ConstraintMap("nodal"), N=1,
-                      dictionary=cfg17.dictionary)
+                      cmap=ConstraintMap("nodal"), N=1)
     rep = concentration_check(cfg, [4, 16], M=300, master_seed=0)
     assert rep.C_hat > 0.0
     assert np.isfinite(rep.mu)

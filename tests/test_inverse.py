@@ -43,7 +43,7 @@ def test_absorption_validation(grid, mu_bump):
         qpat_forward(grid, -mu_bump, [bc])
     bad = mu_bump.copy()
     bad[3, 3] = np.nan
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="^coefficients must be finite$"):
         qpat_forward(grid, bad, [bc])
     [data] = qpat_forward(grid, mu_bump, [bc])
     with pytest.raises(ConfigError):

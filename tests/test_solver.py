@@ -9,7 +9,7 @@ from scipy.sparse import linalg as spla
 
 import randbc.cli
 import randbc.solver
-from randbc.boundary import BoundaryFunction, RandomBoundaryModel, evaluate, sample_coeffs
+from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
 from randbc.errors import ConfigError, SolverError
 from randbc.grid import build_grid, default_window
 from randbc.inverse import qpat_forward
@@ -1344,7 +1344,7 @@ def test_solve_into_a_non_contiguous_buffer_is_a_config_error():
 
 def _cli_random_traces(monkeypatch, tmp_path):
     """The random illumination traces cmd_qpat hands to qpat_forward (n=17,
-    K=9, N=5, seed 3), checked against evaluate on the command's draws."""
+    K=9, N=5, seed 3), checked against the command's draws times the basis."""
     seen = []
     forward = randbc.cli.qpat_forward
 
@@ -1358,8 +1358,8 @@ def _cli_random_traces(monkeypatch, tmp_path):
     assert randbc.cli.run(argv) == 0
     [(grid, traces)] = seen
     coeffs = sample_coeffs(RandomBoundaryModel.power_law(K=9), derive_rng(3, 0), 5)
-    assert [t.tobytes() for t in traces] == [
-        evaluate(BoundaryFunction(coeffs=c), grid).tobytes() for c in coeffs]
+    basis = BoundaryBasis(9).evaluate(grid)
+    assert [t.tobytes() for t in traces] == [(c @ basis).tobytes() for c in coeffs]
     return traces
 
 
