@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import Grid2D
+from .solver import root_sum_squares
 
 FAMILIES = ("gaussian", "rademacher", "uniform")
 
@@ -109,6 +110,11 @@ class RandomBoundaryModel:
         return RandomBoundaryModel(basis=BoundaryBasis(K), sigma=self.sigma[:K],
                                    family=self.family)
 
+    def in_units(self) -> tuple["RandomBoundaryModel", int]:
+        """(this law in units of 2^e, e), max sigma in [2^(e-1), 2^e): draws 2^-e times ours."""
+        e = int(np.frexp(self.sigma.max())[1])
+        return RandomBoundaryModel(self.basis, np.ldexp(self.sigma, -e), self.family), e
+
 
 def sample_coeffs(model: RandomBoundaryModel, rng: np.random.Generator,
                   count: int) -> np.ndarray:
@@ -142,19 +148,8 @@ def sigma_norm(coeffs, model: RandomBoundaryModel) -> np.ndarray:
 def surrogate_h12_norm(coeffs) -> np.ndarray:
     """Spectral H^{1/2} surrogate (sum sqrt(1 + m_k^2) a_k^2)^{1/2} of each
     (..., K) row."""
-    a = np.asarray(coeffs, dtype=float)
-    m = mode_frequencies(a.shape[-1]).astype(float)
-    weights = np.sqrt(1.0 + m * m)
-    a = a.reshape(-1, m.size)
-    with np.errstate(over="ignore"):
-        t = weights * a
-        norm = np.sqrt(np.sum(np.multiply(t, a, out=t), axis=-1))
-    big = ~np.isfinite(norm)
-    if big.any():               # a * a overflows above about 1e154: rescale first
-        top = np.abs(a[big]).max(axis=-1)
-        r = a[big] / top[:, None]
-        norm[big] = top * np.sqrt(np.sum(weights * r * r, axis=-1))
-    return norm.reshape(np.shape(coeffs)[:-1])
+    m = mode_frequencies(np.shape(coeffs)[-1]).astype(float)
+    return root_sum_squares(coeffs, axis=-1, weights=np.sqrt(1.0 + m * m))
 
 
 @dataclass(frozen=True)

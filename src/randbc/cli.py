@@ -19,15 +19,16 @@ resolved configuration of the run that produced it.
 Every run writes its CSV artifacts plus manifest.json (resolved config,
 sha256 of each output and, for constraint-experiment, the number of workers
 that ran) into --out.  The digests are streamed from each written file, in
-fixed-size chunks, after the run.  Exit status: 0 success, 1 runtime/domain
-failure or exhausted memory, 2 configuration error.  --threads/threads is the
-worker count, 0 and 1 both meaning one worker; at most one worker runs per CPU
-the process may use, and thread count never changes emitted numbers.
+fixed-size chunks, after the run.  Exit status: 0 success, 1 runtime, domain
+or write failure or exhausted memory, 2 configuration error.  --threads/threads
+is the worker count, 0 and 1 both meaning one worker; at most one worker runs
+per CPU the process may use, and thread count never changes emitted numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -47,7 +48,8 @@ from .grid import build_grid, disk_mask, rect_mask
 from .inverse import (conductivity_forward, conductivity_reconstruct,
                       qpat_forward, qpat_reconstruct_multi)
 from .runge import TARGET_KINDS, build_dictionary, make_target, tradeoff_curve
-from .solver import CoefficientField, OnDemand, assemble, save_field_csv, solve_dirichlet
+from .solver import (CoefficientField, OnDemand, assemble, root_sum_squares,
+                     save_field_csv, solve_dirichlet)
 from .streams import derive_rng
 
 
@@ -337,6 +339,9 @@ class OutputWriter:
             raise ConfigError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
     def path(self, name: str) -> str:
+        """The path of a new output, recorded before it is written, so that
+        cleanup also removes one written in part (the manifest too)."""
+        self.written.append(name)
         return os.path.join(self.out_dir, name)
 
     def csv(self, name: str, header, rows) -> None:
@@ -348,26 +353,19 @@ class OutputWriter:
         with open(self.path(name), "w", newline="") as fh:
             while block := list(itertools.islice(lines, _CSV_BLOCK)):
                 fh.write("".join(block))
-        self.written.append(name)
 
     def field(self, name: str, grid, field) -> None:
         save_field_csv(grid, field, self.path(name))
-        self.written.append(name)
 
     def cover(self, name: str, grid, mask, labeling) -> None:
         save_cover_csv(grid, mask, labeling, self.path(name))
-        self.written.append(name)
 
     def cleanup(self) -> None:
         for name in self.written:
-            try:
-                os.remove(self.path(name))
-            except OSError:
-                pass
-        try:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(self.out_dir, name))
+        with contextlib.suppress(OSError):
             os.rmdir(self.out_dir)
-        except OSError:
-            pass
 
     def manifest(self, cfg: RunConfig) -> None:
         # hashlib loads OpenSSL's libcrypto (about 3.6 MB of RSS): import it
@@ -376,7 +374,7 @@ class OutputWriter:
         outputs = {}
         for name in self.written:
             digest = hashlib.sha256()
-            with open(self.path(name), "rb") as fh:
+            with open(os.path.join(self.out_dir, name), "rb") as fh:
                 while chunk := fh.read(_DIGEST_CHUNK):
                     digest.update(chunk)
             outputs[name] = "sha256:" + digest.hexdigest()
@@ -509,20 +507,14 @@ def cmd_runge(cfg: RunConfig, out: OutputWriter) -> None:
 
 
 def _rel_l2_error(diff: np.ndarray, ref: np.ndarray) -> float:
-    """||diff||_2 / ||ref||_2, or the RMS of diff where ref is all zero.
-
-    Sums of squares that are not normal floats (diff's may be zero) are
-    taken in units of max |ref|, so that no scale of ref overflows or
-    underflows them."""
-    with np.errstate(over="ignore", under="ignore"):
-        if not ref.any():
+    """||diff||_2 / ||ref||_2, or the RMS of diff where ref is all zero; both
+    norms in units of one 2^e, max |ref| in [2^(e-1), 2^e), so neither overflows."""
+    if not ref.any():
+        with np.errstate(over="ignore", under="ignore"):
             return float(np.sqrt(np.mean(diff ** 2)))
-        num, den = np.sum(diff ** 2), np.sum(ref ** 2)
-        tiny = np.finfo(float).tiny
-        if not (tiny <= den < math.inf and (num == 0.0 or tiny <= num < math.inf)):
-            unit = np.abs(ref).max()
-            num, den = np.sum((diff / unit) ** 2), np.sum((ref / unit) ** 2)
-    return float(np.sqrt(num)) / float(np.sqrt(den))
+    e = np.frexp(np.abs(ref).max())[1]
+    return (float(root_sum_squares(np.ldexp(diff, -e)))
+            / float(root_sum_squares(np.ldexp(ref, -e))))
 
 
 def cmd_qpat(cfg: RunConfig, out: OutputWriter) -> None:
@@ -618,10 +610,10 @@ def run(argv=None) -> int:
         out = OutputWriter(out_dir)
         try:
             COMMANDS[cfg.command][0](cfg, out)
+            out.manifest(cfg)
         except BaseException:
             out.cleanup()
             raise
-        out.manifest(cfg)
         return 0
     except ConfigError as exc:
         print(f"randbc: configuration error: {exc}", file=sys.stderr)
@@ -632,6 +624,9 @@ def run(argv=None) -> int:
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
         print(f"randbc: run failed: out of memory{detail}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"randbc: run failed: cannot write the outputs ({exc})", file=sys.stderr)
         return 1
 
 def main(argv=None) -> None:

@@ -135,8 +135,12 @@ def trial_fields(cfg: TrialConfig, trial_seed: int) -> np.ndarray:
     """Draw one trial's N measurements: their (N, m) constraint values on the
     window's nodes (cfg.mask.indices order), kept for inspection."""
     coeffs = sample_coeffs(cfg.model, derive_rng(trial_seed), cfg.N * cfg.cmap.arity)
-    return _constraint_rows(feature_rows(cfg.cmap, *cfg.window_parts),
-                            coeffs.reshape(cfg.N, cfg.cmap.arity, cfg.model.K))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _constraint_rows(feature_rows(cfg.cmap, *cfg.window_parts),
+                                coeffs.reshape(cfg.N, cfg.cmap.arity, cfg.model.K))
+    if not np.isfinite(rows).all():
+        raise DomainError("constraint values overflow float64 at this weight scale")
+    return rows
 
 
 def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, float]:
@@ -227,7 +231,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         for rep in range(start, stop):
             rng = derive_rng(master_seed, rep)
             coeffs = sample_coeffs(cfg.model, rng, N_max * arity).reshape(N_max, arity, K)
-            rows = _constraint_rows(feats, coeffs, prods)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked in min_max
+                rows = _constraint_rows(feats, coeffs, prods)
             np.abs(rows, out=rows)
             cur.fill(0.0)                             # identity of max over |zeta|
             for j, (lo, hi) in enumerate(blocks):
@@ -241,6 +246,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
             list(pool.map(run_reps, bounds[:-1], bounds[1:]))
     else:
         run_reps(0, M)
+    if not np.isfinite(min_max).all():
+        raise DomainError("constraint values overflow float64 at this weight scale")
 
     if isinstance(tau, str):
         if tau != "auto":
@@ -315,8 +322,8 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
         ixs.append(ix)
         iys.append(iy)
     feats = feature_rows(cfg.cmap, *restrict(cfg.grid, cfg.dictionary.z, ixs, iys))
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = _second_moment_series(feats, cfg.model.sigma ** 2)
+    units, e = cfg.model.in_units()
+    series = _second_moment_series(feats, units.sigma ** 2)
     arity, K = cfg.cmap.arity, cfg.model.K
     buf = np.empty((_CHUNK + 2, len(ixs)))      # running sums, then a span's rows
 
@@ -325,7 +332,7 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
         rng = derive_rng(master_seed, 0)
         buf[0] = 0.0                              # 0 + s == s for s >= +0
         for lo, hi in _spans(M, _CHUNK):
-            coeffs = sample_coeffs(cfg.model, rng, arity * (hi - lo))
+            coeffs = sample_coeffs(units, rng, arity * (hi - lo))
             sq = buf[1:hi - lo + 1]
             np.square(_constraint_rows(feats, coeffs.reshape(hi - lo, arity, K)), out=sq)
             if mc is not None:
@@ -333,19 +340,18 @@ def variance_identity_check(cfg: TrialConfig, M: int = 10000,
             buf[0] = np.add.reduce(buf[:hi - lo + 1], axis=0)
         return buf[0].copy()
 
-    # numpy's mean and std(ddof=1), operation for operation; a sum that
-    # overflows (at a large weight scale c) leaves no z to report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mc = column_sum() / M
-        spread = column_sum(mc)
-    if not all(np.isfinite(v).all() for v in (mc, series, spread)):
-        raise DomainError("variance check overflows: E[zeta^2] or its spread is not "
-                          f"finite in float64 (sigma_1 = {cfg.model.sigma[0]:.6g})")
-    se = np.sqrt(spread / (M - 1)) / np.sqrt(M)
+    # numpy's mean and std(ddof=1), operation for operation, in units of 2^e,
+    # where z does not depend on the weight scale; zeta^2 scales as 2^(2 d e).
+    mc = column_sum() / M
+    se = np.sqrt(column_sum(mc) / (M - 1)) / np.sqrt(M)
     diff = mc - series
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, diff / se,
                      np.where(diff == 0.0, 0.0, np.inf * np.sign(diff)))
+    with np.errstate(over="ignore"):
+        mc, series = (np.ldexp(v, 2 * len(feats) * e) for v in (mc, series))
+    if not all(np.isfinite(v).all() for v in (mc, series, se)):
+        raise DomainError(f"variance check overflows float64 (sigma_1 = {cfg.model.sigma[0]:.6g})")
     xs = cfg.grid.xs
     return [VarianceRow(x=float(xs[ixs[j]]), y=float(xs[iys[j]]),
                         mc=float(mc[j]), series=float(series[j]), z=float(z[j]))
@@ -375,38 +381,37 @@ def tail_check(model: RandomBoundaryModel, M: int, master_seed: int = 0) -> Tail
     The norm is the spectral H^{1/2} surrogate of the sampled boundary data.
     The (M, K) draws of derive_rng(master_seed, 0) are streamed in chunks;
     only the M norms (8 bytes per sample) are kept, for the quantiles and
-    the survival counts.  If a sum of squares overflows (sigma above about
-    1e154), the draws are taken again divided by the largest sigma, as in
-    surrogate_h12_norm; c1 is fitted in those units and mapped back.
+    the survival counts.  The draws are taken from the law in units of 2^e
+    (RandomBoundaryModel.in_units), where no sum of squares overflows; t is
+    mapped back by 2^e and c1 by 2^-2e, exactly.
     """
     if not isinstance(M, (int, np.integer)) or M < 1000:
         raise ConfigError(f"tail check needs at least 1000 samples, got M={M!r}")
     M = int(M)
     m = mode_frequencies(model.K).astype(float)
     weights = np.sqrt(1.0 + m * m)
-    for scale in (1.0, float(model.sigma.max())):
-        rng = derive_rng(master_seed, 0)
-        nrm = np.empty(M)
-        for lo, hi in _spans(M, _CHUNK):
-            draws = sample_coeffs(model, rng, hi - lo)
-            if scale != 1.0:
-                draws /= scale
-            with np.errstate(over="ignore"):
-                np.matmul(np.square(draws, out=draws), weights, out=nrm[lo:hi])
-        np.sqrt(nrm, out=nrm)
-        if np.isfinite(nrm).all():
-            break
+    units, e = model.in_units()
+    rng = derive_rng(master_seed, 0)
+    nrm = np.empty(M)
+    for lo, hi in _spans(M, _CHUNK):
+        draws = sample_coeffs(units, rng, hi - lo)
+        np.matmul(np.square(draws, out=draws), weights, out=nrm[lo:hi])
+    np.sqrt(nrm, out=nrm)
     t_grid = np.quantile(nrm, 1.0 - np.geomspace(0.5, 5.0 / M, 24), overwrite_input=True)
     survival = _survival(nrm, t_grid)
     usable = (t_grid > 0.0) & (survival > 0.0)
     if not np.any(usable):
         raise DomainError("no usable tail points; sampled norms are degenerate")
     c1 = float(np.min(np.log(2.0 / survival[usable]) / t_grid[usable] ** 2))
+    try:
+        c1_hat = math.ldexp(c1, -2 * e)
+    except OverflowError:
+        raise DomainError("tail constant c1 overflows float64 at this weight scale") from None
     bound = 2.0 * np.exp(-c1 * t_grid ** 2)
-    rows = [TailRow(t=float(t_grid[j] * scale), survival=float(survival[j]),
+    rows = [TailRow(t=math.ldexp(t_grid[j], e), survival=float(survival[j]),
                     bound=float(bound[j])) for j in range(len(t_grid))]
     dominated = bool(np.all(bound >= survival - 1e-12))
-    return TailReport(c1_hat=c1 / scale / scale, rows=rows, dominated=dominated, M=M,
+    return TailReport(c1_hat=c1_hat, rows=rows, dominated=dominated, M=M,
                       family=model.family)
 
 

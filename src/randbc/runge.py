@@ -29,7 +29,7 @@ from .boundary import RandomBoundaryModel
 from .errors import ConfigError, DomainError
 from .grid import Grid2D, SubdomainMask
 from .solver import (CoefficientField, DiscreteOperator, OnDemand, assemble, laplacian,
-                     norms, solve_dirichlet)
+                     norms, root_sum_squares, solve_dirichlet)
 
 TARGET_KINDS = ("dictionary_member", "fundamental_solution", "harmonic_poly")
 
@@ -229,15 +229,7 @@ def _tikhonov(target: LocalTarget, dictionary: Dictionary, system,
 
     resid = Zd.T @ c - hv
     eps = float(np.sqrt(h2 * np.sum(resid ** 2))) / target.h1_norm
-    ratio = c / sigma
-    with np.errstate(over="ignore"):
-        total = np.sum(ratio ** 2)
-    if np.finfo(float).tiny <= total < np.inf:
-        cost = float(np.sqrt(total))
-    else:           # not a positive normal float: taken in units of max |c / sigma|
-        top = np.abs(ratio).max()
-        cost = float(top * np.sqrt(np.sum((ratio / top) ** 2))) if top > 0.0 else 0.0
-    cost /= target.h1_norm
+    cost = float(root_sum_squares(c / sigma)) / target.h1_norm
     return RungeResult(c=c, eps_achieved=eps, boundary_cost=cost, lam=lam,
                        floored_modes=floored)
 

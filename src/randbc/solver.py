@@ -515,7 +515,7 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     ||r||_inf <= target, then checks the true residual ||rhs - matrix x||_inf;
     if that misses the target it replaces the recurrence residual and the
     iteration goes on.  Returns (x, iterations, true residual); raises
-    SolverError at maxiter or when r.z is not finite.
+    SolverError at maxiter or when r.z is not a positive finite number.
     """
     b = rhs.reshape(-1)
     x = np.empty(b.size) if out is None else out.reshape(-1)
@@ -524,10 +524,11 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
     res = np.abs(r, out=spare).max()
     z = r if precond is None else precond(r, spare, work)
     p = z.copy()
-    rz = r @ z
+    with np.errstate(over="ignore"):
+        rz = r @ z
     iterations = 0
     while not res <= target:
-        if iterations >= maxiter or not np.isfinite(rz):
+        if iterations >= maxiter or not 0.0 < rz < np.inf:
             res = np.abs(b - matrix.product(x, Ap, spare)).max()
             raise SolverError(
                 f"conjugate gradients stalled after {iterations} iterations: "
@@ -545,7 +546,8 @@ def conjugate_gradients(matrix: Stencil, rhs: np.ndarray, target: float, maxiter
             if res <= target:
                 break
         z = r if precond is None else precond(r, spare, work)
-        rz, rz_old = r @ z, rz
+        with np.errstate(over="ignore"):
+            rz, rz_old = r @ z, rz
         p *= rz / rz_old                 # then p + z: bitwise z + beta p
         p += z
     return x.reshape(rhs.shape), iterations, float(res)
@@ -864,6 +866,22 @@ def norms(grid: Grid2D, field: ScalarField, mask: SubdomainMask) -> FieldNorms:
     gsq = h2 * float(np.sum(gx[mask.indices] ** 2 + gy[mask.indices] ** 2))
     return FieldNorms(l2=np.sqrt(l2sq), h1=np.sqrt(l2sq + gsq),
                       linf=float(np.abs(vals).max()))
+
+
+def root_sum_squares(x, axis=None, weights=None):
+    """sqrt(sum(weights * x^2)) over axis, each reduced slice summed in units of
+    2^e, its largest |x| in [2^(e-1), 2^e): exact scaling (Blue, ACM TOMS 1978), so
+    the plain formula's bits wherever it is in range, and finite wherever the root
+    is.  One temporary holds (w r) r, r = x 2^-e, as (w r 2^-h) x with h = e // 2."""
+    x = np.asarray(x, dtype=float)
+    e = np.frexp(np.maximum(x.max(axis, keepdims=True), -x.min(axis, keepdims=True)))[1]
+    h = e // 2
+    sq = np.ldexp(x, -e - h)
+    if weights is not None:
+        sq *= weights
+    sq *= x
+    total = np.sum(np.ldexp(sq, h - e, out=sq), axis, keepdims=True)
+    return np.ldexp(np.sqrt(total), e).squeeze(axis)
 
 
 def save_field_csv(grid: Grid2D, field: ScalarField, path) -> None:

@@ -101,7 +101,7 @@ def test_weighted_and_smoothness_norms_frozen_values():
 
 @pytest.mark.parametrize("c", [1e150, 1e200, 1e300])
 def test_smoothness_norm_is_finite_up_to_the_weight_scale_bound(c):
-    # a * a overflows above about 1e154; the sum is then taken on a / max|a|
+    # a * a overflows above about 1e154; the sum is taken in units of 2^e
     unit = RandomBoundaryModel.power_law(K=33, c=1.0, s=1.5)
     scaled = RandomBoundaryModel.power_law(K=33, c=c, s=1.5)
     norm = surrogate_h12_norm(sample_coeffs(scaled, derive_rng(3, 0), 4))
@@ -149,14 +149,12 @@ def _sigma_norm_of_one_row(a, model):
 
 
 def _h12_norm_of_one_row(a):
+    # in units of 2^e, max |a| in [2^(e-1), 2^e)
     m = mode_frequencies(a.size).astype(float)
     weights = np.sqrt(1.0 + m * m)
-    with np.errstate(over="ignore"):
-        total = np.sum(weights * a * a)
-    if np.isfinite(total):
-        return np.sqrt(total)
-    top = np.abs(a).max()
-    return top * np.sqrt(np.sum(weights * (a / top) * (a / top)))
+    e = np.frexp(np.abs(a).max())[1]
+    r = np.ldexp(a, -e)
+    return np.ldexp(np.sqrt(np.sum(weights * r * r)), e)
 
 
 def _row_by_row(norm, rows, *args):
@@ -185,7 +183,7 @@ def test_row_wise_sigma_norm_is_infinite_only_on_rows_off_the_support():
     np.testing.assert_array_equal(np.isinf(norms), np.isin(np.arange(12), [1, 7]))
 
 
-def test_row_wise_smoothness_norm_rescales_only_the_rows_that_overflow():
+def test_row_wise_smoothness_norm_takes_each_row_in_its_own_units():
     unit = RandomBoundaryModel.power_law(K=33, c=1.0, s=1.5)
     huge = RandomBoundaryModel.power_law(K=33, c=1e200, s=1.5)
     rows = np.empty((64, 33))
@@ -195,3 +193,11 @@ def test_row_wise_smoothness_norm_rescales_only_the_rows_that_overflow():
     assert norms.tobytes() == _row_by_row(_h12_norm_of_one_row, rows).tobytes()
     assert np.isfinite(norms).all()
     assert (norms[0::2] > 1e150).all() and (norms[1::2] < 1e3).all()
+    # the plain formula's bits where it neither overflows nor underflows
+    weights = np.sqrt(1.0 + mode_frequencies(33).astype(float) ** 2)
+    plain = np.array([np.sqrt(np.sum(weights * a * a)) for a in rows[1::2]])
+    assert norms[1::2].tobytes() == plain.tobytes()
+    # and the huge rows are exact images of the same draws in units of 2^e
+    units, e = huge.in_units()
+    scaled = surrogate_h12_norm(sample_coeffs(units, derive_rng(7, 0), 32))
+    assert norms[0::2].tobytes() == np.ldexp(scaled, e).tobytes()

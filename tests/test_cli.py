@@ -1,7 +1,9 @@
 """Command line interface: config resolution, outputs, manifests, exit codes."""
 
 import argparse
+import builtins
 import csv
+import errno
 import hashlib
 import itertools
 import json
@@ -301,26 +303,86 @@ COEFFICIENT_VALUES = ["0", "-1", "1e200", "-1e200", "1e308", "1e-308", "1e-310",
 DOCUMENTED_NANS = {"mu_hat.csv", "log_a_hat.csv"}
 
 
+def _assert_exits_cleanly(argv, out, capsys) -> int:
+    """Runs argv in-process, so that the error::RuntimeWarning filter turns a
+    warning into a failure; a failed run leaves no outputs, a run that
+    succeeds writes only finite floats (bar the documented NaNs)."""
+    rc = run([argv[0], "--out", str(out), "--set", "grid.n=17", *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if rc != 0:
+        assert len(err.splitlines()) == 1, (argv, err)
+        assert not out.exists(), argv
+        return rc
+    for path in out.glob("*.csv"):
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                floats = [float(v) for v in row if _is_float(v)]
+                if {path.name, f"{path.name}:{row[0]}"} & DOCUMENTED_NANS:
+                    floats = [v for v in floats if not math.isnan(v)]
+                assert all(map(math.isfinite, floats)), (argv, path.name)
+    return rc
+
+
 def test_every_coefficient_value_exits_cleanly_with_finite_outputs(tmp_path, capsys):
-    # In-process, so that the error::RuntimeWarning filter turns a warning into a failure.
     for i, ((command, key, extra), value) in enumerate(
             itertools.product(COEFFICIENT_RUNS, COEFFICIENT_VALUES)):
-        out = tmp_path / str(i)
-        rc = run([command, "--out", str(out), "--set", "grid.n=17", *extra,
-                  "--set", f"{key}={value}"])
-        err = capsys.readouterr().err
-        assert rc in (0, 1, 2), (command, key, value, err)
-        assert "Traceback" not in err and "Warning" not in err, (command, key, value, err)
-        if rc != 0:
-            assert not out.exists(), (command, key, value)
-            continue
-        for path in out.glob("*.csv"):
-            with open(path, newline="") as fh:
-                for row in list(csv.reader(fh))[1:]:
-                    floats = [float(v) for v in row if _is_float(v)]
-                    if {path.name, f"{path.name}:{row[0]}"} & DOCUMENTED_NANS:
-                        floats = [v for v in floats if not math.isnan(v)]
-                    assert all(map(math.isfinite, floats)), (command, key, value, path.name)
+        _assert_exits_cleanly([command, *extra, "--set", f"{key}={value}"],
+                              tmp_path / str(i), capsys)
+
+
+# Every command that reads the weight scale bc.sigma.c, at tiny sizes.
+SCALE_RUNS = [
+    ["sample", "--set", "bc.K=3", "--set", "sample.count=2"],
+    ["tail-check", "--set", "bc.K=5", "--set", "M=1000"]] + [
+    ["variance-check", "--set", "bc.K=5", "--set", "M=50", "--set", f"zeta={zeta}"]
+    for zeta in ("jacobian", "augmented")] + [
+    ["constraint-experiment", "--set", "bc.K=5", "--set", "M=50", "--set", "N_list=1,2",
+     "--set", f"zeta={zeta}"] for zeta in ("jacobian", "augmented")] + [
+    ["runge", *COEFFICIENT_RUNS[2][2]],
+]
+SCALE_VALUES = ["1e-300", "1e-160", "1e-45", "1", "1e60", "1e160", "1e300"]
+# Krylov solves whose r.z underflows (rtol 1e-300) or overflows (data ~ 1e300).
+EXTREME_SOLVES = [
+    ["solve", "--set", "coeff.a=1+x", "--set", "solver.rtol=1e-300"],
+    ["conductivity", "--set", "solver.rtol=1e-300"],
+    ["conductivity", "--set", "cond.bc=1e300*x1;x2"],
+]
+
+
+def test_every_weight_scale_exits_cleanly_with_finite_outputs(tmp_path, capsys):
+    runs = [argv + ["--set", f"bc.sigma.c={c}"]
+            for argv, c in itertools.product(SCALE_RUNS, SCALE_VALUES)]
+    codes = [_assert_exits_cleanly(argv, tmp_path / str(i), capsys)
+             for i, argv in enumerate(runs + EXTREME_SOLVES)]
+    assert 2 not in codes[-len(EXTREME_SOLVES):]
+    # every command computes at the scales in the middle of the range
+    middle = [rc for argv, rc in zip(runs, codes) if argv[-1].endswith(("=1e-45", "=1"))]
+    assert middle == [0] * len(middle)
+
+
+@pytest.mark.parametrize("suffix", [".csv", "manifest.json"])
+def test_a_failed_write_exits_1_and_leaves_no_outputs(suffix, tmp_path, capsys,
+                                                      monkeypatch):
+    # ENOSPC on writing any output with the suffix, after its file is made,
+    # as a write that fails part way leaves it
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and str(file).endswith(suffix):
+            real_open(file, mode, *args, **kwargs).close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    out = tmp_path / "o"
+    rc = run(["sample", "--out", str(out), "--set", "sample.count=3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("randbc: run failed: cannot write the outputs (")
+    assert not out.exists()
 
 
 def _is_float(text: str) -> bool:
@@ -612,10 +674,21 @@ def test_variance_check_runs_for_multi_argument_maps(zeta, tmp_path):
     assert len((out / "variance_check.csv").read_text().splitlines()) == 10
 
 
-@pytest.mark.parametrize("c", ["1e100", "1e200"])
+def test_variance_check_runs_at_a_huge_weight_scale(tmp_path):
+    # the sums are taken in units of 2^e, so the squares of zeta ~ 1e100 do not
+    # overflow them; only E[zeta^2] itself is mapped back
+    out = tmp_path / "o"
+    assert run(["variance-check", "--out", str(out), "--set", "grid.n=17",
+                "--set", "bc.K=5", "--set", "M=100", "--set", "bc.sigma.c=1e100"]) == 0
+    with open(out / "variance_check.csv", newline="") as fh:
+        rows = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
+    assert len(rows) == 9 and np.isfinite(rows).all()
+    assert all(1e190 < r[2] < 1e210 for r in rows)
+
+
+@pytest.mark.parametrize("c", ["1e200"])
 def test_variance_check_fails_cleanly_when_its_sums_overflow(c, tmp_path):
-    # the second pass's (zeta^2 - mc)^2 overflows at c = 1e100; mc and the
-    # series themselves at c = 1e200
+    # E[zeta^2] ~ c^2 and its series overflow float64 at c = 1e200
     src = os.path.dirname(os.path.dirname(randbc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "randbc", "variance-check", "--out",
@@ -631,8 +704,8 @@ def test_variance_check_fails_cleanly_when_its_sums_overflow(c, tmp_path):
 
 @pytest.mark.parametrize("c", ["1e155", "1e300"])
 def test_tail_check_runs_at_a_huge_weight_scale(c, tmp_path):
-    # the draws' squares overflow above about 1e154; the norms are then taken
-    # in units of the largest sigma and mapped back
+    # the draws' squares would overflow above about 1e154; the norms are
+    # taken from the law in units of 2^e and mapped back
     src = os.path.dirname(os.path.dirname(randbc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Monte Carlo studies over the random boundary model."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
@@ -8,9 +9,10 @@ import pytest
 
 import randbc.experiments
 import randbc.runge
-from randbc.boundary import BoundaryBasis, RandomBoundaryModel, sample_coeffs
+from randbc.boundary import (BoundaryBasis, RandomBoundaryModel, sample_coeffs,
+                             surrogate_h12_norm)
 from randbc.constraints import ConstraintMap, extract_cover, feature_rows, restrict, zeta_eval
-from randbc.errors import ConfigError
+from randbc.errors import ConfigError, DomainError
 from randbc.grid import rect_mask
 from randbc.runge import Dictionary
 from randbc.experiments import (_CHUNK, TrialConfig, _constraint_rows,
@@ -386,6 +388,53 @@ def test_variance_identity_zero_model_is_exactly_zero(grid17, ident17):
         assert row.mc == 0.0
         assert row.series == 0.0
         assert row.z == 0.0
+
+
+def _image(x: float, k: int):
+    """x 2^k, or None where it overflows float64."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return None
+
+
+def _or_none(fn):
+    try:
+        return fn()
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("k", [-990, -400, 100])
+def test_power_of_two_weight_scales_give_exact_images(k, grid17, ident17):
+    # sums of squares are taken in units of a power of two, so multiplying
+    # the weights by 2^k maps every output by its power of 2^k, bit for bit,
+    # or fails where that image overflows
+    base, scaled = (RandomBoundaryModel.power_law(K=9, c=math.ldexp(3.7, j))
+                    for j in (0, k))
+    h12 = surrogate_h12_norm(sample_coeffs(base, derive_rng(2, 0), 16))
+    assert (surrogate_h12_norm(sample_coeffs(scaled, derive_rng(2, 0), 16)).tobytes()
+            == np.ldexp(h12, k).tobytes())
+
+    ref, got = tail_check(base, 1000), _or_none(lambda: tail_check(scaled, 1000))
+    if _image(ref.c1_hat, -2 * k) is None:
+        assert got is None
+    else:
+        assert got.c1_hat == math.ldexp(ref.c1_hat, -2 * k)
+        assert [(r.t, r.survival, r.bound) for r in got.rows] == [
+            (math.ldexp(r.t, k), r.survival, r.bound) for r in ref.rows]
+        assert got.dominated == ref.dominated
+
+    for kind in ("critical", "jacobian", "augmented"):
+        ref, got = (_or_none(lambda: variance_identity_check(
+            TrialConfig(grid=grid17, coeff=ident17, model=m, cmap=ConstraintMap(kind), N=1),
+            M=200)) for m in (base, scaled))
+        d = 2 * ConstraintMap(kind).arity * k
+        images = [(_image(r.mc, d), _image(r.series, d), r.z) for r in ref]
+        if any(None in row for row in images):
+            assert got is None
+        else:
+            assert [(r.mc, r.series, r.z) for r in got] == images
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])

@@ -651,6 +651,21 @@ def test_cg_loop_reports_the_iteration_cap():
                             op.preconditioner)
 
 
+@pytest.mark.parametrize("scale, rtol", [(1.0, 1e-300), (1e300, 1e-10)],
+                         ids=["r.z-underflows", "r.z-overflows"])
+def test_cg_loop_breaks_down_on_r_z_with_a_finite_residual(scale, rtol):
+    # like MINRES's beta, r.z must be a positive finite number to go on; the
+    # error reports the true residual of the last (finite) iterate
+    g = build_grid(17)
+    op = assemble(g, CoefficientField.isotropic(g, np.exp(g.X)))
+    rhs = lattice(op.matrix.mask, op.boundary_coupling @ (scale * np.cos(g.boundary_s)))
+    with pytest.raises(SolverError, match="stalled") as caught:
+        conjugate_gradients(op.matrix, rhs, rtol * np.abs(rhs).max(), 500,
+                            op.preconditioner)
+    assert caught.value.iterations < 500
+    assert 0.0 < caught.value.residual < np.inf
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("precond", [False, True], ids=["plain", "multigrid"])
