@@ -14,7 +14,7 @@ from .boundary import (BoundaryBasis, CovarianceSummary, RandomBoundaryModel,
                        surrogate_h12_norm)
 from .constraints import (ConstraintMap, CoverLabeling, extract_cover,
                           holder_seminorm, restrict, save_cover_csv,
-                          witness_check, witness_fields, zeta_eval)
+                          witness_check, witness_fields)
 from .errors import ConfigError, DomainError, RandbcError, SolverError
 from .experiments import (ConcentrationReport, SuccessCurveResult, TailReport,
                           TrialConfig, concentration_check, success_curve,
@@ -26,8 +26,8 @@ from .inverse import (ConductivityData, ConductivityResult, QpatData,
                       QpatMultiResult, conductivity_forward,
                       conductivity_reconstruct, qpat_forward,
                       qpat_reconstruct_multi)
-from .runge import (Dictionary, LocalTarget, RungeResult, approximate,
-                    build_dictionary, make_target, tradeoff_curve)
+from .runge import (Dictionary, LocalTarget, RungeResult, build_dictionary,
+                    make_target, tradeoff_curve)
 from .solver import (CoefficientField, DiscreteOperator, FieldNorms, OnDemand,
                      ScalarField, SolveInfo, assemble, gradient, laplacian,
                      load_field_csv, norms, save_field_csv, solve_dirichlet,

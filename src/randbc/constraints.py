@@ -103,20 +103,6 @@ def restrict(grid: Grid2D, fields, ix, iy):
     return vals, gxs, gys
 
 
-def zeta_eval(cmap: ConstraintMap, fields, grid: Grid2D,
-              mask: SubdomainMask) -> np.ndarray:
-    """The map's values on a tuple of full-grid fields at the mask's nodes,
-    in mask.indices order."""
-    fields = tuple(np.asarray(f, dtype=float) for f in fields)
-    if len(fields) != cmap.arity:
-        raise ConfigError(
-            f"{cmap.kind} needs {cmap.arity} field(s), got {len(fields)}")
-    if mask.grid_n != grid.n:
-        raise ConfigError(f"mask was built for n={mask.grid_n}, grid has n={grid.n}")
-    parts = restrict(grid, fields, *mask.indices)
-    return det(feature_rows(cmap, *parts))
-
-
 @dataclass(frozen=True)
 class CoverLabeling:
     """Per-node index (1-based) of the measurement realizing max_l |zeta^l|,
@@ -179,13 +165,14 @@ def witness_fields(cmap: ConstraintMap, grid: Grid2D):
 
 def witness_check(cmap: ConstraintMap, grid: Grid2D, mask: SubdomainMask) -> float:
     """Minimum of zeta over the mask on the witness tuple (should be ~1)."""
-    return float(zeta_eval(cmap, witness_fields(cmap, grid), grid, mask).min())
+    parts = restrict(grid, witness_fields(cmap, grid), *mask.indices)
+    return float(det(feature_rows(cmap, *parts)).min())
 
 
 def holder_seminorm(values, mask: SubdomainMask, grid: Grid2D,
                     alpha: float = 0.5) -> float:
     """Empirical C^alpha seminorm sup |z(x)-z(y)| / |x-y|_inf^alpha (diagnostic)
-    of values at the mask's nodes, in mask.indices order (as zeta_eval gives).
+    of values at the mask's nodes, in mask.indices order (as restrict reads them).
 
     Subsamples the mask deterministically to at most 1500 nodes, so that its
     pairwise tables hold at most 1500^2 values.

@@ -24,7 +24,6 @@ the integration on the component's bounding box, to bound memory.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +215,8 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     The gauge constant is fixed so log_a_hat(anchor) equals anchor_value
     (defaults to the true value when the data carries it, else 0).  Only the
     anchor's connected component of that region is reconstructed: elsewhere
-    the gauge is unknown, so log_a_hat is NaN there.  Warns when the usable
-    region covers less than 99% of the window or splits into components.
+    the gauge is unknown, so log_a_hat is NaN there.  The result's coverage,
+    components and reconstructed_fraction report a partial or split region.
     The integration meets ||L x - A^T b||_inf <= rtol * ||A^T b||_inf on the
     gauge-fixed Laplacian L, within maxiter CG iterations (default 20 n).
     """
@@ -238,11 +237,6 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     jac -= g1y * g2x
     region = window.member & grid.interior_mask & (np.abs(jac) >= tau)
     coverage = float(region.sum()) / window.count
-    if coverage < 0.99:
-        warnings.warn(
-            f"measurement Jacobian clears tau={tau} on only {coverage:.1%} "
-            "of the window; reconstruction is partial", RuntimeWarning,
-            stacklevel=2)
     if not region.any():
         raise DomainError("Jacobian threshold leaves no node to reconstruct")
     aix, aiy = grid.nearest_node(anchor)
@@ -267,10 +261,6 @@ def conductivity_reconstruct(data: ConductivityData, tau: float,
     if components > 1:
         part = label == label[aix, aiy]
         reconstructed = float(part.sum()) / window.count
-        warnings.warn(
-            f"the region splits into {components} components; only the anchor's "
-            f"({reconstructed:.1%} of the window) is reconstructed", RuntimeWarning,
-            stacklevel=2)
     if part.sum() == 1:
         raise DomainError("the anchor's component of the region has no edges")
 

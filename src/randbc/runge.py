@@ -6,15 +6,15 @@ no solution field: z is an OnDemand whose z[k] solves mode k when it is read,
 into temporaries each reading thread reuses, and returns a new field, so each
 reader reduces the K fields as it goes (the disk block of the normal
 equations, a target's one member) and memory does not grow with K n^2.  Given
-a local target h solving the same equation on a disk D, approximate() finds
-coefficients c minimizing
+a local target h solving the same equation on a disk D, tradeoff_curve()
+finds, at each weight lambda of a sweep, coefficients c minimizing
 
     || sum_k c_k z_k - h ||_{L2(D)}^2 + lambda * sum_k c_k^2 / sigma_k^2,
 
 by a dense eigendecomposition of the normal equations (numpy.linalg.eigh;
 eigenvalues floored at 1e-14 * trace).  Small lambda buys interior accuracy
-eps at the price of a large weighted boundary cost; tradeoff_curve() sweeps
-that exchange.
+eps at the price of a large weighted boundary cost; the sweep traces that
+exchange.
 """
 
 from __future__ import annotations
@@ -54,13 +54,9 @@ class Dictionary:
 
 
 def build_dictionary(grid: Grid2D, coeff: CoefficientField,
-                     model: RandomBoundaryModel, K=None,
-                     rtol: float = 1e-11) -> Dictionary:
-    """Assemble the operator of the K basis problems, which are solved when
-    read (the only PDE solves experiments need)."""
-    if K is None:
-        K = model.K
-    model = model.truncate(int(K))
+                     model: RandomBoundaryModel, rtol: float = 1e-11) -> Dictionary:
+    """Assemble the operator of the model's K basis problems, which are
+    solved when read (the only PDE solves experiments need)."""
     op = assemble(grid, coeff)
     data = model.basis.evaluate(grid)       # (K, boundary_count) boundary values e_k
     local = threading.local()               # .work: this thread's solve temporaries
@@ -207,7 +203,7 @@ def _normal_equations(target: LocalTarget, dictionary: Dictionary):
 
 def _tikhonov(target: LocalTarget, dictionary: Dictionary, system,
               lam: float) -> RungeResult:
-    """approximate() at weight lam from the Gram system of _normal_equations."""
+    """The sweep's point at weight lam from the Gram system of _normal_equations."""
     Zd, hv, G, b = system
     sigma = dictionary.model.sigma
     h2 = dictionary.grid.h * dictionary.grid.h
@@ -220,10 +216,6 @@ def _tikhonov(target: LocalTarget, dictionary: Dictionary, system,
     w, V = np.linalg.eigh(M)
     floor = 1e-14 * float(np.trace(M))
     floored = int(np.sum(w < floor))
-    if floored and lam == 0.0:
-        raise DomainError(
-            "normal equations are numerically singular at lambda = 0; "
-            "pass lambda > 0 to regularize")
     w = np.maximum(w, floor)
     c = V @ ((V.T @ b) / w)
 
@@ -234,21 +226,10 @@ def _tikhonov(target: LocalTarget, dictionary: Dictionary, system,
                        floored_modes=floored)
 
 
-def approximate(target: LocalTarget, dictionary: Dictionary,
-                lam: float) -> RungeResult:
-    """Tikhonov-regularized least squares of the target over the dictionary.
-
-    eps_achieved = ||sum c_k z_k - h||_{L2(D)} / ||h||_{H1(D)};
-    boundary_cost = (sum c_k^2 / sigma_k^2)^{1/2} / ||h||_{H1(D)}.
-    """
-    lam = float(lam)
-    if lam < 0.0 or not np.isfinite(lam):
-        raise ConfigError(f"regularization weight must be >= 0, got {lam}")
-    return _tikhonov(target, dictionary, _normal_equations(target, dictionary), lam)
-
-
 def tradeoff_curve(target: LocalTarget, dictionary: Dictionary, lambdas):
-    """approximate() across a descending positive lambda sweep; the Gram
+    """The minimizer at each lambda of a descending positive sweep, with
+    eps_achieved = ||sum c_k z_k - h||_{L2(D)} / ||h||_{H1(D)} and
+    boundary_cost = (sum c_k^2 / sigma_k^2)^{1/2} / ||h||_{H1(D)}; the Gram
     system is formed once and each lambda takes its own eigendecomposition."""
     lams = [float(x) for x in lambdas]
     if len(lams) == 0:

@@ -18,7 +18,7 @@ from randbc.experiments import (TrialConfig, success_curve, tail_check,
 from randbc.grid import build_grid, default_window, disk_mask
 from randbc.inverse import (conductivity_forward, conductivity_reconstruct,
                             qpat_forward, qpat_reconstruct_multi)
-from randbc.runge import approximate, make_target, tradeoff_curve
+from randbc.runge import make_target, tradeoff_curve
 from randbc.solver import CoefficientField, assemble, solve_dirichlet
 from randbc.streams import derive_rng
 
@@ -157,7 +157,7 @@ def test_acceptance_07_reachable_target(grid65, dict65):
     disk = disk_mask(grid65, (0.5, 0.5), 0.2)
     target = make_target("dictionary_member", grid65, disk,
                          dictionary=dict65, index=1)
-    res = approximate(target, dict65, lam=1e-12)
+    res = tradeoff_curve(target, dict65, [1e-12])[0]
     ok = res.eps_achieved <= 1e-6
     report(7, "reachable-target", ok,
            f"eps_achieved {res.eps_achieved:.2e} at lambda=1e-12")

@@ -10,7 +10,7 @@ import pytest
 from randbc.constraints import (KIND_ARITY, ConstraintMap, CoverLabeling, det,
                                 extract_cover, feature_rows, holder_seminorm,
                                 restrict, save_cover_csv, witness_check,
-                                witness_fields, zeta_eval)
+                                witness_fields)
 from randbc.errors import ConfigError, DomainError
 from randbc.grid import build_grid, default_window
 from randbc.solver import gradient
@@ -47,27 +47,22 @@ def test_witness_fields_have_the_right_arity(grid17):
         assert len(fields) == KIND_ARITY[kind]
 
 
+def _zeta(g, cm, fields, mask=None):
+    """The map at the mask's nodes (default: every node of the grid), in
+    mask.indices order, from one restriction of the tuple."""
+    ix, iy = np.indices(g.X.shape).reshape(2, -1) if mask is None else mask.indices
+    return det(feature_rows(cm, *restrict(g, fields, ix, iy)))
+
+
 def test_nodal_and_critical_values(grid17):
     g = grid17
     w = default_window(g)
     f = 2.0 * g.X - g.Y
-    values = zeta_eval(ConstraintMap("nodal"), [f], g, w)
+    values = _zeta(g, ConstraintMap("nodal"), [f], w)
     np.testing.assert_allclose(values, (2.0 * g.X - g.Y)[w.member].ravel(),
                                rtol=0, atol=1e-14)
-    values = zeta_eval(ConstraintMap("critical", direction=(0.0, 1.0)), [f], g, w)
+    values = _zeta(g, ConstraintMap("critical", direction=(0.0, 1.0)), [f], w)
     np.testing.assert_allclose(values, -1.0, rtol=0, atol=1e-12)
-
-
-def test_arity_mismatch_is_rejected(grid17):
-    with pytest.raises(ConfigError):
-        zeta_eval(ConstraintMap("jacobian"), [grid17.X], grid17,
-                  default_window(grid17))
-
-
-def _zeta(g, cm, fields):
-    """The map at every node of the grid, from one restriction of the tuple."""
-    ix, iy = np.indices(g.X.shape).reshape(2, -1)
-    return det(feature_rows(cm, *restrict(g, fields, ix, iy)))
 
 
 @pytest.mark.parametrize("kind", ["jacobian", "augmented"])
@@ -234,7 +229,7 @@ def test_save_cover_csv_bytes_match_the_csv_module(tmp_path):
 def test_holder_seminorm_vanishes_on_constants(grid17):
     w = default_window(grid17)
     assert holder_seminorm(np.ones(w.count), w, grid17) == 0.0
-    lin = zeta_eval(ConstraintMap("nodal"), [grid17.X], grid17, w)
+    lin = _zeta(grid17, ConstraintMap("nodal"), [grid17.X], w)
     assert holder_seminorm(lin, w, grid17) > 0.0
     with pytest.raises(ConfigError):
         holder_seminorm(lin[1:], w, grid17)

@@ -11,7 +11,7 @@ import randbc.experiments
 import randbc.runge
 from randbc.boundary import (BoundaryBasis, RandomBoundaryModel, sample_coeffs,
                              surrogate_h12_norm)
-from randbc.constraints import ConstraintMap, extract_cover, feature_rows, restrict, zeta_eval
+from randbc.constraints import ConstraintMap, det, extract_cover, feature_rows, restrict
 from randbc.errors import ConfigError, DomainError
 from randbc.grid import rect_mask
 from randbc.runge import Dictionary
@@ -50,8 +50,8 @@ def test_wilson_interval_endpoints_are_exact(M):
 
 def test_injected_constant_field_gives_its_magnitude_exactly(cfg17, grid17):
     c = 3.25
-    values = zeta_eval(ConstraintMap("nodal"), (np.full(grid17.X.shape, c),),
-                       grid17, cfg17.mask)
+    parts = restrict(grid17, [np.full(grid17.X.shape, c)], *cfg17.mask.indices)
+    values = det(feature_rows(ConstraintMap("nodal"), *parts))
     assert extract_cover(values[None], 1.0).value.min() == c
 
 
@@ -75,7 +75,8 @@ def test_trial_fields_are_the_rows_of_the_trial_seeds_stream(cfg17):
     z = cfg17.dictionary.z
     u = np.tensordot(coeffs, np.stack([z[k] for k in range(len(z))]), 1)
     for l in range(cfg17.N):
-        np.testing.assert_allclose(zeta_eval(cfg17.cmap, [u[l]], cfg17.grid, cfg17.mask),
+        parts = restrict(cfg17.grid, [u[l]], *cfg17.mask.indices)
+        np.testing.assert_allclose(det(feature_rows(cfg17.cmap, *parts)),
                                    rows[l], rtol=0, atol=1e-12)
 
 

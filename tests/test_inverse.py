@@ -258,14 +258,13 @@ def test_conductivity_anchor_defaults_to_the_true_value(grid):
     assert res.log_a_hat[ia, ja] == pytest.approx(grid.X[ia, ja], abs=1e-6)
 
 
-def test_conductivity_warns_on_poor_jacobian_coverage(grid):
+def test_conductivity_reports_poor_jacobian_coverage(grid):
     a = np.exp(grid.X)
     data = conductivity_forward(grid, a)
-    with pytest.warns(RuntimeWarning):
-        res = conductivity_reconstruct(data, tau=0.95)
+    res = conductivity_reconstruct(data, tau=0.95)
     assert res.coverage < 0.99
     # an unreachable threshold cannot be reconstructed at all
-    with pytest.raises(DomainError), pytest.warns(RuntimeWarning):
+    with pytest.raises(DomainError):
         conductivity_reconstruct(data, tau=10.0)
 
 
@@ -319,7 +318,6 @@ def split_region_data(grid):
     return conductivity_forward(grid, a, bcs=bcs)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", ["connected", "split"])
 def test_potential_integration_matches_a_direct_solve(case, grid):
     # Rebuild the anchor's component from the data, and the log-gradient on
@@ -371,9 +369,7 @@ def test_conductivity_reconstructs_only_the_anchors_component(grid):
     # region; the far component's gauge is unknown, so it must stay NaN
     a = np.exp(grid.X + grid.Y)
     data = split_region_data(grid)
-    with pytest.warns(RuntimeWarning) as caught:
-        res = conductivity_reconstruct(data, tau=0.05, anchor=(0.3, 0.3))
-    assert any("splits into 2 components" in str(w.message) for w in caught)
+    res = conductivity_reconstruct(data, tau=0.05, anchor=(0.3, 0.3))
     assert res.components == 2
     done = np.isfinite(res.log_a_hat)
     assert done[grid.nearest_node((0.3, 0.3))]

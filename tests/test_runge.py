@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from randbc.boundary import RandomBoundaryModel
-from randbc.errors import ConfigError, DomainError
+from randbc.errors import ConfigError
 from randbc.grid import build_grid, disk_mask
-from randbc.runge import (Dictionary, _normal_equations, approximate, build_dictionary,
-                          make_target, tradeoff_curve)
+from randbc.runge import (Dictionary, _normal_equations, build_dictionary, make_target,
+                          tradeoff_curve)
 from randbc.solver import CoefficientField
 
 
@@ -39,7 +39,7 @@ def test_member_target_is_reachable(dict65, grid65, disk65):
                     dictionary=dict65, index=5)
     assert t.kind == "dictionary_member"
     assert t.residual_rel <= 100.0 * grid65.h ** 2
-    r = approximate(t, dict65, lam=1e-14)
+    r = tradeoff_curve(t, dict65, [1e-14])[0]
     assert r.eps_achieved <= 1e-6
     # mode 5 dominates the recovered combination (members are nearly
     # collinear on the disk, so exact unit recovery is not expected)
@@ -56,27 +56,20 @@ def test_member_residual_is_at_rounding_level_for_every_scale_of_a(grid17, model
         assert t.residual_rel < 1e-10, a
 
 
-def test_unregularized_member_recovery_reports_singularity(dict65, grid65, disk65):
-    t = make_target("dictionary_member", grid65, disk65,
-                    dictionary=dict65, index=5)
-    with pytest.raises(DomainError, match="lambda"):
-        approximate(t, dict65, lam=0.0)
-
-
 def test_enlarging_the_dictionary_never_hurts(grid65, ident65, model33, disk65):
-    short = build_dictionary(grid65, ident65, model33, K=17)
+    short = build_dictionary(grid65, ident65, model33.truncate(17))
     t = make_target("fundamental_solution", grid65, disk65,
                     dictionary=None, pole=(0.9, 0.9))
     full = build_dictionary(grid65, ident65, model33)
-    e_short = approximate(t, short, lam=1e-6).eps_achieved
-    e_full = approximate(t, full, lam=1e-6).eps_achieved
+    e_short = tradeoff_curve(t, short, [1e-6])[0].eps_achieved
+    e_full = tradeoff_curve(t, full, [1e-6])[0].eps_achieved
     assert e_full <= e_short + 1e-12
 
 
 def test_solution_satisfies_the_normal_equations(dict65, grid65, disk65):
     t = make_target("fundamental_solution", grid65, disk65, pole=(0.9, 0.9))
     lam = 1e-6
-    r = approximate(t, dict65, lam=lam)
+    r = tradeoff_curve(t, dict65, [lam])[0]
     sel = disk65.member
     zmat = np.stack([dict65.z[k][sel] for k in range(dict65.K)])
     h2 = grid65.h ** 2
@@ -88,7 +81,7 @@ def test_solution_satisfies_the_normal_equations(dict65, grid65, disk65):
 
 def test_heavy_regularization_suppresses_the_boundary_cost(dict65, grid65, disk65):
     t = make_target("fundamental_solution", grid65, disk65, pole=(0.9, 0.9))
-    r = approximate(t, dict65, lam=1e12)
+    r = tradeoff_curve(t, dict65, [1e12])[0]
     sel = disk65.member
     null_eps = np.sqrt(np.sum(t.h[sel] ** 2) * grid65.h ** 2) / t.h1_norm
     assert r.boundary_cost <= 1e-6
@@ -109,7 +102,7 @@ def test_tradeoff_curve_is_validated_and_ordered(dict65, grid65, disk65):
 def test_boundary_cost_formula(dict65, grid65, disk65):
     t = make_target("dictionary_member", grid65, disk65,
                     dictionary=dict65, index=3)
-    r = approximate(t, dict65, lam=1e-8)
+    r = tradeoff_curve(t, dict65, [1e-8])[0]
     by_hand = np.linalg.norm(r.c / dict65.model.sigma) / t.h1_norm
     assert r.boundary_cost == pytest.approx(by_hand, rel=1e-12)
 
@@ -135,11 +128,11 @@ def test_member_target_requires_a_dictionary_and_valid_index(grid65, disk65, dic
                     dictionary=dict65, index=34)
 
 
-def test_tradeoff_curve_is_approximate_at_each_lambda(dict65, grid65, disk65):
+def test_each_point_of_a_sweep_is_its_one_lambda_sweep(dict65, grid65, disk65):
     t = make_target("dictionary_member", grid65, disk65, dictionary=dict65, index=3)
     lams = [1e-2, 1e-5, 1e-8]
     for r, lam in zip(tradeoff_curve(t, dict65, lams), lams):
-        one = approximate(t, dict65, lam)
+        one = tradeoff_curve(t, dict65, [lam])[0]
         np.testing.assert_array_equal(r.c, one.c)
         assert (r.eps_achieved, r.boundary_cost, r.lam, r.floored_modes) == (
             one.eps_achieved, one.boundary_cost, one.lam, one.floored_modes)
