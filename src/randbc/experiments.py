@@ -254,8 +254,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
             raise ConfigError(f"tau must be a nonnegative number or 'auto', got {tau!r}")
         k = max(1, int(np.floor(0.05 * M)))
         tau_val = float(np.sort(min_max[:, -1])[k - 1])
-        if tau_val <= 0.0:
-            raise DomainError("auto threshold collapsed to zero; draws are degenerate")
+        if not tau_val >= np.finfo(float).tiny:     # below it, values near tau lose digits
+            raise DomainError(f"auto threshold tau={tau_val!r} lies below the normal float64 range")
     else:
         tau_val = float(tau)
         if not (0.0 <= tau_val < math.inf):

@@ -325,11 +325,22 @@ def _assert_exits_cleanly(argv, out, capsys) -> int:
     return rc
 
 
+# Conductivity inputs whose Jacobian region covers part of the window: split in
+# two, empty, and cut by a high threshold.
+PARTIAL_COVERAGE = [
+    ["conductivity", "--set", "cond.a=1", "--set", "cond.bc=x1;x2*(x1-0.5)",
+     "--set", "cond.anchor=0.3,0.3"],
+    ["conductivity", "--set", "cond.bc=x1;x1"],
+    ["conductivity", "--set", "cond.tau=0.95"],
+]
+
+
 def test_every_coefficient_value_exits_cleanly_with_finite_outputs(tmp_path, capsys):
-    for i, ((command, key, extra), value) in enumerate(
-            itertools.product(COEFFICIENT_RUNS, COEFFICIENT_VALUES)):
-        _assert_exits_cleanly([command, *extra, "--set", f"{key}={value}"],
-                              tmp_path / str(i), capsys)
+    runs = [[command, *extra, "--set", f"{key}={value}"] for (command, key, extra), value
+            in itertools.product(COEFFICIENT_RUNS, COEFFICIENT_VALUES)]
+    codes = [_assert_exits_cleanly(argv, tmp_path / str(i), capsys)
+             for i, argv in enumerate(runs + PARTIAL_COVERAGE)]
+    assert codes[-len(PARTIAL_COVERAGE):] == [0, 1, 0]
 
 
 # Every command that reads the weight scale bc.sigma.c, at tiny sizes.
@@ -360,6 +371,16 @@ def test_every_weight_scale_exits_cleanly_with_finite_outputs(tmp_path, capsys):
     # every command computes at the scales in the middle of the range
     middle = [rc for argv, rc in zip(runs, codes) if argv[-1].endswith(("=1e-45", "=1"))]
     assert middle == [0] * len(middle)
+    # success counts do not depend on the weight scale
+    for i, (argv, rc) in enumerate(zip(runs, codes)):
+        if argv[0] == "constraint-experiment" and rc == 0:
+            unit = runs.index(argv[:-1] + ["bc.sigma.c=1"])
+            assert _successes(tmp_path / str(i)) == _successes(tmp_path / str(unit)), argv
+
+
+def _successes(out) -> list[str]:
+    with open(out / "success_curve.csv", newline="") as fh:
+        return [row["successes"] for row in csv.DictReader(fh)]
 
 
 @pytest.mark.parametrize("suffix", [".csv", "manifest.json"])
