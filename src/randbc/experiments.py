@@ -255,7 +255,7 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         k = max(1, int(np.floor(0.05 * M)))
         tau_val = float(np.sort(min_max[:, -1])[k - 1])
         if not tau_val >= np.finfo(float).tiny:     # below it, values near tau lose digits
-            raise DomainError(f"auto threshold tau={tau_val!r} lies below the normal float64 range")
+            raise DomainError(f"auto threshold tau={tau_val!r} is below the normal floats")
     else:
         tau_val = float(tau)
         if not (0.0 <= tau_val < math.inf):

@@ -81,7 +81,7 @@ def workload_digests(tmp) -> tuple[dict, dict]:
 
 def test_workload_artifacts_match_the_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    if golden["environment"]["numpy"] != np.__version__:
+    if golden["environment"]["numpy"] != np.__version__:     # before show_config(mode=)
         pytest.skip(f"digests recorded on numpy {golden['environment']['numpy']}, "
                     f"running {np.__version__}")
     here = environment()

@@ -10,6 +10,7 @@ starts to run, so the list only shrinks on purpose.
 """
 
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -20,8 +21,10 @@ from pathlib import Path
 import randbc
 import randbc.cli
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 TINY = ["--set", "grid.n=17", "--set", "bc.K=5"]
 CURVE = [*TINY, "--set", "M=50", "--set", "N_list=1,2"]
