@@ -9,17 +9,14 @@ import os as _os
 _os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS"), "1"))
 
-from .boundary import (BoundaryBasis, CovarianceSummary, RandomBoundaryModel,
-                       empirical_covariance, sample_coeffs, sigma_norm,
-                       surrogate_h12_norm)
-from .constraints import (ConstraintMap, CoverLabeling, extract_cover,
-                          holder_seminorm, restrict, save_cover_csv,
-                          witness_check, witness_fields)
+from .boundary import (BoundaryBasis, RandomBoundaryModel, sample_coeffs,
+                       sigma_norm, surrogate_h12_norm)
+from .constraints import (ConstraintMap, CoverLabeling, extract_cover, restrict,
+                          save_cover_csv, witness_check, witness_fields)
 from .errors import ConfigError, DomainError, RandbcError, SolverError
-from .experiments import (ConcentrationReport, SuccessCurveResult, TailReport,
-                          TrialConfig, concentration_check, success_curve,
-                          tail_check, trial_fields, variance_identity_check,
-                          wilson_interval)
+from .experiments import (SuccessCurveResult, TailReport, TrialConfig,
+                          success_curve, tail_check, trial_fields,
+                          variance_identity_check, wilson_interval)
 from .grid import (Grid2D, SubdomainMask, build_grid, default_window,
                    disk_mask, rect_mask)
 from .inverse import (ConductivityData, ConductivityResult, QpatData,

@@ -10,7 +10,8 @@ sigma_k = c k^{-s}.
 
 The weighted coefficient norm ||phi||_sigma^2 = sum a_k^2 / sigma_k^2 and the
 spectral H^{1/2} surrogate (sum (1 + m_k^2)^{1/2} a_k^2)^{1/2} (m_k the mode
-frequency) drive the tail and concentration experiments.
+frequency) are written by the sample command; the surrogate drives the tail
+check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .grid import Grid2D
 from .solver import root_sum_squares
 
@@ -150,25 +151,3 @@ def surrogate_h12_norm(coeffs) -> np.ndarray:
     (..., K) row."""
     m = mode_frequencies(np.shape(coeffs)[-1]).astype(float)
     return root_sum_squares(coeffs, axis=-1, weights=np.sqrt(1.0 + m * m))
-
-
-@dataclass(frozen=True)
-class CovarianceSummary:
-    variances: np.ndarray
-    max_offdiag_correlation: float
-
-
-def empirical_covariance(samples) -> CovarianceSummary:
-    """Per-mode sample variances and the largest |off-diagonal correlation| of
-    an (M, K) coefficient array."""
-    A = np.asarray(samples, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 2:
-        raise DomainError("empirical covariance needs at least two samples")
-    variances = A.var(axis=0, ddof=1)
-    live = variances > 0.0
-    max_off = 0.0
-    if live.sum() >= 2:
-        corr = np.corrcoef(A[:, live], rowvar=False)
-        off = corr - np.diag(np.diag(corr))
-        max_off = float(np.abs(off).max())
-    return CovarianceSummary(variances=variances, max_offdiag_correlation=max_off)

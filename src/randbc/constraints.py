@@ -32,6 +32,8 @@ from .solver import gradient
 
 KIND_ARITY = {"nodal": 1, "critical": 1, "jacobian": 2, "augmented": 3}
 
+_CSV_BLOCK = 1 << 12        # cover rows formatted and written at once (as OutputWriter.csv)
+
 
 @dataclass(frozen=True)
 class ConstraintMap:
@@ -140,14 +142,15 @@ def save_cover_csv(grid: Grid2D, mask: SubdomainMask, labeling: CoverLabeling,
     if labeling.label.shape != (mask.count,) or labeling.value.shape != (mask.count,):
         raise ConfigError(
             f"labeling covers {labeling.label.shape} nodes, mask {mask.count}")
-    xs = grid.xs.tolist()
-    ixs, iys = (idx.tolist() for idx in mask.indices)
+    coords = [repr(x) for x in grid.xs.tolist()]
+    columns = (*mask.indices, labeling.value, labeling.label)
     # The bytes csv.writer would emit: unquoted fields, "\r\n" line ends.
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value,label\r\n")
-        fh.write("".join([f"{xs[i]!r},{xs[j]!r},{v!r},{int(label)}\r\n" for i, j, v, label
-                          in zip(ixs, iys, labeling.value.tolist(),
-                                 labeling.label.tolist())]))
+        for lo in range(0, mask.count, _CSV_BLOCK):   # one block's Python objects at a time
+            block = (c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
+            fh.write("".join([f"{coords[i]},{coords[j]},{v!r},{int(label)}\r\n"
+                              for i, j, v, label in zip(*block)]))
 
 
 def witness_fields(cmap: ConstraintMap, grid: Grid2D):
@@ -167,32 +170,3 @@ def witness_check(cmap: ConstraintMap, grid: Grid2D, mask: SubdomainMask) -> flo
     """Minimum of zeta over the mask on the witness tuple (should be ~1)."""
     parts = restrict(grid, witness_fields(cmap, grid), *mask.indices)
     return float(det(feature_rows(cmap, *parts)).min())
-
-
-def holder_seminorm(values, mask: SubdomainMask, grid: Grid2D,
-                    alpha: float = 0.5) -> float:
-    """Empirical C^alpha seminorm sup |z(x)-z(y)| / |x-y|_inf^alpha (diagnostic)
-    of values at the mask's nodes, in mask.indices order (as restrict reads them).
-
-    Subsamples the mask deterministically to at most 1500 nodes, so that its
-    pairwise tables hold at most 1500^2 values.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    v = np.asarray(values, dtype=float)
-    if v.shape != (mask.count,):
-        raise ConfigError(f"{v.shape} values for a mask of {mask.count} nodes")
-    ix, iy = mask.indices
-    if ix.size > 1500:
-        step = int(np.ceil(ix.size / 1500))
-        ix, iy, v = ix[::step], iy[::step], v[::step]
-    x = ix * grid.h
-    y = iy * grid.h
-    dx = np.abs(x[:, None] - x[None, :])
-    dy = np.abs(y[:, None] - y[None, :])
-    dist = np.maximum(dx, dy)
-    dv = np.abs(v[:, None] - v[None, :])
-    off = dist > 0.0
-    if not np.any(off):
-        return 0.0
-    return float((dv[off] / dist[off] ** alpha).max())

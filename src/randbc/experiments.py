@@ -17,9 +17,7 @@ the (N, m) values, which extract_cover labels directly.  Covered studies:
                           sigma^2-weighted Gram determinant of the map's d
                           feature rows, scored as z-values;
   tail_check              survival of the spectral boundary norm against a
-                          fitted gaussian tail 2 exp(-c1 t^2);
-  concentration_check     deviation of empirical means of zeta^2 around the
-                          series value against a fitted mixed bound.
+                          fitted gaussian tail 2 exp(-c1 t^2).
 
 Randomness is keyed per work item (seed, repetition index).  success_curve
 runs its repetitions in one contiguous block per worker, reusing the block's
@@ -27,11 +25,10 @@ product buffers and reducing each repetition by exact block maxima, so a
 repetition's floats never depend on its block: thread count changes wall time
 only, never a single emitted number.
 
-The three checks stream their draws from one generator in chunks of _CHUNK
+The two checks stream their draws from one generator in chunks of _CHUNK
 samples, which give the same numbers as one large draw, and carry their
 reductions in numpy's own order, so memory does not grow with M.  The
-exception is a quantile: tail_check keeps the M norms and
-concentration_check the M deviations of one N, 8 bytes per sample.
+exception is a quantile: tail_check keeps the M norms, 8 bytes per sample.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from .streams import derive_rng
 
 Z95 = 1.959963984540054
 
-_CHUNK = 2048       # samples per streamed chunk; a multiple of 64 rows
+_CHUNK = 2048       # samples per streamed chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +196,8 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
     once and every smaller N uses a prefix, so per-trial min-max is exactly
     non-decreasing in N.  tau="auto" calibrates the threshold to the
     empirical 5% quantile (floor(0.05 M)-th smallest) of min-max at the
-    largest N.
+    largest N.  An explicit tau, like the auto one, must be 0 or a normal
+    float.
 
     Repetitions run in max(1, min(threads, M, usable CPUs)) contiguous blocks,
     one per worker (os.sched_getaffinity where the platform has it); the result's
@@ -217,6 +215,12 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         raise ConfigError("N_values must be nonempty")
     if Ns[0] < 1:
         raise ConfigError(f"measurement counts must be >= 1, got {Ns[0]}")
+    tiny = float(np.finfo(float).tiny)  # below it, values near tau lose digits
+    if isinstance(tau, str):
+        if tau != "auto":
+            raise ConfigError(f"tau must be a nonnegative number or 'auto', got {tau!r}")
+    elif not (float(tau) == 0.0 or tiny <= float(tau) < math.inf):
+        raise ConfigError(f"tau must be 0 or a finite normal float (>= {tiny!r}), got {tau!r}")
     N_max = Ns[-1]
     arity = cfg.cmap.arity
     feats = feature_rows(cfg.cmap, *cfg.window_parts)
@@ -250,16 +254,12 @@ def success_curve(cfg: TrialConfig, N_values, M: int, tau="auto",
         raise DomainError("constraint values overflow float64 at this weight scale")
 
     if isinstance(tau, str):
-        if tau != "auto":
-            raise ConfigError(f"tau must be a nonnegative number or 'auto', got {tau!r}")
         k = max(1, int(np.floor(0.05 * M)))
         tau_val = float(np.sort(min_max[:, -1])[k - 1])
-        if not tau_val >= np.finfo(float).tiny:     # below it, values near tau lose digits
+        if not tau_val >= tiny:
             raise DomainError(f"auto threshold tau={tau_val!r} is below the normal floats")
     else:
         tau_val = float(tau)
-        if not (0.0 <= tau_val < math.inf):
-            raise ConfigError(f"tau must be a finite nonnegative number, got {tau}")
 
     rows_out = []
     for j, N in enumerate(Ns):
@@ -413,68 +413,3 @@ def tail_check(model: RandomBoundaryModel, M: int, master_seed: int = 0) -> Tail
     dominated = bool(np.all(bound >= survival - 1e-12))
     return TailReport(c1_hat=c1_hat, rows=rows, dominated=dominated, M=M,
                       family=model.family)
-
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    N: int
-    t: float
-    p_emp: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    C_hat: float
-    mu: float
-    rows: list
-
-
-def concentration_check(cfg: TrialConfig, N_values, M: int,
-                        master_seed: int = 0) -> ConcentrationReport:
-    """Deviation of mean_l zeta(u_l)^2 from the series mean at the node
-    nearest (0.5, 0.5), with a fitted mixed bound 2 exp(-C min(N t^2, t N))
-    per sampled (N, t), t the deviations' quantiles at survival levels 0.5 to 0.02.
-
-    Each N streams derive_rng(master_seed, N) in chunks of whole
-    repetitions, a multiple of 64 of them, so every chunk's product rows
-    keep their alignment in one (M N, K) product and each repetition's mean
-    is unchanged.  Only the M deviations (8 bytes per repetition) are kept.
-    """
-    if cfg.cmap.arity != 1:
-        raise ConfigError("concentration check is implemented for arity-1 maps")
-    if not isinstance(M, (int, np.integer)) or M < 100:
-        raise ConfigError(f"need at least 100 repetitions, got M={M!r}")
-    M = int(M)
-    Ns = sorted({int(N) for N in N_values})
-    if not Ns or Ns[0] < 1:
-        raise ConfigError(f"bad N_values {N_values!r}")
-
-    ix, iy = cfg.grid.nearest_node((0.5, 0.5))
-    if not cfg.mask.member[ix, iy]:
-        raise ConfigError("probe (0.5, 0.5) lies outside the window")
-    feats = feature_rows(cfg.cmap, *restrict(cfg.grid, cfg.dictionary.z, [ix], [iy]))
-    w = feats[0][:, 0]
-    mu = float(_second_moment_series(feats, cfg.model.sigma ** 2)[0])
-
-    rows = []
-    fits = []
-    dev = np.empty(M)
-    for N in Ns:
-        rng = derive_rng(master_seed, N)
-        for lo, hi in _spans(M, 64 * max(1, _CHUNK // (64 * N))):
-            vals = np.square(sample_coeffs(cfg.model, rng, (hi - lo) * N) @ w)
-            d = dev[lo:hi]
-            np.abs(np.subtract(vals.reshape(hi - lo, N).mean(axis=1), mu, out=d), out=d)
-        ts = np.quantile(dev, 1.0 - np.array([0.5, 0.2, 0.1, 0.05, 0.02]), overwrite_input=True)
-        for t, p in zip(ts.tolist(), _survival(dev, ts).tolist()):
-            p_emp = p if t > 0.0 else 1.0
-            rows.append([N, t, p_emp])
-            if t > 0.0 and p_emp > 0.0:
-                fits.append(np.log(2.0 / p_emp) / min(N * t * t, t * N))
-    C_hat = float(min(fits)) if fits else float("inf")
-    out = [ConcentrationRow(N=r[0], t=r[1], p_emp=r[2],
-                            bound=float(2.0 * np.exp(-C_hat * min(r[0] * r[1] ** 2,
-                                                                  r[1] * r[0]))))
-           for r in rows]
-    return ConcentrationReport(C_hat=C_hat, mu=mu, rows=out)

@@ -378,6 +378,22 @@ def test_every_weight_scale_exits_cleanly_with_finite_outputs(tmp_path, capsys):
             assert _successes(tmp_path / str(i)) == _successes(tmp_path / str(unit)), argv
 
 
+def test_an_explicit_subnormal_threshold_exits_with_the_config_code(tmp_path, capsys):
+    # the c = 1 auto tau times c^2; counted against it, the c = 1e-160 run
+    # wrote 20/50 and 48/50 successes where c = 1 writes 20/50 and 49/50
+    argv = ["constraint-experiment", "--set", "grid.n=17", "--set", "bc.K=5",
+            "--set", "M=50", "--set", "N_list=1,2", "--set", "zeta=jacobian",
+            "--set", "bc.sigma.c=1e-160"]
+    out = tmp_path / "subnormal"
+    assert run([*argv, "--out", str(out), "--set", "tau=3.227601005865069e-323"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("randbc: configuration error: tau must be 0 or a finite normal")
+    assert not out.exists()
+    for i, tau in enumerate(["0", repr(float(np.finfo(float).tiny))]):
+        assert run([*argv, "--out", str(tmp_path / str(i)), "--set", f"tau={tau}"]) == 0
+
+
 def _successes(out) -> list[str]:
     with open(out / "success_curve.csv", newline="") as fh:
         return [row["successes"] for row in csv.DictReader(fh)]

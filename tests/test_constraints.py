@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from randbc.constraints import (KIND_ARITY, ConstraintMap, CoverLabeling, det,
-                                extract_cover, feature_rows, holder_seminorm,
-                                restrict, save_cover_csv, witness_check,
-                                witness_fields)
+                                extract_cover, feature_rows, restrict,
+                                save_cover_csv, witness_check, witness_fields)
 from randbc.errors import ConfigError, DomainError
 from randbc.grid import build_grid, default_window
 from randbc.solver import gradient
@@ -226,10 +225,15 @@ def test_save_cover_csv_bytes_match_the_csv_module(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
-def test_holder_seminorm_vanishes_on_constants(grid17):
-    w = default_window(grid17)
-    assert holder_seminorm(np.ones(w.count), w, grid17) == 0.0
-    lin = _zeta(grid17, ConstraintMap("nodal"), [grid17.X], w)
-    assert holder_seminorm(lin, w, grid17) > 0.0
-    with pytest.raises(ConfigError):
-        holder_seminorm(lin[1:], w, grid17)
+def test_save_cover_csv_memory_grows_by_at_most_8_bytes_per_node(tmp_path, traced_memory):
+    def peak(n):
+        g = build_grid(n)
+        w = default_window(g)
+        cover = CoverLabeling(label=np.arange(w.count) % 7 + 1,
+                              value=np.linspace(0.5, 2.0, w.count), threshold=0.5,
+                              complete=True)
+        path = tmp_path / f"cover{n}.csv"
+        return traced_memory(lambda: save_cover_csv(g, w, cover, path))[0], w.count
+
+    (small, m_small), (large, m_large) = peak(129), peak(513)
+    assert large - small <= 8 * (m_large - m_small)

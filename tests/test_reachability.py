@@ -42,15 +42,15 @@ COMMANDS = [argv for name in workloads.NAMES
     ["conductivity", "--set", "grid.n=17", "--set", "cond.bc=x1;x1"],     # exits 1
 ]
 
-# Read only by the tests, or by the benchmark's tracer and reference builder.
 NEVER_ENTERED = {
-    "boundary.RandomBoundaryModel.truncate", "boundary.empirical_covariance",
-    "constraints.witness_fields", "constraints.witness_check",
-    "constraints.holder_seminorm",
-    "experiments.concentration_check",
+    # read by the tests
+    "constraints.witness_fields", "constraints.witness_check",   # acceptance test 2
     "grid.Grid2D.boundary_values", "grid.default_window",
-    "solver.CoefficientField.anisotropic", "solver.DiscreteOperator.boundary_coupling",
-    "solver.Stencil.shape", "solver.load_field_csv",
+    "solver.CoefficientField.anisotropic", "solver.load_field_csv",
+    # read by perfbench/: make_reference.py (truncate, boundary_coupling) and
+    # tracer.py (boundary_coupling, Stencil.shape as op.matrix.shape)
+    "boundary.RandomBoundaryModel.truncate", "solver.DiscreteOperator.boundary_coupling",
+    "solver.Stencil.shape",
 }
 
 
