@@ -123,6 +123,14 @@ def test_weighted_norm_is_infinite_off_the_model_support():
         sigma_norm(np.zeros((2, 5)), m)
 
 
+def test_empirical_covariance_recovers_the_weights():
+    m = RandomBoundaryModel.power_law(K=5, c=1.0, s=1.5)
+    a = sample_coeffs(m, derive_rng(5, 0), 4000)
+    np.testing.assert_allclose(a.var(axis=0, ddof=1), m.sigma ** 2, rtol=0.15)
+    corr = np.corrcoef(a, rowvar=False)
+    assert np.abs(corr - np.eye(5)).max() <= 0.1
+
+
 def test_boundary_evaluation_matches_direct_synthesis():
     g = build_grid(17)
     a = sample_coeffs(RandomBoundaryModel.power_law(K=9), derive_rng(2, 8), 1)[0]
